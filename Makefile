@@ -5,7 +5,7 @@ JOBS ?= 4
 SCALE ?= 1.0
 CACHE_DIR ?= .repro-cache
 
-.PHONY: install test verify bench store-bench obs-check serve-check serve-bench health-check trace-check reshard-check reshard-bench cluster-check cluster-bench adversary-check adversary-bench fed-check fed-bench bench-check bench-trend dash eval figures report examples clean
+.PHONY: install test verify bench bench-suite bench-suite-test store-bench obs-check serve-check serve-bench health-check trace-check reshard-check reshard-bench cluster-check cluster-bench adversary-check adversary-bench fed-check fed-bench bench-check bench-trend dash eval figures report examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -27,6 +27,15 @@ verify:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repo's benchmark (BENCHMARK.json): all four workloads at seed 0,
+# every end-to-end metric with its unit and quartiles.
+bench-suite:
+	python3 benchmarks/suite/run.py --seed 0
+
+# The benchmark suite's own tests (~50 s).
+bench-suite-test:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/suite -q
 
 # Sharded-store replay benchmark; writes BENCH_store.json at the root.
 store-bench:

@@ -8,8 +8,11 @@ associative, or fully associative.
 
 Both levels are write-back/write-allocate.  A dirty L1 eviction is
 written into L2 (possibly allocating there); a dirty L2 eviction goes
-to memory.  The outcome records every DRAM-level transfer so the timing
-model can charge row hits/misses and bus occupancy.
+to memory.  The outcome records every DRAM-level transfer, including
+the fill of such a write-allocate.  The timing model decides which ones
+it charges: :meth:`repro.cpu.simulator.Simulator.run` services them
+only when the demand access misses the L2, so a write-allocate fill
+beside an L2 hit costs nothing.
 """
 
 from __future__ import annotations

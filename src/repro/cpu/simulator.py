@@ -99,6 +99,19 @@ class Simulator:
         ``warmup_fraction`` runs that leading share of the trace to
         populate the caches, then resets every statistic before the
         measured region — the standard way to exclude cold misses.
+
+        Every access is one ``hierarchy.access`` call and every DRAM
+        transfer one ``dram.service`` call, so a wrapper
+        around either sees each of them; the benchmark suite times and
+        traces the layers that way.  :func:`simulate_scheme` runs the LRU
+        hierarchies through :mod:`repro.cpu.fastpath` instead, which
+        matches this loop exactly.
+
+        DRAM reads are charged only for accesses that miss the L2.  A
+        dirty L1 victim that misses the L2 is write-allocated there, and
+        the outcome lists that fill in ``memory_reads``; when the demand
+        access itself hits the L2, the fill is never serviced, so it
+        costs no cycles and no row hit or miss.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
@@ -163,9 +176,22 @@ def simulate_scheme(trace: Trace, scheme: str,
                     config: MachineConfig = None,
                     skew_replacement: str = "enru",
                     warmup_fraction: float = 0.0) -> ExecutionResult:
-    """Convenience: build a fresh hierarchy for ``scheme`` and run."""
+    """Build a fresh hierarchy for ``scheme`` and run ``trace`` on it.
+
+    When both cache levels are LRU set-associative (base, 8way, xor,
+    pmod, pdisp) the run takes :func:`repro.cpu.fastpath.run_flat`,
+    which returns exactly what :meth:`Simulator.run` would, several
+    times faster; skewed and fully associative L2s take
+    :meth:`Simulator.run`.
+    """
+    # fastpath builds ExecutionResults, so it imports this module.
+    from repro.cpu import fastpath
+
     config = config or MachineConfig.paper_default()
     hierarchy = build_hierarchy(scheme, config, skew_replacement)
+    if fastpath.supports(hierarchy):
+        return fastpath.run_flat(trace, hierarchy, config, scheme,
+                                 warmup_fraction)
     dram = DramModel(config.dram_config())
     return Simulator(hierarchy, dram, config, scheme=scheme).run(
         trace, warmup_fraction=warmup_fraction
