@@ -48,11 +48,12 @@ obs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/obs -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_obs_overhead.py -q -s
 
-# Serving gate: the serve test suite plus the two-phase smoke load
-# (all-ok at low rate, explicit rejects with full accounting under
-# overload); exits nonzero on any contract violation.
+# Serving gate: the serve test suite under asyncio debug mode
+# (python -X dev) plus the two-phase smoke load (all-ok at low rate,
+# explicit rejects with full accounting under overload); exits nonzero
+# on any contract violation.
 serve-check:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/serve -q
+	PYTHONPATH=src $(PYTHON) -X dev -m pytest tests/serve -q
 	PYTHONPATH=src $(PYTHON) -m repro.serve.smoke
 
 # Serving benchmark: closed-loop throughput + per-scheme open-loop

@@ -41,11 +41,13 @@ from repro.engine import (
 )
 from repro.experiments.common import context_from_args, standard_argparser
 from repro.obs import (
+    disable_observability,
     enable_journal,
     enable_observability,
     get_journal,
     get_registry,
     get_tracer,
+    set_journal,
     trace_span,
     write_snapshot,
 )
@@ -107,10 +109,29 @@ def main(argv: Optional[List[str]] = None) -> None:
         raise SystemExit(f"error: {exc.args[0]}") from None
     observed = bool(args.metrics_out or args.trace or args.journal
                     or args.dash)
+    was_enabled = get_registry().enabled
+    prior_journal = get_journal()
+    journal_was_enabled = prior_journal.enabled
     if observed:
         enable_observability()
     if args.journal:
         enable_journal(args.journal)
+    try:
+        _run_and_report(args)
+    finally:
+        # Hand the process-wide observability back as it was found, so a
+        # later caller in the same process does not inherit this run's
+        # registry, tracer or journal.
+        if observed and not was_enabled:
+            disable_observability()
+        set_journal(prior_journal)
+        if journal_was_enabled:
+            prior_journal.enable()
+
+
+def _run_and_report(args) -> None:
+    """Run, render and export one experiment under ``main``'s
+    observability settings."""
     journal = get_journal()
     context = context_from_args(args, **parse_params(args.param))
     journal.emit("experiment.start", experiment=args.experiment,

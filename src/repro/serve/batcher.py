@@ -1,29 +1,40 @@
 """Per-queue request coalescing with size and deadline bounds.
 
 The :class:`Batcher` is the middle of the serving pipeline: admitted
-requests land on one asyncio queue per backend shard (plus one for
-simulation work), and one worker task per queue drains it in *batches*
-— up to ``max_batch_size`` items, waiting at most ``max_wait_s`` for
-stragglers once the first item arrives.  Batching is what turns
-hash-routed shards into a fabric: requests for the same shard share
-one dispatch (amortizing per-dispatch overhead exactly the way a
-sliced LLC amortizes a slice access), while shards never block each
-other — a stalled queue delays only its own batches.
+requests land on one FIFO deque per backend shard (plus one for
+simulation work), and one worker task per queue drains it in *batches*.
+Once a worker picks up a batch's first item it yields one event-loop
+iteration at a time and dispatches as soon as the first of these
+happens:
+
+* an iteration adds no item to its queue (the queue stopped growing);
+* the batch holds ``max_batch_size`` items;
+* ``max_wait_s`` has passed since the first item was picked up.
+
+A burst co-submitted in one loop tick (``asyncio.gather``) therefore
+still drains as one batch, while a request whose shard has no company
+does not wait out a window nobody will fill.
+
+Batching is what turns hash-routed shards into a fabric: requests for
+the same shard share one dispatch (amortizing per-dispatch overhead
+exactly the way a sliced LLC amortizes a slice access), while shards
+never block each other — a stalled queue delays only its own batches.
 
 The batcher is policy-free: it knows nothing about stores, faults or
 retries.  It calls one async ``execute(queue_id, items)`` callback per
 batch; the frontend owns what execution means, how failures map to
 futures, and all metrics.  Items whose futures are already settled
-(e.g. cancelled by the frontend's per-request timeout) are delivered
-anyway — the executor skips them — so accounting stays in one place.
+(e.g. expired by the frontend's deadline sweep) are delivered anyway —
+the executor skips them — so accounting stays in one place.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Awaitable, Callable, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Deque, List, Optional
 
 __all__ = ["BatchConfig", "Batcher", "WorkItem"]
 
@@ -37,9 +48,11 @@ class BatchConfig:
 
     Attributes:
         max_batch_size: most items one dispatch may carry.
-        max_wait_s: deadline for filling a batch, measured from the
-            moment its first item is picked up; expiry dispatches the
-            partial batch (latency is bounded, batching is best-effort).
+        max_wait_s: upper bound on filling a batch, measured from the
+            moment its first item is picked up.  A batch usually closes
+            sooner, at the first event-loop iteration that adds no item
+            to its queue; the bound only cuts a trickle that never
+            stops (latency is bounded, batching is best-effort).
     """
 
     max_batch_size: int = 16
@@ -105,7 +118,10 @@ class Batcher:
         self.config = config or BatchConfig()
         self._n_queues = n_queues
         self._execute = execute
-        self._queues: List[asyncio.Queue] = []
+        self._queues: List[Deque[Any]] = []
+        #: Per queue, the future its idle worker sleeps on (None while
+        #: the worker is busy); ``submit`` resolves it.
+        self._wakers: List[Optional[asyncio.Future]] = []
         self._tasks: List[asyncio.Task] = []
         self.batches = 0
         self.batched_items = 0
@@ -124,7 +140,8 @@ class Batcher:
     async def start(self) -> "Batcher":
         if self.started:
             return self
-        self._queues = [asyncio.Queue() for _ in range(self._n_queues)]
+        self._queues = [deque() for _ in range(self._n_queues)]
+        self._wakers = [None] * self._n_queues
         self._tasks = [asyncio.create_task(self._worker(qid),
                                            name=f"batcher-{qid}")
                        for qid in range(self._n_queues)]
@@ -134,16 +151,12 @@ class Batcher:
         """Stop every worker; returns items left undispatched."""
         if not self.started:
             return []
-        for queue in self._queues:
-            queue.put_nowait(_CLOSE)
+        for qid in range(self._n_queues):
+            self.submit(qid, _CLOSE)
         await asyncio.gather(*self._tasks)
-        dropped: List[WorkItem] = []
-        for queue in self._queues:
-            while not queue.empty():
-                item = queue.get_nowait()
-                if item is not _CLOSE:
-                    dropped.append(item)
-        self._queues, self._tasks = [], []
+        dropped = [item for queue in self._queues for item in queue
+                   if item is not _CLOSE]
+        self._queues, self._wakers, self._tasks = [], [], []
         return dropped
 
     # -- submission ----------------------------------------------------
@@ -152,11 +165,16 @@ class Batcher:
         """Enqueue one item (the frontend has already admitted it)."""
         if not self.started:
             raise RuntimeError("batcher is not started")
-        self._queues[queue_id].put_nowait(item)
+        self._queues[queue_id].append(item)
+        waker = self._wakers[queue_id]
+        if waker is not None:
+            self._wakers[queue_id] = None
+            if not waker.done():
+                waker.set_result(None)
 
     def queue_depth(self) -> int:
         """Items currently sitting in queues (excludes executing)."""
-        return sum(queue.qsize() for queue in self._queues)
+        return sum(len(queue) for queue in self._queues)
 
     @property
     def mean_batch_size(self) -> float:
@@ -164,45 +182,40 @@ class Batcher:
 
     # -- draining ------------------------------------------------------
 
-    async def _collect(self, queue: asyncio.Queue,
-                       first: WorkItem) -> Tuple[List[WorkItem], bool]:
-        """Fill a batch behind ``first`` until size or deadline."""
-        batch = [first]
-        if self.config.max_batch_size == 1:
-            return batch, False
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.max_wait_s
-        while len(batch) < self.config.max_batch_size:
-            if not queue.empty():
-                item = queue.get_nowait()
-            else:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-            if item is _CLOSE:
-                return batch, True
-            batch.append(item)
-        return batch, False
-
     async def _worker(self, qid: int) -> None:
         queue = self._queues[qid]
+        loop = asyncio.get_running_loop()
+        max_size = self.config.max_batch_size
+        max_wait = self.config.max_wait_s
         while True:
-            item = await queue.get()
-            if item is _CLOSE:
-                return
-            batch, closing = await self._collect(queue, item)
-            self.batches += 1
-            self.batched_items += len(batch)
-            try:
-                await self._execute(qid, batch)
-            except Exception as exc:  # executor contract violation
-                for work in batch:
-                    if not work.future.done():
-                        work.future.set_exception(exc)
+            while not queue:
+                waker = self._wakers[qid] = loop.create_future()
+                await waker
+            batch: List[WorkItem] = []
+            closing = False
+            deadline = loop.time() + max_wait
+            while True:
+                while queue and len(batch) < max_size:
+                    item = queue.popleft()
+                    if item is _CLOSE:
+                        closing = True
+                        break
+                    batch.append(item)
+                if (closing or len(batch) == max_size
+                        or loop.time() >= deadline):
+                    break
+                await asyncio.sleep(0)  # one loop iteration for company
+                if not queue:
+                    break
+            if batch:
+                self.batches += 1
+                self.batched_items += len(batch)
+                try:
+                    await self._execute(qid, batch)
+                except Exception as exc:  # executor contract violation
+                    for work in batch:
+                        if not work.future.done():
+                            work.future.set_exception(exc)
             if closing:
                 return
 

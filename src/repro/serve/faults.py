@@ -42,8 +42,9 @@ class FaultPolicy:
 
     Attributes:
         timeout_s: how long one attempt may wait for its batch result
-            before the frontend abandons it (the item is skipped by the
-            batcher once its future is cancelled).
+            before the frontend's deadline sweep expires it (its future
+            fails with ``asyncio.TimeoutError``, and the executor skips
+            the settled item when its batch comes up).
         max_retries: attempts after the first (0 = fail fast).
         backoff_base_s: backoff before the first retry.
         backoff_multiplier: exponential growth factor per retry.

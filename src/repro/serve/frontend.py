@@ -21,7 +21,8 @@ queue is ever unbounded*.  The pieces:
   :class:`~repro.store.selector.ShardSelector`, so shard balance — the
   paper's Eq. 1 — directly shapes queue depths and tail latency);
 * :class:`~repro.serve.faults.FaultPolicy` bounds how long any attempt
-  may wait and how often it may retry; an optional
+  may wait and how often it may retry — one deadline sweep per frontend
+  expires overdue attempts; an optional
   :class:`~repro.serve.faults.FaultInjector` makes batches slow, fail,
   or stall per shard for chaos testing.
 
@@ -54,9 +55,10 @@ it is mirrored into the span tracer as a waterfall.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import (
     MetricsRegistry,
@@ -169,7 +171,8 @@ class Frontend:
         store: the backend :class:`ShardedStore`.
         batch: coalescing bounds for the per-shard batchers.
         admission: token-bucket / queue-depth admission knobs.
-        policy: per-request timeout + bounded-retry schedule.
+        policy: per-attempt timeout (enforced by the deadline sweep) +
+            bounded-retry schedule.
         injector: optional chaos-testing fault source.
         simulate_fn: ``(workload, scheme) -> payload`` backing
             ``simulate`` requests (see :func:`engine_simulate_fn`);
@@ -202,6 +205,10 @@ class Frontend:
         self._rebind_task: Optional[asyncio.Task] = None
         self.rebinds = 0
         self._pending = 0
+        # The deadline sweep: (deadline, future) per in-flight attempt,
+        # in submission order, plus one timer for the head.
+        self._deadlines: Deque[Tuple[float, asyncio.Future]] = deque()
+        self._sweep_timer: Optional[asyncio.TimerHandle] = None
         self.peak_queue_depth = 0
         self._span_every = max(0, span_every)
         self._finished = 0
@@ -258,6 +265,12 @@ class Frontend:
             self._pending -= 1
             if not item.future.done():
                 item.future.set_exception(FrontendStopped("frontend stopped"))
+        # Every attempt is settled now: dispatched ones by their batch,
+        # the rest just above.
+        if self._sweep_timer is not None:
+            self._sweep_timer.cancel()
+            self._sweep_timer = None
+        self._deadlines.clear()
 
     async def __aenter__(self) -> "Frontend":
         return await self.start()
@@ -347,14 +360,15 @@ class Frontend:
             if self._pending > self.peak_queue_depth:
                 self.peak_queue_depth = self._pending
             batcher.submit(queue_id, item)
+            self._expire_after_timeout(item.future)
             failure = detail = None
             try:
-                value = await asyncio.wait_for(item.future,
-                                               self.policy.timeout_s)
+                value = await item.future
             except asyncio.TimeoutError:
-                # wait_for cancelled the future; the batcher will skip
-                # the abandoned item when its batch comes up (and the
-                # finished trace rejects its late stage appends).
+                # The deadline sweep expired the future; the batcher
+                # will skip the abandoned item when its batch comes up
+                # (and the finished trace rejects its late stage
+                # appends).
                 failure = "timeout"
                 if ctx is not None:
                     ctx.stage_since("timeout", item.enqueued_s,
@@ -409,6 +423,41 @@ class Frontend:
             await asyncio.sleep(self.policy.backoff_s(retries))
             if ctx is not None:
                 ctx.stage_since("backoff", backoff_from, attempt=retries)
+
+    # -- attempt deadlines ---------------------------------------------
+
+    def _expire_after_timeout(self, future: asyncio.Future) -> None:
+        """Fail ``future`` with ``asyncio.TimeoutError`` unless it settles
+        within ``policy.timeout_s``.
+
+        The policy is frozen, so deadlines rise in submission order: one
+        deque and one timer for its head cover every in-flight attempt.
+        Settled entries are dropped from the left on every append, so the
+        deque holds only the in-flight window.
+        """
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][1].done():
+            deadlines.popleft()
+        loop = future.get_loop()
+        deadlines.append((loop.time() + self.policy.timeout_s, future))
+        if self._sweep_timer is None:
+            self._sweep_timer = loop.call_at(deadlines[0][0], self._sweep,
+                                             loop)
+
+    def _sweep(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Expire every attempt whose deadline has passed, then re-arm
+        the timer for the oldest attempt still in flight."""
+        now = loop.time()
+        deadlines = self._deadlines
+        while deadlines:
+            deadline, future = deadlines[0]
+            if not future.done():
+                if deadline > now:
+                    break
+                future.set_exception(asyncio.TimeoutError())
+            deadlines.popleft()
+        self._sweep_timer = (loop.call_at(deadlines[0][0], self._sweep, loop)
+                             if deadlines else None)
 
     # -- epoch-aware routing -------------------------------------------
 
@@ -478,138 +527,126 @@ class Frontend:
 
     # -- batch executors (Batcher callbacks) ---------------------------
 
-    async def _run_store_batch(self, shard_id: int,
-                               items: List[WorkItem]) -> None:
-        self._pending -= len(items)
+    async def _pickup(self, queue_id: int,
+                      items: List[WorkItem]) -> List[WorkItem]:
+        """The items of a picked-up batch still worth executing.
+
+        Skips items whose attempt already settled (expired or failed),
+        records their queue stage, and applies any injected fault: an
+        injected error fails every live item and leaves none to run.
+        """
         live = [item for item in items if not item.future.done()]
         if self._observed:
             self._batch_counter.inc()
             self._batch_size.observe(len(live))
             self._queue_gauge.set(self._pending)
         if not live:
-            return
+            return live
         traced = [item for item in live if item.trace is not None]
         if traced:
             pickup = perf_counter()
             for item in traced:
                 item.trace.stage("queue", item.enqueued_s,
-                                 pickup - item.enqueued_s, shard=shard_id)
+                                 pickup - item.enqueued_s, shard=queue_id)
         if self.injector is not None:
             fault_from = perf_counter()
             try:
-                await self.injector.before_batch(shard_id)
+                await self.injector.before_batch(queue_id)
             except InjectedFault as exc:
                 failed = perf_counter()
                 for item in live:
                     ctx = item.trace
                     if ctx is not None:
                         ctx.stage("fault", fault_from, failed - fault_from,
-                                  shard=shard_id, injected="error")
+                                  shard=queue_id, injected="error")
                         ctx.mark("op_end", failed)
                     if not item.future.done():
                         item.future.set_exception(exc)
-                return
+                return []
             if traced:
                 cleared = perf_counter()
                 for item in traced:
                     item.trace.stage("fault", fault_from,
-                                     cleared - fault_from, shard=shard_id)
-        with trace_span("serve.batch", shard=shard_id, size=len(live)):
-            store = self.store
-            batch_from = perf_counter()
-            for position, item in enumerate(live):
-                item.service_s = (position + 1) * VIRTUAL_TICK_S
-                request = item.request
-                ctx = item.trace
-                op_from = perf_counter()
-                if ctx is not None:
-                    # head-of-line wait: earlier items' ops in this batch
-                    ctx.stage("serialize", batch_from, op_from - batch_from,
-                              shard=shard_id)
-                try:
-                    if request.op == "get":
-                        value = store.get(request.key)
-                    elif request.op == "put":
-                        value = store.put(request.key, request.value)
-                    elif request.op == "delete":
-                        value = store.delete(request.key)
+                                     cleared - fault_from, shard=queue_id)
+        return live
+
+    async def _run_store_batch(self, shard_id: int,
+                               items: List[WorkItem]) -> None:
+        # A batch counts as in flight until it has executed, so a batch
+        # sleeping in a shard stall still holds its admission slots.
+        try:
+            live = await self._pickup(shard_id, items)
+            if not live:
+                return
+            with trace_span("serve.batch", shard=shard_id, size=len(live)):
+                store = self.store
+                batch_from = perf_counter()
+                for position, item in enumerate(live):
+                    item.service_s = (position + 1) * VIRTUAL_TICK_S
+                    request = item.request
+                    ctx = item.trace
+                    op_from = perf_counter()
+                    if ctx is not None:
+                        # head-of-line wait: earlier items' ops in this
+                        # batch
+                        ctx.stage("serialize", batch_from,
+                                  op_from - batch_from, shard=shard_id)
+                    try:
+                        if request.op == "get":
+                            value = store.get(request.key)
+                        elif request.op == "put":
+                            value = store.put(request.key, request.value)
+                        elif request.op == "delete":
+                            value = store.delete(request.key)
+                        else:
+                            raise ValueError(
+                                f"unknown request op {request.op!r}")
+                    except Exception as exc:
+                        if ctx is not None:
+                            done = ctx.mark("op_end")
+                            ctx.stage("store", op_from, done - op_from,
+                                      op=request.op, shard=shard_id)
+                        if not item.future.done():
+                            item.future.set_exception(exc)
                     else:
-                        raise ValueError(
-                            f"unknown request op {request.op!r}")
-                except Exception as exc:
-                    if ctx is not None:
-                        done = ctx.mark("op_end")
-                        ctx.stage("store", op_from, done - op_from,
-                                  op=request.op, shard=shard_id)
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                else:
-                    if ctx is not None:
-                        done = ctx.mark("op_end")
-                        ctx.stage("store", op_from, done - op_from,
-                                  op=request.op, shard=shard_id)
-                    if not item.future.done():
-                        item.future.set_result(value)
+                        if ctx is not None:
+                            done = ctx.mark("op_end")
+                            ctx.stage("store", op_from, done - op_from,
+                                      op=request.op, shard=shard_id)
+                        if not item.future.done():
+                            item.future.set_result(value)
+        finally:
+            self._pending -= len(items)
 
     async def _run_sim_batch(self, _qid: int,
                              items: List[WorkItem]) -> None:
-        self._pending -= len(items)
-        live = [item for item in items if not item.future.done()]
-        if self._observed:
-            self._batch_counter.inc()
-            self._batch_size.observe(len(live))
-            self._queue_gauge.set(self._pending)
-        if not live:
-            return
-        traced = [item for item in live if item.trace is not None]
-        if traced:
-            pickup = perf_counter()
-            for item in traced:
-                item.trace.stage("queue", item.enqueued_s,
-                                 pickup - item.enqueued_s, shard=SIM_QUEUE)
-        if self.injector is not None:
-            fault_from = perf_counter()
-            try:
-                await self.injector.before_batch(SIM_QUEUE)
-            except InjectedFault as exc:
-                failed = perf_counter()
-                for item in live:
-                    ctx = item.trace
-                    if ctx is not None:
-                        ctx.stage("fault", fault_from, failed - fault_from,
-                                  shard=SIM_QUEUE, injected="error")
-                        ctx.mark("op_end", failed)
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                return
-            if traced:
-                cleared = perf_counter()
-                for item in traced:
-                    item.trace.stage("fault", fault_from,
-                                     cleared - fault_from, shard=SIM_QUEUE)
-        # Dedupe identical cells: one simulation serves every waiter.
-        groups: Dict[Any, List[WorkItem]] = {}
-        for position, item in enumerate(live):
-            item.service_s = (position + 1) * VIRTUAL_TICK_S
-            request = item.request
-            groups.setdefault((request.workload, request.scheme),
-                              []).append(item)
-        loop = asyncio.get_running_loop()
-        for (workload, scheme), waiters in groups.items():
-            op_from = perf_counter()
-            try:
-                value = await loop.run_in_executor(
-                    None, self._simulate_fn, workload, scheme)
-            except Exception as exc:
-                self._stage_sim_op(waiters, op_from)
-                for item in waiters:
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-            else:
-                self._stage_sim_op(waiters, op_from)
-                for item in waiters:
-                    if not item.future.done():
-                        item.future.set_result(value)
+        try:
+            live = await self._pickup(SIM_QUEUE, items)
+            # Dedupe identical cells: one simulation serves every waiter.
+            groups: Dict[Any, List[WorkItem]] = {}
+            for position, item in enumerate(live):
+                item.service_s = (position + 1) * VIRTUAL_TICK_S
+                request = item.request
+                groups.setdefault((request.workload, request.scheme),
+                                  []).append(item)
+            loop = asyncio.get_running_loop()
+            for (workload, scheme), waiters in groups.items():
+                op_from = perf_counter()
+                try:
+                    value = await loop.run_in_executor(
+                        None, self._simulate_fn, workload, scheme)
+                except Exception as exc:
+                    self._stage_sim_op(waiters, op_from)
+                    for item in waiters:
+                        if not item.future.done():
+                            item.future.set_exception(exc)
+                else:
+                    self._stage_sim_op(waiters, op_from)
+                    for item in waiters:
+                        if not item.future.done():
+                            item.future.set_result(value)
+        finally:
+            self._pending -= len(items)
 
     @staticmethod
     def _stage_sim_op(waiters: List[WorkItem], op_from: float) -> None:

@@ -6,6 +6,17 @@ import pytest
 
 from repro.engine import all_experiment_names, validate_artifact
 from repro.experiments.__main__ import main, parse_params
+from repro.obs import (
+    Journal,
+    disable_observability,
+    enable_journal,
+    enable_observability,
+    get_collector,
+    get_journal,
+    get_registry,
+    get_tracer,
+    set_journal,
+)
 
 
 class TestParseParams:
@@ -50,3 +61,52 @@ class TestMain:
         artifact = json.loads(path.read_text())
         assert len(artifact["data"]["rows"]) == 2
         assert artifact["config"]["params"] == {"set_counts": [256, 512]}
+
+
+class TestObservabilityRestored:
+    """``main`` hands the process-wide observability back as it found
+    it, so a later run in the same process starts from a clean slate."""
+
+    def test_flags_leave_observability_off(self, tmp_path, capsys):
+        prior = get_journal()
+        journal_path = tmp_path / "run.jsonl"
+        main(["fragmentation", "--trace",
+              "--metrics-out", str(tmp_path / "metrics.json"),
+              "--journal", str(journal_path)])
+        capsys.readouterr()
+        assert not get_registry().enabled
+        assert not get_tracer().enabled
+        assert not get_collector().enabled
+        assert get_journal() is prior
+        assert not prior.enabled
+        assert "experiment.finish" in journal_path.read_text()
+
+    def test_failed_run_still_restores(self, tmp_path, monkeypatch):
+        def explode(name, context):
+            raise RuntimeError("experiment failed")
+
+        monkeypatch.setattr("repro.experiments.__main__.run_experiment",
+                            explode)
+        prior = get_journal()
+        with pytest.raises(RuntimeError, match="experiment failed"):
+            main(["fragmentation", "--journal",
+                  str(tmp_path / "run.jsonl")])
+        assert not get_registry().enabled
+        assert get_journal() is prior
+
+    def test_enabled_observability_stays_enabled(self, tmp_path, capsys):
+        enable_observability()
+        journal = enable_journal()
+        try:
+            main(["fragmentation", "--metrics-out",
+                  str(tmp_path / "metrics.json")])
+            capsys.readouterr()
+            assert get_registry().enabled
+            assert get_tracer().enabled
+            assert get_journal() is journal
+            assert journal.enabled
+        finally:
+            disable_observability()
+            get_registry().clear()
+            get_tracer().clear()
+            set_journal(Journal(enabled=False))

@@ -1,6 +1,7 @@
-"""Batcher: coalescing bounds, deadlines, shutdown draining."""
+"""Batcher: coalescing bounds, the batch window, shutdown draining."""
 
 import asyncio
+from time import perf_counter
 
 import pytest
 
@@ -124,6 +125,80 @@ class TestCoalescing:
         batches, items, mean = run(scenario())
         assert items == 8
         assert mean == pytest.approx(items / batches)
+
+
+class TestWindow:
+    """A batch closes at the first loop iteration that adds nothing to
+    its queue; ``max_wait_s`` only bounds a trickle that never stops."""
+
+    def test_lone_item_does_not_wait_out_max_wait(self):
+        async def scenario():
+            recorder = Recorder()
+            batcher = Batcher(1, recorder,
+                              BatchConfig(max_batch_size=32, max_wait_s=0.5))
+            await batcher.start()
+            item = WorkItem.make("solo")
+            began = perf_counter()
+            batcher.submit(0, item)
+            result = await item.future
+            waited = perf_counter() - began
+            await batcher.stop()
+            return recorder.batches, result, waited
+
+        batches, result, waited = run(scenario())
+        assert batches == [(0, 1)]
+        assert result == "solo"
+        assert waited < 0.05
+
+    def test_one_item_per_iteration_keeps_the_window_open(self):
+        """A queue that grows every loop iteration keeps filling its
+        batch, up to ``max_batch_size``."""
+        async def scenario():
+            recorder = Recorder()
+            batcher = Batcher(1, recorder,
+                              BatchConfig(max_batch_size=8, max_wait_s=5.0))
+            await batcher.start()
+            items = []
+            for i in range(12):
+                items.append(WorkItem.make(i))
+                batcher.submit(0, items[-1])
+                await asyncio.sleep(0)
+            results = await asyncio.gather(*(i.future for i in items))
+            await batcher.stop()
+            return recorder.batches, results
+
+        batches, results = run(scenario())
+        assert batches == [(0, 8), (0, 4)]
+        assert results == list(range(12))
+
+    def test_endless_trickle_is_cut_at_max_wait(self):
+        max_wait = 0.02
+
+        async def scenario():
+            dispatched = []
+
+            async def execute(queue_id, items):
+                dispatched.append((perf_counter(), len(items)))
+                for item in items:
+                    item.future.set_result(None)
+
+            batcher = Batcher(1, execute, BatchConfig(max_batch_size=10**6,
+                                                      max_wait_s=max_wait))
+            await batcher.start()
+            began = perf_counter()
+            items = []
+            while not dispatched:
+                items.append(WorkItem.make(len(items)))
+                batcher.submit(0, items[-1])
+                await asyncio.sleep(0)
+            await asyncio.gather(*(i.future for i in items))
+            await batcher.stop()
+            return began, dispatched
+
+        began, dispatched = run(scenario())
+        first_at, first_size = dispatched[0]
+        assert max_wait <= first_at - began < max_wait + 0.05
+        assert 1 < first_size < 10**6
 
 
 class TestFailureAndShutdown:

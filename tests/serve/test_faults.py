@@ -234,3 +234,164 @@ class TestGracefulDegradation:
         responses, stats = run(scenario())
         assert all(r.ok for r in responses)
         assert stats["faults"]["delay"] > 0
+
+
+def stalled_frontend(timeout_s, stall_s, *, max_retries=0,
+                     backoff_base_s=0.01, max_batch_size=4,
+                     max_queue_depth=1024):
+    """A frontend over 8 pmod shards with an injector (nothing stalled
+    yet) whose batches take only what is already queued."""
+    store = ShardedStore(n_shards=8, scheme="pmod", shard_capacity=64)
+    injector = FaultInjector(stall_s=stall_s)
+    frontend = Frontend(
+        store,
+        batch=BatchConfig(max_batch_size=max_batch_size, max_wait_s=0.0),
+        admission=AdmissionConfig(max_queue_depth=max_queue_depth),
+        policy=FaultPolicy(timeout_s=timeout_s, max_retries=max_retries,
+                           backoff_base_s=backoff_base_s),
+        injector=injector)
+    return frontend, store, injector
+
+
+def keys_on(store, shard, count):
+    return [key for key in range(4096)
+            if store.shard_for(key) == shard][:count]
+
+
+class TestDeadlineSweep:
+    """One deadline deque and timer per frontend expire overdue
+    attempts at their own deadlines."""
+
+    def test_stalled_attempt_times_out_on_time(self):
+        timeout = 0.1
+
+        async def scenario():
+            frontend, store, injector = stalled_frontend(timeout, 0.3)
+            injector.stall(store.shard_for(7))
+            async with frontend:
+                return await frontend.get(7)
+
+        response = run(scenario())
+        assert response.status == "timeout"
+        assert timeout <= response.latency_s <= timeout + 0.05
+
+    def test_two_stalled_shards_expire_at_their_own_deadlines(self):
+        timeout, gap = 0.1, 0.05
+
+        async def scenario():
+            frontend, store, injector = stalled_frontend(timeout, 0.3)
+            first = 0
+            second = next(key for key in range(1, 4096)
+                          if store.shard_for(key) != store.shard_for(first))
+            injector.stall(store.shard_for(first))
+            injector.stall(store.shard_for(second))
+            loop = asyncio.get_running_loop()
+            async with frontend:
+                began = loop.time()
+                done = {}
+
+                async def timed_get(key):
+                    response = await frontend.get(key)
+                    done[key] = loop.time() - began
+                    return response
+
+                a = asyncio.ensure_future(timed_get(first))
+                await asyncio.sleep(gap)
+                b = asyncio.ensure_future(timed_get(second))
+                responses = await asyncio.gather(a, b)
+            return responses, done[first], done[second]
+
+        (a, b), a_done, b_done = run(scenario())
+        assert a.status == b.status == "timeout"
+        assert timeout <= a_done <= timeout + 0.05
+        assert timeout + gap <= b_done <= timeout + gap + 0.05
+
+    def test_retry_gets_a_fresh_deadline(self):
+        timeout, backoff = 0.1, 0.01
+
+        async def scenario():
+            frontend, store, injector = stalled_frontend(
+                timeout, 0.5, max_retries=1, backoff_base_s=backoff)
+            injector.stall(store.shard_for(7))
+            async with frontend:
+                return await frontend.get(7)
+
+        response = run(scenario())
+        assert response.status == "timeout"
+        assert response.retries == 1
+        assert 2 * timeout + backoff <= response.latency_s \
+            <= 2 * timeout + backoff + 0.05
+
+    def test_abandoned_put_never_reaches_the_store(self):
+        """A put queued behind a stalled batch expires; when its batch
+        comes up the executor skips it."""
+        async def scenario():
+            frontend, store, injector = stalled_frontend(0.05, 0.2)
+            shard = store.shard_for(0)
+            blocker, victim = keys_on(store, shard, 2)
+            injector.stall(shard)
+            puts = []
+            real_put = store.put
+
+            def spy_put(key, value):
+                puts.append(key)
+                return real_put(key, value)
+
+            store.put = spy_put
+            async with frontend:
+                stalled = asyncio.ensure_future(frontend.get(blocker))
+                await asyncio.sleep(0.01)  # the get's batch is stalling
+                response = await frontend.put(victim, "late")
+                await stalled
+            return response, puts, store.get(victim)
+
+        response, puts, stored = run(scenario())
+        assert response.status == "timeout"
+        assert puts == []
+        assert stored is None
+
+    def test_stop_leaves_no_sweep_timer(self):
+        async def scenario():
+            frontend, store, injector = stalled_frontend(1.0, 0.0)
+            async with frontend:
+                response = await frontend.put(1, "v")
+                timer = frontend._sweep_timer
+                armed = timer is not None and not timer.cancelled()
+            return response, armed, timer, frontend
+
+        response, armed, timer, frontend = run(scenario())
+        assert response.ok
+        assert armed  # the settled put's deadline was still pending
+        assert timer.cancelled()
+        assert frontend._sweep_timer is None
+        assert not frontend._deadlines
+
+
+class TestInFlightCount:
+    def test_executing_batch_counts_against_the_depth_cap(self):
+        """``queue_depth`` is queued + executing: a batch sleeping in a
+        shard stall still holds its admission slots."""
+        async def scenario():
+            frontend, store, injector = stalled_frontend(
+                1.0, 0.2, max_batch_size=4, max_queue_depth=4)
+            shard = store.shard_for(0)
+            stalled_keys = keys_on(store, shard, 4)
+            healthy = next(key for key in range(4096)
+                           if store.shard_for(key) != shard)
+            injector.stall(shard)
+            async with frontend:
+                gets = [asyncio.ensure_future(frontend.get(key))
+                        for key in stalled_keys]
+                await asyncio.sleep(0.05)
+                depth = frontend.queue_depth
+                fifth = await frontend.get(healthy)
+                stalled = await asyncio.gather(*gets)
+                drained = frontend.queue_depth
+            return depth, fifth, stalled, drained
+
+        depth, fifth, stalled, drained = run(scenario())
+        assert depth == 4
+        assert fifth.status == "rejected"
+        assert fifth.reason == "queue_full"
+        assert all(response.ok for response in stalled)
+        assert drained == 0
