@@ -15,7 +15,8 @@ test:
 
 # The tier-1 gate: full suite, stop at first failure, quiet output —
 # then the bench-regression gate over the recorded BENCH_* trajectory
-# (check-only: `make bench-check` is the target that appends history).
+# (check-only: `make bench-check` is the target that appends history),
+# then an import check of the bench harness, which tier-1 never loads.
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.reshard --check
@@ -24,6 +25,7 @@ verify:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.federation --check
 	$(MAKE) trace-check
 	PYTHONPATH=src $(PYTHON) -m repro.obs.benchguard --no-update
+	PYTHONPATH=src $(PYTHON) -m pytest --collect-only -q benchmarks
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

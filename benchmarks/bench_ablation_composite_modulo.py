@@ -33,8 +33,8 @@ def simulate_modulo(trace, n_sets):
                              TraditionalIndexing(config.l1_sets))
     l2 = SetAssociativeCache(config.l2_sets, config.l2_assoc,
                              PrimeModuloIndexing(config.l2_sets, n_sets=n_sets))
-    hierarchy = CacheHierarchy(l1, l2, config.l1_block_bytes,
-                               config.l2_block_bytes)
+    hierarchy = CacheHierarchy([(l1, config.l1_block_bytes),
+                                (l2, config.l2_block_bytes)])
     return Simulator(hierarchy, DramModel(config.dram_config()),
                      config).run(trace)
 

@@ -29,8 +29,8 @@ def simulate_victim(trace, n_entries):
                             TraditionalIndexing(machine.l2_sets)),
         n_victim_entries=n_entries,
     )
-    hierarchy = CacheHierarchy(l1, l2, machine.l1_block_bytes,
-                               machine.l2_block_bytes)
+    hierarchy = CacheHierarchy([(l1, machine.l1_block_bytes),
+                                (l2, machine.l2_block_bytes)])
     sim = Simulator(hierarchy, DramModel(machine.dram_config()), machine,
                     scheme=f"victim{n_entries}")
     return sim.run(trace)

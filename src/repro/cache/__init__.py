@@ -1,5 +1,6 @@
 """Cache models: conventional, skewed, fully associative, and the
-two-level write-back hierarchy of the paper's Table 3.
+write-back hierarchy that chains them (two levels in the paper's
+Table 3).
 """
 
 from repro.cache.fastsim import (
@@ -9,7 +10,6 @@ from repro.cache.fastsim import (
 )
 from repro.cache.fully import FullyAssociativeCache
 from repro.cache.hierarchy import CacheHierarchy, HierarchyOutcome
-from repro.cache.multilevel import MultiLevelHierarchy
 from repro.cache.replacement import (
     FIFOPolicy,
     LRUPolicy,
@@ -41,7 +41,6 @@ __all__ = [
     "FullyAssociativeCache",
     "HierarchyOutcome",
     "LRUPolicy",
-    "MultiLevelHierarchy",
     "NRUPolicy",
     "NrunrwPolicy",
     "PlainNruPolicy",

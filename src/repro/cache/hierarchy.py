@@ -1,26 +1,34 @@
-"""Two-level write-back cache hierarchy (paper Table 3).
+"""Write-back cache hierarchy of any depth.
 
-L1 always uses traditional indexing (the paper only rehashes the L2 —
-Section 3.3 explains why XOR-style functions are a bad idea for L1).
-The L2 can be any object with the cache ``access(block, is_write)``
-protocol: set-associative with any indexing function, skewed
-associative, or fully associative.
+The paper's machine (Table 3) is two levels.  Its L1 always uses
+traditional indexing (the paper only rehashes the L2 — Section 3.3
+explains why XOR-style functions are a bad idea for L1).  The L2 can be
+any object with the cache ``access(block, is_write)`` protocol:
+set-associative with any indexing function, skewed associative, fully
+associative, or a victim cache.  The ``l3_hashing`` experiment chains a
+third level to ask the same question at a modern last-level cache.
 
-Both levels are write-back/write-allocate.  A dirty L1 eviction is
-written into L2 (possibly allocating there); a dirty L2 eviction goes
-to memory.  The outcome records every DRAM-level transfer, including
-the fill of such a write-allocate.  The timing model decides which ones
-it charges: :meth:`repro.cpu.simulator.Simulator.run` services them
-only when the demand access misses the L2, so a write-allocate fill
-beside an L2 hit costs nothing.
+Every level is write-back/write-allocate:
+
+* a hit at a level services the access;
+* a miss allocates there and goes on to the next level down; a miss at
+  the last level is a memory read;
+* a dirty victim is written into the next level down, write-allocating
+  there like any other miss; a dirty victim of the last level is a
+  memory write.
+
+The outcome records every DRAM-level transfer, including the fill of
+such a write-allocate.  The timing model decides which ones it charges:
+:meth:`repro.cpu.simulator.Simulator.run` services them only when the
+demand access misses the L2, so a write-allocate fill beside an L2 hit
+costs nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Sequence, Tuple
 
-from repro.cache.setassoc import SetAssociativeCache
 from repro.mathutil import log2_exact
 
 
@@ -29,9 +37,10 @@ class HierarchyOutcome:
     """What one CPU access did to the hierarchy.
 
     Attributes:
-        level: where the data was found — ``"l1"``, ``"l2"`` or ``"mem"``.
-        memory_reads: L2-block addresses fetched from DRAM.
-        memory_writes: L2-block addresses written back to DRAM.
+        level: where the data was found — ``"l1"``, ``"l2"``, … or
+            ``"mem"``.
+        memory_reads: last-level block addresses fetched from DRAM.
+        memory_writes: last-level block addresses written back to DRAM.
     """
 
     level: str
@@ -44,47 +53,67 @@ class HierarchyOutcome:
 
 
 class CacheHierarchy:
-    """L1 + L2 write-back hierarchy driven by byte addresses."""
+    """A chain of caches driven by byte addresses, L1 first."""
 
-    def __init__(self, l1: SetAssociativeCache, l2, l1_block_bytes: int,
-                 l2_block_bytes: int):
-        if l2_block_bytes < l1_block_bytes:
-            raise ValueError("L2 lines must be at least as large as L1 lines")
-        self.l1 = l1
-        self.l2 = l2
-        self.l1_offset_bits = log2_exact(l1_block_bytes)
-        self.l2_offset_bits = log2_exact(l2_block_bytes)
-        self._l1_to_l2_shift = self.l2_offset_bits - self.l1_offset_bits
+    def __init__(self, levels: Sequence[Tuple[object, int]]):
+        """``levels`` is a list of ``(cache, block_bytes)``, L1 first;
+        line sizes may not shrink toward memory."""
+        if not levels:
+            raise ValueError("need at least one cache level")
+        self.caches = [cache for cache, _ in levels]
+        self.offset_bits = [log2_exact(block) for _, block in levels]
+        if self.offset_bits != sorted(self.offset_bits):
+            raise ValueError("line sizes must be non-decreasing toward memory")
+        # Per level: (cache, offset bits, name, the levels below it), so
+        # a write-back walks on from its own level without slicing.
+        self._levels = []
+        for n in range(len(self.caches), 0, -1):
+            level = (self.caches[n - 1], self.offset_bits[n - 1], f"l{n}",
+                     self._levels)
+            self._levels = [level] + self._levels
 
-    def _l2_write(self, l2_block: int, outcome: HierarchyOutcome) -> None:
-        """Write a dirty L1 victim into L2 (write-allocate)."""
-        result = self.l2.access(l2_block, is_write=True)
-        if not result.hit:
-            outcome.memory_reads.append(l2_block)  # allocate fill
-            if result.writeback:
-                outcome.memory_writes.append(result.victim_block)
+    @property
+    def l1(self):
+        return self.caches[0]
+
+    @property
+    def l2(self):
+        return self.caches[1]
 
     def access(self, byte_address: int, is_write: bool = False) -> HierarchyOutcome:
-        """One CPU load/store; returns where it was serviced."""
+        """One CPU load/store; returns where it was serviced plus the
+        DRAM traffic it caused."""
         if byte_address < 0:
             raise ValueError("address must be non-negative")
-        l1_block = byte_address >> self.l1_offset_bits
-        l1_result = self.l1.access(l1_block, is_write)
-        if l1_result.hit:
-            return HierarchyOutcome(level="l1")
-
-        outcome = HierarchyOutcome(level="l2")
-        if l1_result.writeback:
-            self._l2_write(l1_result.victim_block >> self._l1_to_l2_shift, outcome)
-
-        l2_block = byte_address >> self.l2_offset_bits
-        l2_result = self.l2.access(l2_block, is_write=False)
-        if not l2_result.hit:
-            outcome.level = "mem"
-            outcome.memory_reads.append(l2_block)
-            if l2_result.writeback:
-                outcome.memory_writes.append(l2_result.victim_block)
+        outcome = HierarchyOutcome(level="mem")
+        outcome.level = self._walk(self._levels, byte_address, is_write,
+                                   outcome)
         return outcome
 
+    def _walk(self, levels, byte_address: int, is_write: bool,
+              outcome: HierarchyOutcome) -> str:
+        """Access ``byte_address`` at each of ``levels`` in turn until one
+        hits; returns that level's name, or ``"mem"``.
+
+        A dirty victim is written into the levels below its own by the
+        same walk, or into DRAM below the last level.
+        """
+        for cache, offset, name, below in levels:
+            result = cache.access(byte_address >> offset, is_write)
+            if result.writeback:
+                if below:
+                    self._walk(below, result.victim_block << offset, True,
+                               outcome)
+                else:
+                    outcome.memory_writes.append(result.victim_block)
+            if result.hit:
+                return name
+            is_write = False
+        # Every level missed; ``offset`` is the last level's.
+        outcome.memory_reads.append(byte_address >> offset)
+        return "mem"
+
     def __repr__(self) -> str:
-        return f"CacheHierarchy(l1={self.l1!r}, l2={self.l2!r})"
+        names = " -> ".join(getattr(cache, "name", type(cache).__name__)
+                            for cache in self.caches)
+        return f"CacheHierarchy({names})"

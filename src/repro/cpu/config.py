@@ -152,8 +152,5 @@ def build_hierarchy(scheme: str, config: MachineConfig = None,
         name="L1",
     )
     l2 = build_l2(scheme, config, skew_replacement)
-    return CacheHierarchy(
-        l1, l2,
-        l1_block_bytes=config.l1_block_bytes,
-        l2_block_bytes=config.l2_block_bytes,
-    )
+    return CacheHierarchy([(l1, config.l1_block_bytes),
+                           (l2, config.l2_block_bytes)])

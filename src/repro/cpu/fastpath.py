@@ -1,8 +1,9 @@
 """One flat loop for the paper's LRU hierarchies.
 
-:meth:`~repro.cpu.simulator.Simulator.run` pays three to four Python
-object calls per simulated access (``CacheHierarchy.access``, two
-``SetAssociativeCache.access`` calls, ``DramModel.service``); that
+:meth:`~repro.cpu.simulator.Simulator.run` pays four to five Python
+calls per simulated access (``CacheHierarchy.access`` and its walk over
+the levels, two ``SetAssociativeCache.access`` calls,
+``DramModel.service``); that
 plumbing, not the indexing hash, is where its time goes.  When both
 cache levels are LRU :class:`~repro.cache.setassoc.SetAssociativeCache`
 objects (the paper's Base, 8-way, XOR, pMod and pDisp configurations),
@@ -50,11 +51,13 @@ BLOCK = 16384
 
 def supports(hierarchy) -> bool:
     """Whether :func:`run_flat` models ``hierarchy`` exactly: a
-    :class:`CacheHierarchy` whose two levels are LRU
+    two-level :class:`CacheHierarchy` whose levels are both LRU
     :class:`SetAssociativeCache` objects."""
-    return type(hierarchy) is CacheHierarchy and all(
-        type(cache) is SetAssociativeCache and type(cache.policy) is LRUPolicy
-        for cache in (hierarchy.l1, hierarchy.l2))
+    return (type(hierarchy) is CacheHierarchy
+            and len(hierarchy.caches) == 2
+            and all(type(cache) is SetAssociativeCache
+                    and type(cache.policy) is LRUPolicy
+                    for cache in hierarchy.caches))
 
 
 def run_flat(trace: Trace, hierarchy: CacheHierarchy, config: MachineConfig,
@@ -79,9 +82,9 @@ def run_flat(trace: Trace, hierarchy: CacheHierarchy, config: MachineConfig,
     l1_sets = [[] for _ in range(l1.indexing.n_sets)]
     l2_sets = [[] for _ in range(l2.indexing.n_sets)]
     l1_dirty = {}  # dirty L1 block -> the L2 set of its L2 block
-    l1_offset = np.uint64(hierarchy.l1_offset_bits)
-    l2_offset = np.uint64(hierarchy.l2_offset_bits)
-    shift = hierarchy.l2_offset_bits - hierarchy.l1_offset_bits
+    l1_bits, l2_bits = hierarchy.offset_bits
+    l1_offset, l2_offset = np.uint64(l1_bits), np.uint64(l2_bits)
+    shift = l2_bits - l1_bits
 
     dram = config.dram_config()
     channels, banks = dram.channels, dram.banks_per_channel

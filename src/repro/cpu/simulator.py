@@ -84,10 +84,14 @@ class NormalizedTime:
 
 
 class Simulator:
-    """Runs traces through a hierarchy + DRAM and accumulates timing."""
+    """Runs traces through a two-level hierarchy + DRAM and accumulates
+    timing."""
 
     def __init__(self, hierarchy: CacheHierarchy, dram: DramModel,
                  config: MachineConfig = None, scheme: str = ""):
+        if len(hierarchy.caches) != 2:
+            raise ValueError("Simulator times an L1+L2 hierarchy, not "
+                             f"{len(hierarchy.caches)} levels")
         self.hierarchy = hierarchy
         self.dram = dram
         self.config = config or MachineConfig.paper_default()

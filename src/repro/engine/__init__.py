@@ -10,8 +10,7 @@ One layer every figure, table, ablation and benchmark flows through:
 * :class:`TraceMaterializer` — each workload trace is generated once
   per grid and shared across schemes.
 * :class:`SimulationEngine` — memoization + persistence + a process
-  pool scheduled by workload; call-compatible with the historical
-  ``ResultStore``.
+  pool scheduled by workload.
 * :class:`ExperimentSpec` / :func:`register` / :func:`run_experiment` —
   the declarative experiment registry behind
   ``python -m repro.experiments <name>`` and the shared artifact
@@ -37,7 +36,7 @@ from repro.engine.registry import (
     run_experiment,
     validate_artifact,
 )
-from repro.engine.runner import SimulationEngine, default_jobs
+from repro.engine.runner import SimulationEngine
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
@@ -51,7 +50,6 @@ __all__ = [
     "SimulationKey",
     "TraceMaterializer",
     "all_experiment_names",
-    "default_jobs",
     "get_experiment",
     "machine_fingerprint",
     "register",

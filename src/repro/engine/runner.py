@@ -1,9 +1,7 @@
 """The simulation engine every experiment flows through.
 
-:class:`SimulationEngine` unifies three concerns that used to live in
-separate, partially-private pieces (``ResultStore`` memoization, the
-``diskcache`` persistence subclass, and ``experiments.parallel``'s
-regenerate-per-cell worker):
+:class:`SimulationEngine` runs (workload, scheme) simulations and
+handles three concerns for every caller:
 
 * **memoization + persistence** — every result is content-addressed by
   a :class:`~repro.engine.key.SimulationKey`; with a cache directory
@@ -17,14 +15,12 @@ regenerate-per-cell worker):
   trace a single time and then simulates every outstanding scheme
   against it.
 
-The engine is call-compatible with the historical ``ResultStore``
-(``result`` / ``speedup`` / ``miss_ratio`` / ``.config``), so every
-figure builder accepts either.
+Figure builders call ``result`` / ``speedup`` / ``miss_ratio`` and read
+``.config``.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -94,7 +90,7 @@ class SimulationEngine:
         return SimulationKey.for_run(workload, scheme, self.config,
                                      self.machine)
 
-    # -- single-cell API (ResultStore-compatible) ----------------------
+    # -- single-cell API -----------------------------------------------
 
     def result(self, workload: str, scheme: str) -> ExecutionResult:
         """Simulate (or fetch the cached run of) one configuration."""
@@ -204,8 +200,3 @@ class SimulationEngine:
         return {
             (w, s): self._results[(w, s)] for w in workloads for s in schemes
         }
-
-
-def default_jobs() -> int:
-    """A sensible worker count for ``--jobs 0`` style auto selection."""
-    return os.cpu_count() or 1

@@ -39,7 +39,7 @@ also reachable uniformly::
 
 import importlib
 
-from repro.experiments.common import ResultStore, RunConfig
+from repro.experiments.common import RunConfig
 
 #: Modules that self-register an ExperimentSpec on import.
 EXPERIMENT_MODULES = (
@@ -80,5 +80,4 @@ def load_all_experiments() -> None:
         importlib.import_module(f"repro.experiments.{name}")
 
 
-__all__ = ["EXPERIMENT_MODULES", "ResultStore", "RunConfig",
-           "load_all_experiments"]
+__all__ = ["EXPERIMENT_MODULES", "RunConfig", "load_all_experiments"]

@@ -56,8 +56,8 @@ def _hierarchy(indexing_key: str, assoc: int,
         n_sets, assoc, make_indexing(indexing_key, n_sets),
         name=f"{indexing_key}/{assoc}w",
     )
-    return CacheHierarchy(l1, l2, machine.l1_block_bytes,
-                          machine.l2_block_bytes)
+    return CacheHierarchy([(l1, machine.l1_block_bytes),
+                           (l2, machine.l2_block_bytes)])
 
 
 def run(workload: str, config: RunConfig = RunConfig(),

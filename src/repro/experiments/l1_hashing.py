@@ -90,7 +90,8 @@ def _hierarchy_with_l1_indexing(key: str, config: MachineConfig) -> CacheHierarc
         config.l2_sets, config.l2_assoc,
         make_indexing("traditional", config.l2_sets), name="L2",
     )
-    return CacheHierarchy(l1, l2, config.l1_block_bytes, config.l2_block_bytes)
+    return CacheHierarchy([(l1, config.l1_block_bytes),
+                           (l2, config.l2_block_bytes)])
 
 
 def l1_miss_comparison(config: RunConfig = RunConfig(),

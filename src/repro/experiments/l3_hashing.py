@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
-from repro.cache import SetAssociativeCache
-from repro.cache.multilevel import MultiLevelHierarchy
+from repro.cache import CacheHierarchy, SetAssociativeCache
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
@@ -40,7 +39,7 @@ L2_GEOMETRY = (256, 8, 64)
 L3_GEOMETRY = (2048, 16, 64)
 
 
-def build_three_level(l3_indexing_key: str) -> MultiLevelHierarchy:
+def build_three_level(l3_indexing_key: str) -> CacheHierarchy:
     """L1/L2 traditional, L3 indexed by ``l3_indexing_key``."""
     levels = []
     for (kb, ways, line), key in (
@@ -52,7 +51,7 @@ def build_three_level(l3_indexing_key: str) -> MultiLevelHierarchy:
         cache = SetAssociativeCache(n_sets, ways, make_indexing(key, n_sets),
                                     name=f"{kb}KB/{key}")
         levels.append((cache, line))
-    return MultiLevelHierarchy(levels)
+    return CacheHierarchy(levels)
 
 
 @dataclass(frozen=True)

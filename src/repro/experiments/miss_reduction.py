@@ -17,12 +17,12 @@ from typing import Dict, List, Mapping, Sequence
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
+    SimulationEngine,
     register,
     render_artifact,
     run_experiment,
 )
 from repro.experiments.common import (
-    ResultStore,
     RunConfig,
     context_from_args,
     standard_argparser,
@@ -47,7 +47,7 @@ class MissFigure:
         return sum(self.normalized[a][scheme] for a in self.apps) / len(self.apps)
 
 
-def build_figure(title: str, apps: Sequence[str], store: ResultStore,
+def build_figure(title: str, apps: Sequence[str], store: SimulationEngine,
                  schemes: Sequence[str] = MISS_SCHEMES) -> MissFigure:
     figure = MissFigure(title=title, apps=list(apps), schemes=list(schemes))
     for app in apps:
@@ -57,9 +57,9 @@ def build_figure(title: str, apps: Sequence[str], store: ResultStore,
     return figure
 
 
-def run(config: RunConfig = RunConfig(), store: ResultStore = None):
+def run(config: RunConfig = RunConfig(), store: SimulationEngine = None):
     """Both figures; returns (figure11, figure12)."""
-    store = store or ResultStore(config)
+    store = store or SimulationEngine(config)
     fig11 = build_figure("Figure 11: normalized L2 misses, non-uniform apps",
                          NONUNIFORM_APPS, store)
     fig12 = build_figure("Figure 12: normalized L2 misses, uniform apps",

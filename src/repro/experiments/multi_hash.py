@@ -14,12 +14,12 @@ from typing import Dict, Mapping
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
+    SimulationEngine,
     register,
     render_artifact,
     run_experiment,
 )
 from repro.experiments.common import (
-    ResultStore,
     RunConfig,
     context_from_args,
     standard_argparser,
@@ -37,9 +37,9 @@ from repro.workloads import NONUNIFORM_APPS, UNIFORM_APPS
 MULTI_HASH_SCHEMES = ("base", "pmod", "skw", "skw+pdisp")
 
 
-def run(config: RunConfig = RunConfig(), store: ResultStore = None):
+def run(config: RunConfig = RunConfig(), store: SimulationEngine = None):
     """Both figures; returns (figure9, figure10)."""
-    store = store or ResultStore(config)
+    store = store or SimulationEngine(config)
     fig9 = build_figure(
         "Figure 9: multiple hashing, non-uniform applications",
         NONUNIFORM_APPS, MULTI_HASH_SCHEMES, store,

@@ -20,7 +20,6 @@ from repro.engine import (
     run_experiment,
 )
 from repro.experiments.common import (
-    ResultStore,
     RunConfig,
     context_from_args,
     standard_argparser,
@@ -58,13 +57,13 @@ def run(workloads: Sequence[str] = ("tree", "mcf", "lu"),
         schemes: Sequence[str] = ("pmod", "pdisp"),
         seeds: Sequence[int] = (0, 1, 2),
         scale: float = 0.3,
-        make_store: Optional[Callable[[RunConfig], ResultStore]] = None,
+        make_store: Optional[Callable[[RunConfig], SimulationEngine]] = None,
         ) -> List[SeedSpread]:
     """``make_store`` builds the per-seed runner; the default is an
-    in-memory :class:`ResultStore`, and the registry adapter passes
-    cache-sharing engines instead."""
+    in-memory :class:`SimulationEngine`, and the registry adapter passes
+    engines that share its machine and cache directory."""
     results = []
-    make_store = make_store or ResultStore
+    make_store = make_store or SimulationEngine
     stores = {
         seed: make_store(RunConfig(scale=scale, seed=seed))
         for seed in seeds
@@ -93,11 +92,10 @@ def render(results: List[SeedSpread]) -> str:
 def _build(ctx: ExperimentContext) -> Dict:
     cache = ctx.engine.cache
 
-    def make_store(config: RunConfig) -> ResultStore:
-        if cache is None:
-            return ResultStore(config)
-        return SimulationEngine(config, machine=ctx.engine.machine,
-                                cache_dir=cache.root.parent)
+    def make_store(config: RunConfig) -> SimulationEngine:
+        return SimulationEngine(
+            config, machine=ctx.engine.machine,
+            cache_dir=None if cache is None else cache.root.parent)
 
     results = run(
         workloads=tuple(ctx.param("workloads", ("tree", "mcf", "lu"))),

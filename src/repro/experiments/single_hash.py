@@ -15,12 +15,12 @@ from repro.cpu import NormalizedTime
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
+    SimulationEngine,
     register,
     render_artifact,
     run_experiment,
 )
 from repro.experiments.common import (
-    ResultStore,
     RunConfig,
     context_from_args,
     standard_argparser,
@@ -53,7 +53,7 @@ class ExecutionTimeFigure:
 
 
 def build_figure(title: str, apps: Sequence[str], schemes: Sequence[str],
-                 store: ResultStore) -> ExecutionTimeFigure:
+                 store: SimulationEngine) -> ExecutionTimeFigure:
     """Simulate every (app, scheme) pair and normalize to Base."""
     figure = ExecutionTimeFigure(title=title, apps=list(apps),
                                  schemes=list(schemes))
@@ -66,9 +66,9 @@ def build_figure(title: str, apps: Sequence[str], schemes: Sequence[str],
     return figure
 
 
-def run(config: RunConfig = RunConfig(), store: ResultStore = None):
+def run(config: RunConfig = RunConfig(), store: SimulationEngine = None):
     """Both figures; returns (figure7, figure8)."""
-    store = store or ResultStore(config)
+    store = store or SimulationEngine(config)
     fig7 = build_figure(
         "Figure 7: single hashing, non-uniform applications",
         NONUNIFORM_APPS, SINGLE_HASH_SCHEMES, store,

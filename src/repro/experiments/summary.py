@@ -13,12 +13,12 @@ from typing import Dict, List, Mapping, Sequence
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
+    SimulationEngine,
     register,
     render_artifact,
     run_experiment,
 )
 from repro.experiments.common import (
-    ResultStore,
     RunConfig,
     context_from_args,
     standard_argparser,
@@ -48,7 +48,7 @@ class SchemeSummary:
     pathological_apps: tuple
 
 
-def summarize_scheme(scheme: str, store: ResultStore) -> SchemeSummary:
+def summarize_scheme(scheme: str, store: SimulationEngine) -> SchemeSummary:
     uniform = [store.speedup(app, scheme) for app in UNIFORM_APPS]
     nonuniform = [store.speedup(app, scheme) for app in NONUNIFORM_APPS]
     slow = tuple(
@@ -68,9 +68,9 @@ def summarize_scheme(scheme: str, store: ResultStore) -> SchemeSummary:
     )
 
 
-def run(config: RunConfig = RunConfig(), store: ResultStore = None,
+def run(config: RunConfig = RunConfig(), store: SimulationEngine = None,
         schemes: Sequence[str] = SUMMARY_SCHEMES) -> List[SchemeSummary]:
-    store = store or ResultStore(config)
+    store = store or SimulationEngine(config)
     return [summarize_scheme(scheme, store) for scheme in schemes]
 
 

@@ -1,9 +1,8 @@
 """One-shot markdown report over a complete evaluation.
 
 ``full_report`` renders every simulation-backed table and figure from a
-:class:`~repro.engine.SimulationEngine` (or any ResultStore-compatible
-runner) into a single markdown document — the machine-generated
-counterpart of EXPERIMENTS.md:
+:class:`~repro.engine.SimulationEngine` into a single markdown
+document — the machine-generated counterpart of EXPERIMENTS.md:
 
     python -m repro.reporting.report --scale 0.5 --jobs 4 \
         --cache-dir .repro-cache > report.md
@@ -13,6 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.engine import SimulationEngine
 from repro.experiments import (
     fragmentation,
     machine,
@@ -22,12 +22,7 @@ from repro.experiments import (
     single_hash,
     summary,
 )
-from repro.experiments.common import (
-    ResultStore,
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.experiments.common import context_from_args, standard_argparser
 from repro.workloads import NONUNIFORM_APPS, UNIFORM_APPS
 
 
@@ -35,7 +30,7 @@ def _code_block(text: str) -> str:
     return "```\n" + text + "\n```"
 
 
-def full_report(store: ResultStore) -> str:
+def full_report(store: SimulationEngine) -> str:
     """Markdown report of Tables 1-4 and the Figure 7-12 summaries."""
     config = store.config
     sections: List[str] = [

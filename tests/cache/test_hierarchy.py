@@ -1,4 +1,4 @@
-"""Tests for the two-level write-back hierarchy."""
+"""Tests for the write-back hierarchy, two levels and three."""
 
 import pytest
 
@@ -16,7 +16,14 @@ def make_hierarchy(l2=None):
     l1 = SetAssociativeCache(4, 2, TraditionalIndexing(4), name="L1")
     if l2 is None:
         l2 = SetAssociativeCache(16, 2, TraditionalIndexing(16), name="L2")
-    return CacheHierarchy(l1, l2, l1_block_bytes=32, l2_block_bytes=64)
+    return CacheHierarchy([(l1, 32), (l2, 64)])
+
+
+def make_three_level():
+    l1 = SetAssociativeCache(4, 2, TraditionalIndexing(4), name="L1")
+    l2 = SetAssociativeCache(16, 2, TraditionalIndexing(16), name="L2")
+    l3 = SetAssociativeCache(64, 2, TraditionalIndexing(64), name="L3")
+    return CacheHierarchy([(l1, 32), (l2, 64), (l3, 64)])
 
 
 class TestLevels:
@@ -58,7 +65,7 @@ class TestLevels:
         l1 = SetAssociativeCache(4, 2, TraditionalIndexing(4))
         l2 = SetAssociativeCache(16, 2, TraditionalIndexing(16))
         with pytest.raises(ValueError):
-            CacheHierarchy(l1, l2, l1_block_bytes=64, l2_block_bytes=32)
+            CacheHierarchy([(l1, 64), (l2, 32)])
 
 
 class TestWritebackFlow:
@@ -118,3 +125,84 @@ class TestAlternativeL2s:
         for a in range(0, 65536, 32):
             reads += len(h.access(a, is_write=(a % 96 == 0)).memory_reads)
         assert reads == h.l2.stats.misses
+
+
+class TestConstruction:
+    def test_needs_levels(self):
+        with pytest.raises(ValueError):
+            CacheHierarchy([])
+
+    def test_rejects_shrinking_lines(self):
+        l1 = SetAssociativeCache(4, 2, TraditionalIndexing(4))
+        l2 = SetAssociativeCache(16, 2, TraditionalIndexing(16))
+        l3 = SetAssociativeCache(64, 2, TraditionalIndexing(64))
+        with pytest.raises(ValueError):
+            CacheHierarchy([(l1, 32), (l2, 128), (l3, 64)])
+
+    def test_repr_names_levels(self):
+        assert "L1 -> L2 -> L3" in repr(make_three_level())
+
+    def test_l1_and_l2_are_the_first_two_levels(self):
+        h = make_three_level()
+        assert (h.l1, h.l2) == tuple(h.caches[:2])
+
+
+class TestThreeLevelAccessFlow:
+    def test_cold_goes_to_memory(self):
+        h = make_three_level()
+        out = h.access(0x1000)
+        assert out.level == "mem"
+        assert out.memory_reads == [0x1000 >> 6]
+
+    def test_warm_hits_l1(self):
+        h = make_three_level()
+        h.access(0x1000)
+        assert h.access(0x1000).level == "l1"
+
+    def test_l2_hit_after_l1_eviction(self):
+        h = make_three_level()
+        # L1 blocks 0, 4, 8 share L1 set 0; L2 blocks 0, 2, 4 differ.
+        h.access(0)
+        h.access(128)
+        out = h.access(256)
+        assert out.level == "mem"
+        assert h.access(0).level == "l2"
+
+    def test_l3_hit_after_l2_eviction(self):
+        h = make_three_level()
+        # L2 blocks 0, 16, 32 share L2 set 0 (16 sets); L3 (64 sets)
+        # keeps them in sets 0, 16, 32.  L1 blocks 0, 32, 64 share set 0.
+        h.access(0)
+        h.access(1024)
+        h.access(2048)          # evicts block 0 from L1 and L2
+        out = h.access(0)
+        assert out.level == "l3"
+        assert not out.touched_memory
+
+    def test_negative_address(self):
+        with pytest.raises(ValueError):
+            make_three_level().access(-1)
+
+
+class TestThreeLevelWritebacks:
+    def test_dirty_chain_to_memory(self):
+        """Block 0, dirty, is pushed out of all three levels by the
+        storm of its set-0 aliases (4096B apart: the 64-set, 2-way L3's
+        stride) and reaches memory exactly once; clean traffic writes
+        nothing back."""
+        h = make_three_level()
+        h.access(0, is_write=True)
+        writes = []
+        for i in range(1, 12):
+            writes += h.access(i * 4096).memory_writes
+        assert writes == [0]
+        clean = make_three_level()
+        for i in range(12):
+            assert not clean.access(i * 4096 + 64).memory_writes
+
+    def test_memory_reads_match_l3_misses_for_reads(self):
+        h = make_three_level()
+        reads = 0
+        for i in range(500):
+            reads += len(h.access(i * 96).memory_reads)
+        assert reads == h.caches[2].stats.misses

@@ -89,7 +89,7 @@ class TestVictimCache:
         from repro.cache import CacheHierarchy
         l1 = SetAssociativeCache(4, 2, TraditionalIndexing(4))
         vc = make(n_sets=16, assoc=2, entries=4)
-        h = CacheHierarchy(l1, vc, l1_block_bytes=32, l2_block_bytes=64)
+        h = CacheHierarchy([(l1, 32), (vc, 64)])
         out = h.access(0x4000)
         assert out.level == "mem"
         assert h.access(0x4000).level == "l1"

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cpu import MachineConfig, simulate_scheme
+from repro.cache import CacheHierarchy, SetAssociativeCache
+from repro.cpu import MachineConfig, Simulator, simulate_scheme
+from repro.hashing import TraditionalIndexing
+from repro.memory import DramModel
 from repro.trace import Trace, TraceMetadata, strided_stream
 
 
@@ -81,3 +84,18 @@ class TestConfigVariations:
         cold = simulate_scheme(trace_of(strided_stream(0, 64, 1024)),
                                "base", cfg)
         assert r.memory_stall == pytest.approx(cold.memory_stall, rel=0.01)
+
+
+class TestHierarchyDepth:
+    """The timing model charges L1 hits, L2 hits and DRAM; a deeper or
+    shallower hierarchy would be timed wrongly, so it is refused."""
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_rejects_other_depths(self, depth):
+        levels = [(SetAssociativeCache(4 << level, 2,
+                                       TraditionalIndexing(4 << level)), 64)
+                  for level in range(depth)]
+        config = MachineConfig.paper_default()
+        with pytest.raises(ValueError, match="L1\\+L2"):
+            Simulator(CacheHierarchy(levels), DramModel(config.dram_config()),
+                      config)

@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.cpu import simulate_scheme
 from repro.engine import RunConfig, SimulationEngine
-from repro.experiments.common import ResultStore
+from repro.workloads import get_workload
 
 CONFIG = RunConfig(scale=0.05)
 
 
 class TestSingleCell:
-    def test_matches_result_store(self):
+    def test_matches_simulate_scheme(self):
         engine = SimulationEngine(CONFIG)
-        store = ResultStore(CONFIG)
-        assert engine.result("tree", "pmod") == store.result("tree", "pmod")
+        trace = get_workload("tree").trace(scale=CONFIG.scale,
+                                           seed=CONFIG.seed)
+        assert engine.result("tree", "pmod") == simulate_scheme(trace, "pmod")
 
     def test_memoizes_in_memory(self):
         engine = SimulationEngine(CONFIG)
@@ -21,10 +23,39 @@ class TestSingleCell:
         assert first is second
         assert engine.sim_count == 1
 
+    def test_caches_results(self):
+        engine = SimulationEngine(CONFIG)
+        pmod = engine.result("lu", "pmod")
+        engine.speedup("lu", "pmod")
+        engine.miss_ratio("lu", "pmod")
+        assert engine.result("lu", "pmod") is pmod
+        assert engine.sim_count == 2  # pmod and the Base it is scaled by
+
+    def test_distinct_schemes_distinct_runs(self):
+        engine = SimulationEngine(CONFIG)
+        assert engine.result("lu", "base") is not engine.result("lu", "pmod")
+
     def test_speedup_and_miss_ratio(self):
         engine = SimulationEngine(CONFIG)
         assert engine.speedup("tree", "pmod") > 0
         assert engine.miss_ratio("tree", "pmod") > 0
+
+    def test_miss_ratio_positive(self):
+        assert SimulationEngine(CONFIG).miss_ratio("lu", "pmod") > 0
+
+    def test_speedup_of_base_is_one(self):
+        assert SimulationEngine(CONFIG).speedup("lu", "base") == 1.0
+
+    def test_miss_ratio_of_base_is_one(self):
+        assert SimulationEngine(CONFIG).miss_ratio("lu", "base") == 1.0
+
+    def test_unknown_workload_raises(self):
+        with pytest.raises(KeyError):
+            SimulationEngine(CONFIG).result("linpack", "base")
+
+    def test_unknown_scheme_raises(self):
+        with pytest.raises(KeyError):
+            SimulationEngine(CONFIG).result("lu", "victim")
 
 
 class TestPersistence:

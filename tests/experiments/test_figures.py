@@ -1,15 +1,15 @@
 """Integration tests for the execution-time / miss figures and Table 4.
 
-One shared ResultStore at a moderate trace scale feeds every figure, so
-the full 23-app x 8-scheme sweep is simulated exactly once per test
-session.  Assertions target the paper's *shapes* (who wins, roughly by
-how much, where the pathologies are), not absolute numbers.
+One shared SimulationEngine at a moderate trace scale feeds every
+figure, so the full 23-app x 8-scheme sweep is simulated exactly once
+per test session.  Assertions target the paper's *shapes* (who wins,
+roughly by how much, where the pathologies are), not absolute numbers.
 """
 
 import pytest
 
+from repro.engine import RunConfig, SimulationEngine
 from repro.experiments import miss_reduction, multi_hash, single_hash, summary
-from repro.experiments.common import ResultStore, RunConfig
 from repro.workloads import NONUNIFORM_APPS
 
 SCALE = 0.4
@@ -17,7 +17,7 @@ SCALE = 0.4
 
 @pytest.fixture(scope="module")
 def store():
-    return ResultStore(RunConfig(scale=SCALE, seed=0))
+    return SimulationEngine(RunConfig(scale=SCALE, seed=0))
 
 
 @pytest.fixture(scope="module")

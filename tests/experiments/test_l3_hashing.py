@@ -1,9 +1,12 @@
 """Tests for the three-level LLC-hashing experiment."""
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments import l3_hashing
 from repro.experiments.common import RunConfig
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,54 @@ class TestL3Hashing:
     def test_render(self, results):
         out = l3_hashing.render(list(results.values()))
         assert "3-level" in out and "tree" in out
+
+
+#: (L3 misses, L3 accesses) per (workload, L3 indexing) at scale 0.25.
+L3_COUNTS = {
+    ("tree", "traditional"): (9990, 29933),
+    ("tree", "pmod"): (6900, 29933),
+    ("tree", "pdisp"): (6900, 29933),
+    ("mcf", "traditional"): (23346, 33457),
+    ("mcf", "pmod"): (23346, 33457),
+    ("mcf", "pdisp"): (23346, 33457),
+    ("lu", "traditional"): (3000, 3000),
+    ("lu", "pmod"): (3000, 3000),
+    ("lu", "pdisp"): (3000, 3000),
+}
+
+
+class TestRecordedChain:
+    """Recorded counts of the three-level write-back chain, which only
+    this experiment runs."""
+
+    def test_l3_counts(self, results):
+        assert {cell: (r.l3_misses, r.l3_accesses)
+                for cell, r in results.items()} == L3_COUNTS
+
+    def test_mcf_level_by_level(self):
+        """mcf writes a fifth of its accesses, so dirty victims cascade
+        through every level; each level's counters and the DRAM
+        traffic are pinned."""
+        trace = get_workload("mcf").trace(scale=0.25, seed=0)
+        hierarchy = l3_hashing.build_three_level("traditional")
+        levels = Counter()
+        reads = writes = 0
+        for address, is_write in zip(trace.addresses.tolist(),
+                                     trace.is_write.tolist()):
+            outcome = hierarchy.access(address, is_write)
+            levels[outcome.level] += 1
+            reads += len(outcome.memory_reads)
+            writes += len(outcome.memory_writes)
+        assert levels == {"l1": 130, "l2": 1542, "l3": 4982, "mem": 23346}
+        assert (reads, writes) == (23346, 208)
+        # (reads, writes, hits, misses, writebacks) per level, L1 first.
+        assert [(c.stats.reads, c.stats.writes, c.stats.hits,
+                 c.stats.misses, c.stats.writebacks)
+                for c in hierarchy.caches] == [
+            (23979, 6021, 130, 29870, 5960),
+            (29870, 5960, 7502, 28328, 5129),
+            (28328, 5129, 10111, 23346, 208),
+        ]
 
 
 class TestChiSquare:

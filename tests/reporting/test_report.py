@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments.common import ResultStore, RunConfig
+from repro.engine import RunConfig, SimulationEngine
 from repro.reporting.report import full_report
 
 
 @pytest.fixture(scope="module")
 def report():
-    return full_report(ResultStore(RunConfig(scale=0.1)))
+    return full_report(SimulationEngine(RunConfig(scale=0.1)))
 
 
 class TestFullReport:
