@@ -88,12 +88,14 @@ reshard-check:
 reshard-bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_reshard.py -q -s
 
-# Cluster gate: multi-node drill — kill the hottest node under live
-# zipfian traffic, serve through the outage on quorum reads, recover
-# with bounded re-replication; exits nonzero unless the cluster
-# contract holds (zero key loss, no failed reads during the outage,
-# budgeted drain chunks, Figure 5 ordering on the composed map).
+# Cluster gate: the cluster and store test suites, then the multi-node
+# drill — kill the hottest node under live zipfian traffic, serve
+# through the outage on quorum reads, recover with bounded
+# re-replication; exits nonzero unless the cluster contract holds (zero
+# key loss, no failed reads during the outage, budgeted drain chunks,
+# Figure 5 ordering on the composed map).
 cluster-check:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/cluster tests/store -q
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cluster --check
 
 # Cluster benchmark: healthy-ring replicated-op throughput, during-

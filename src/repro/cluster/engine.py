@@ -250,6 +250,8 @@ class Cluster:
                 f"{self.n_nodes} usable nodes")
         self.fabric = fabric if fabric is not None else make_fabric(
             topology, self.n_nodes)
+        #: fabric endpoint name of each node, by node id.
+        self._endpoints = [node_endpoint(i) for i in range(self.n_nodes)]
         self.payload_bytes = payload_bytes
         self.tick_s = tick_s
         self.injector = injector
@@ -257,7 +259,9 @@ class Cluster:
         self._now_s = 0.0
         self._version = 0
         self._op_index = 0
-        self._node_accesses = np.zeros(self.n_nodes, dtype=np.int64)
+        #: successful replica contacts per node; a list, since an int
+        #: increment costs a fraction of a numpy scalar's.
+        self._node_accesses = [0] * self.n_nodes
         self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
         self.counts: Dict[str, int] = {
             "ops": 0, "puts": 0, "gets": 0, "deletes": 0,
@@ -425,22 +429,27 @@ class Cluster:
     def _contact(self, node: StoreNode, now_s: float,
                  request_bytes: int, response_bytes: int) -> Optional[float]:
         """One replica round trip; None = unreachable this op (injected
-        error or fabric drop)."""
+        error or fabric drop).
+
+        Callers check ``node.live`` / ``node.writable`` first and, once
+        the round trip lands, call ``node.store`` directly: that check
+        is the one the node's own ops would repeat."""
+        node_id = node.node_id
         if self.injector is not None:
             try:
-                self.injector.before_replica_op(node.node_id)
+                self.injector.before_replica_op(node_id)
             except InjectedNodeFault:
                 self._replica_error()
                 return None
         done = self.fabric.round_trip(
-            FRONTEND, node_endpoint(node.node_id), request_bytes,
+            FRONTEND, self._endpoints[node_id], request_bytes,
             response_bytes, now_s, node.service_time())
         if done is None:
             self.counts["replica_errors"] += 1
             if self._observed:
                 self._drop_counter.inc()
             return None
-        self._node_accesses[node.node_id] += 1
+        self._node_accesses[node_id] += 1
         return done
 
     def _quorum_miss(self, op: str, reached: int, needed: int) -> None:
@@ -465,8 +474,8 @@ class Cluster:
                                          self.replication.replicas)
         if self._hitters is not None:
             self._hitters.offer(str(canonical), placement[0])
-        fan_from = perf_counter()
         if ctx is not None:
+            fan_from = perf_counter()
             ctx.stage("route", ctx.start_s, fan_from - ctx.start_s,
                       replicas=len(placement))
         acks = 0
@@ -479,11 +488,11 @@ class Cluster:
                                  CONTROL_BYTES)
             if done is None:
                 continue
-            node.put(canonical, stamped)
+            node.store.put(canonical, stamped)
             acks += 1
             completions.append(done)
-        settle_from = perf_counter()
         if ctx is not None:
+            settle_from = perf_counter()
             ctx.stage("contact", fan_from, settle_from - fan_from,
                       acks=acks, replicas=len(placement))
         clean = acks >= self.replication.write_quorum
@@ -510,8 +519,8 @@ class Cluster:
                                          self.replication.replicas)
         if self._hitters is not None:
             self._hitters.offer(str(canonical), placement[0])
-        fan_from = perf_counter()
         if ctx is not None:
+            fan_from = perf_counter()
             ctx.stage("route", ctx.start_s, fan_from - ctx.start_s,
                       replicas=len(placement))
         reached = 0
@@ -528,13 +537,13 @@ class Cluster:
                 continue
             reached += 1
             completions.append(done)
-            copy = node.get(canonical, _MISS)
+            copy = node.store.get(canonical, _MISS)
             holders[node_id] = copy
             if copy is not _MISS and (freshest is None
                                       or copy[0] > freshest[0]):
                 freshest = copy
-        settle_from = perf_counter()
         if ctx is not None:
+            settle_from = perf_counter()
             ctx.stage("contact", fan_from, settle_from - fan_from,
                       reached=reached, replicas=len(placement))
         quorate = reached >= self.replication.read_quorum
@@ -548,7 +557,7 @@ class Cluster:
             # copy converges now, not just at the recovery drain.
             for node_id, copy in holders.items():
                 if copy is _MISS or copy[0] < freshest[0]:
-                    self.nodes[node_id].put(canonical, freshest)
+                    self.nodes[node_id].store.put(canonical, freshest)
                     self.counts["read_repairs"] += 1
                     if self._observed:
                         self._repair_counter.inc()
@@ -573,8 +582,8 @@ class Cluster:
                                          self.replication.replicas)
         if self._hitters is not None:
             self._hitters.offer(str(canonical), placement[0])
-        fan_from = perf_counter()
         if ctx is not None:
+            fan_from = perf_counter()
             ctx.stage("route", ctx.start_s, fan_from - ctx.start_s,
                       replicas=len(placement))
         deleted = False
@@ -587,9 +596,9 @@ class Cluster:
             if done is None:
                 continue
             completions.append(done)
-            deleted = node.delete(canonical) or deleted
-        settle_from = perf_counter()
+            deleted = node.store.delete(canonical) or deleted
         if ctx is not None:
+            settle_from = perf_counter()
             ctx.stage("contact", fan_from, settle_from - fan_from,
                       replicas=len(placement))
         latency = self._finish_op(now, completions,
@@ -673,11 +682,11 @@ class Cluster:
 
     def node_access_counts(self) -> np.ndarray:
         """Per-node successful replica contacts (the load histogram)."""
-        return self._node_accesses.copy()
+        return np.array(self._node_accesses, dtype=np.int64)
 
     def node_balance(self) -> float:
         """Balance (Eq. 1) of the per-node load histogram."""
-        counts = self._node_accesses
+        counts = self.node_access_counts()
         if counts.sum() == 0:
             return math.nan
         return float(balance_from_counts(counts))
@@ -697,7 +706,7 @@ class Cluster:
                 "p99": float(np.percentile(arr, 99))}
 
     def telemetry(self) -> ClusterTelemetry:
-        counts = self._node_accesses
+        counts = self.node_access_counts()
         total = int(counts.sum())
         ideal = total / self.n_nodes if total else 0.0
         percentiles = self.sim_latency_percentiles()

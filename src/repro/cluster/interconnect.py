@@ -27,16 +27,21 @@ Two topology builders cover the shapes the experiments compare:
   the spine, cross-leaf traffic pays both tiers.
 
 The model is intentionally single-clock: callers hand ``transfer`` a
-monotonically non-decreasing ``now_s`` (the cluster's virtual arrival
-clock) and get back the absolute arrival time at the far end, or
-``None`` for a drop.  Everything is replayable — same request stream,
-same delays.
+``now_s`` on the cluster's virtual clock and get back the absolute
+arrival time at the far end, or ``None`` for a drop.  ``now_s`` is not
+monotonic per link: a response leg starts when its request arrived plus
+the far end's service time, which can be later than the next op's
+request, and a re-replication drain's bulk copies start at the cluster
+clock, behind the response legs already priced on the same links.  A
+link stays exact either way (see :meth:`Link.send`).  Everything is
+replayable — same request stream, same delays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = [
     "Fabric",
@@ -106,9 +111,10 @@ class Link:
         self.latency_s = float(latency_s)
         self.queue_depth = queue_depth
         self.busy_until_s = 0.0
-        #: departure times of messages still waiting/serializing, used
-        #: to measure queue depth exactly (bounded by queue_depth + 1).
-        self._departures: List[float] = []
+        #: departure times of messages still waiting/serializing, oldest
+        #: first, used to measure queue depth exactly (at most
+        #: queue_depth of them).
+        self._departures: Deque[float] = deque()
         self.transfers = 0
         self.drops = 0
         self.bytes_moved = 0
@@ -124,23 +130,35 @@ class Link:
 
         Returns the absolute arrival time at the far end, or ``None``
         when the switch queue is full and the message is dropped.
+
+        Messages that have left the wire by ``now_s`` leave the queue.
+        Each departure is the new ``busy_until_s``, which never
+        decreases, so departures are queued in non-decreasing order and
+        the ones gone by ``now_s`` are always a prefix of the queue:
+        popping that prefix drops exactly the messages a filter over
+        the whole queue would, for any order of ``now_s``, including a
+        ``now_s`` earlier than the previous send's.
         """
-        self._departures = [t for t in self._departures if t > now_s]
-        queued = len(self._departures)
+        departures = self._departures
+        while departures and departures[0] <= now_s:
+            departures.popleft()
+        queued = len(departures)
         if queued > self.peak_queue:
             self.peak_queue = queued
         if queued >= self.queue_depth:
             self.drops += 1
             return None
-        serialize_s = self.serialization_s(n_bytes)
-        start_s = max(now_s, self.busy_until_s)
-        self.busy_until_s = start_s + serialize_s
-        self._departures.append(self.busy_until_s)
+        serialize_s = n_bytes / self.bandwidth_bps
+        busy_until_s = self.busy_until_s
+        start_s = busy_until_s if busy_until_s > now_s else now_s
+        busy_until_s = start_s + serialize_s
+        self.busy_until_s = busy_until_s
+        departures.append(busy_until_s)
         self.transfers += 1
         self.bytes_moved += n_bytes
         self.busy_s += serialize_s
         self.queued_s += start_s - now_s
-        return self.busy_until_s + self.latency_s
+        return busy_until_s + self.latency_s
 
     def stats(self) -> LinkStats:
         return LinkStats(name=self.name, transfers=self.transfers,
@@ -205,12 +223,27 @@ class Fabric:
                    service_s: float = 0.0) -> Optional[float]:
         """Request out, ``service_s`` at the far end, response back.
         Returns the completion time at ``src`` or ``None`` on a drop in
-        either direction."""
-        arrival = self.transfer(src, dst, request_bytes, now_s)
-        if arrival is None:
-            return None
-        return self.transfer(dst, src, response_bytes,
-                             arrival + service_s)
+        either direction; each leg counts as one :meth:`transfer`.
+        Both paths are looked up before either leg is sent."""
+        if src == dst:
+            return now_s + service_s
+        request_path, response_path = (self.path(src, dst),
+                                       self.path(dst, src))
+        at_s = now_s
+        for link in request_path:
+            at_s = link.send(at_s, request_bytes)
+            if at_s is None:
+                self.drops += 1
+                return None
+        self.transfers += 1
+        at_s += service_s
+        for link in response_path:
+            at_s = link.send(at_s, response_bytes)
+            if at_s is None:
+                self.drops += 1
+                return None
+        self.transfers += 1
+        return at_s
 
     def round_trip_breakdown(self, src: str, dst: str, request_bytes: int,
                              response_bytes: int,

@@ -99,11 +99,13 @@ class ReReplicator:
         self.scanned = 0
         self.chunks = 0
         self.bytes_moved = 0
-        #: owed key -> (source node id, (version, value)); computed once
-        #: up front — placement is liveness-independent, so the owed set
-        #: is stable for the whole drain.
+        #: owed (key, source node id, (version, value)) rows in key
+        #: order; computed once up front — placement is liveness-
+        #: independent, so the owed set is stable for the whole drain.
+        #: ``_next`` is the first row not yet copied.
         self._pending: List[Tuple[int, int, Tuple[int, Any]]] = (
             self._owed())
+        self._next = 0
 
     def _owed(self) -> List[Tuple[int, int, Tuple[int, Any]]]:
         """Scan live peers for keys whose replica placement includes
@@ -136,17 +138,19 @@ class ReReplicator:
 
     @property
     def remaining(self) -> int:
-        return len(self._pending)
+        return len(self._pending) - self._next
 
     def step(self) -> int:
         """Copy up to ``budget`` owed keys; returns the count moved
         (0 = drain complete).  Each chunk charges one bulk transfer per
-        source peer to the fabric and journals ``cluster.rereplicate``."""
-        if not self._pending:
+        source peer to the fabric and journals ``cluster.rereplicate``.
+        A cursor walks the owed rows, so a chunk costs O(budget)."""
+        start = self._next
+        if start == len(self._pending):
             return 0
         cluster = self.cluster
-        chunk, self._pending = (self._pending[:self.budget],
-                                self._pending[self.budget:])
+        self._next = min(start + self.budget, len(self._pending))
+        chunk = self._pending[start:self._next]
         target = cluster.nodes[self.node_id]
         per_source: Dict[int, int] = {}
         for key, source, stamped in chunk:

@@ -155,20 +155,25 @@ class ClusterRouter:
         Deterministic in ``(key, node table)`` only — node up/down
         state never shifts placement, which is what lets a recovering
         node recompute its owed keys.  ``r`` is capped at the
-        non-quarantined node count.
+        non-quarantined node count.  With nothing quarantined and
+        ``r`` within the ring the walk is the closed form
+        ``primary, primary + 1, ...`` modulo the node count.
         """
         if r < 1:
             raise ValueError("replica count must be >= 1")
         table = self.node_table
-        primary = table.shard(key)
+        primary = table.route(canonical_key(key))
+        n_nodes = table.n_shards
+        if not table.quarantined and r <= n_nodes:
+            return [(primary + i) % n_nodes for i in range(r)]
         placement: List[int] = []
         node = primary
-        for _ in range(table.n_shards):
+        for _ in range(n_nodes):
             if node not in table.quarantined:
                 placement.append(node)
                 if len(placement) == r:
                     break
-            node = (node + 1) % table.n_shards
+            node = (node + 1) % n_nodes
         return placement
 
     # -- analysis / derivation -----------------------------------------

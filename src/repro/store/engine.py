@@ -268,7 +268,7 @@ class ShardedStore:
         from the old fleet again)."""
         value = state.shards[shard_id].get(canonical, _MISS)
         if value is _MISS and state.old_shards is not None:
-            old_id = state.old_table.shard(canonical)
+            old_id = state.old_table.route(canonical)
             value = state.old_shards[old_id].get(canonical, _MISS)
             if value is not _MISS:
                 state.shards[shard_id].put(canonical, value)
@@ -278,7 +278,7 @@ class ShardedStore:
     def get(self, key: StoreKey, default: Any = None) -> Any:
         state = self._state
         canonical = canonical_key(key)
-        shard_id = state.table.shard(canonical)
+        shard_id = state.table.route(canonical)
         with self._window_lock:
             self._window.append(shard_id)
         if not self._observed:
@@ -296,7 +296,7 @@ class ShardedStore:
         the old copy is erased so it cannot resurrect after a delete."""
         evicted = state.shards[shard_id].put(canonical, value)
         if state.old_shards is not None:
-            state.old_shards[state.old_table.shard(canonical)].delete(
+            state.old_shards[state.old_table.route(canonical)].delete(
                 canonical)
         return evicted
 
@@ -304,7 +304,7 @@ class ShardedStore:
         """Store ``value``; returns the evicted (canonical) key, if any."""
         state = self._state
         canonical = canonical_key(key)
-        shard_id = state.table.shard(canonical)
+        shard_id = state.table.route(canonical)
         with self._window_lock:
             self._window.append(shard_id)
         if not self._observed:
@@ -321,14 +321,14 @@ class ShardedStore:
         deleted = state.shards[shard_id].delete(canonical)
         if state.old_shards is not None:
             old_deleted = state.old_shards[
-                state.old_table.shard(canonical)].delete(canonical)
+                state.old_table.route(canonical)].delete(canonical)
             deleted = deleted or old_deleted
         return deleted
 
     def delete(self, key: StoreKey) -> bool:
         state = self._state
         canonical = canonical_key(key)
-        shard_id = state.table.shard(canonical)
+        shard_id = state.table.route(canonical)
         with self._window_lock:
             self._window.append(shard_id)
         if not self._observed:
@@ -342,11 +342,11 @@ class ShardedStore:
     def contains(self, key: StoreKey) -> bool:
         state = self._state
         canonical = canonical_key(key)
-        if state.shards[state.table.shard(canonical)].contains(canonical):
+        if state.shards[state.table.route(canonical)].contains(canonical):
             return True
         if state.old_shards is not None:
             return state.old_shards[
-                state.old_table.shard(canonical)].contains(canonical)
+                state.old_table.route(canonical)].contains(canonical)
         return False
 
     def __len__(self) -> int:
@@ -445,7 +445,7 @@ class ShardedStore:
             for canonical, value in old_shard.items():
                 if moved >= max_keys:
                     break
-                new_shard = state.shards[state.table.shard(canonical)]
+                new_shard = state.shards[state.table.route(canonical)]
                 if not new_shard.contains(canonical):
                     new_shard.put(canonical, value)
                 old_shard.delete(canonical)

@@ -110,6 +110,12 @@ class RoutingTable:
         quarantined: shard ids routed *around* — keys whose primary
             shard is quarantined probe linearly to the next healthy
             shard.
+        route: ``route(canonical) -> shard id`` for a key already
+            folded by :func:`~repro.store.selector.canonical_key` —
+            the same answer as :meth:`shard` in one call.  It is the
+            selector's bound ``indexing.index`` while nothing is
+            quarantined and the bound :meth:`_route_around` otherwise
+            (a bound method, unlike a closure, pickles and copies).
     """
 
     scheme: str
@@ -128,6 +134,9 @@ class RoutingTable:
                 f"[0, {self.n_shards})")
         if len(self.quarantined) >= self.n_shards:
             raise ValueError("cannot quarantine every shard")
+        object.__setattr__(self, "route", (
+            self._route_around if self.quarantined
+            else self.selector.indexing.index))
 
     # -- construction ---------------------------------------------------
 
@@ -232,6 +241,10 @@ class RoutingTable:
             shard = (shard + 1) % self.n_shards
         raise RuntimeError(  # pragma: no cover - guarded in __post_init__
             "all shards quarantined")
+
+    def _route_around(self, canonical: int) -> int:
+        """:attr:`route` under quarantine: hash, then probe."""
+        return self._reroute(self.selector.indexing.index(canonical))
 
     def shard(self, key: StoreKey) -> int:
         """Shard id ``key`` routes to under this epoch."""

@@ -105,47 +105,45 @@ class Shard:
         self.occupancy = 0
         self.lock = threading.Lock()
 
-    def _set_index(self, key: int) -> int:
-        return mix64(key) % self.n_sets
-
     # -- operations (thread-safe: each takes the shard lock) -----------
 
     def get(self, key: int, default: Any = None) -> Any:
         """Value stored under ``key``, or ``default`` on miss."""
-        set_index = self._set_index(key)
+        set_index = mix64(key) % self.n_sets
         with self.lock:
-            self.stats.gets += 1
+            stats = self.stats
+            stats.gets += 1
             ways = self._keys[set_index]
-            for way, resident in enumerate(ways):
-                if resident == key:
-                    self.stats.hits += 1
-                    self.policy.on_hit(set_index, way)
-                    return self._values[set_index][way]
-            self.stats.misses += 1
+            if key in ways:
+                way = ways.index(key)
+                stats.hits += 1
+                self.policy.on_hit(set_index, way)
+                return self._values[set_index][way]
+            stats.misses += 1
             return default
 
     def put(self, key: int, value: Any) -> Optional[int]:
         """Insert or update ``key``; returns the evicted key, if any."""
-        set_index = self._set_index(key)
+        set_index = mix64(key) % self.n_sets
         with self.lock:
-            self.stats.puts += 1
+            stats = self.stats
+            stats.puts += 1
             ways = self._keys[set_index]
             values = self._values[set_index]
-            for way, resident in enumerate(ways):
-                if resident == key:  # update in place
-                    self.stats.hits += 1
-                    values[way] = value
-                    self.policy.on_hit(set_index, way)
-                    return None
-            self.stats.misses += 1
+            if key in ways:  # update in place
+                way = ways.index(key)
+                stats.hits += 1
+                values[way] = value
+                self.policy.on_hit(set_index, way)
+                return None
+            stats.misses += 1
             evicted = None
-            for way, resident in enumerate(ways):
-                if resident is None:
-                    break
+            if None in ways:
+                way = ways.index(None)
             else:
                 way = self.policy.victim(set_index)
                 evicted = ways[way]
-                self.stats.evictions += 1
+                stats.evictions += 1
                 self.occupancy -= 1
             ways[way] = key
             values[way] = value
@@ -155,23 +153,24 @@ class Shard:
 
     def delete(self, key: int) -> bool:
         """Drop ``key`` if present; returns whether it was stored."""
-        set_index = self._set_index(key)
+        set_index = mix64(key) % self.n_sets
         with self.lock:
-            self.stats.deletes += 1
+            stats = self.stats
+            stats.deletes += 1
             ways = self._keys[set_index]
-            for way, resident in enumerate(ways):
-                if resident == key:
-                    self.stats.hits += 1
-                    ways[way] = None
-                    self._values[set_index][way] = _EMPTY
-                    self.occupancy -= 1
-                    return True
-            self.stats.misses += 1
+            if key in ways:
+                way = ways.index(key)
+                stats.hits += 1
+                ways[way] = None
+                self._values[set_index][way] = _EMPTY
+                self.occupancy -= 1
+                return True
+            stats.misses += 1
             return False
 
     def contains(self, key: int) -> bool:
         """True when ``key`` is stored (no stats or recency change)."""
-        set_index = self._set_index(key)
+        set_index = mix64(key) % self.n_sets
         with self.lock:
             return key in self._keys[set_index]
 

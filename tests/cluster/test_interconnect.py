@@ -1,6 +1,7 @@
 """The virtual-time interconnect: links, queues, topologies, congestion."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     Fabric,
@@ -48,6 +49,18 @@ class TestLink:
             return [link.send(i * 1e-4, 256) for i in range(100)]
         assert run() == run()
 
+    def test_now_may_go_backwards(self):
+        """A response leg can reach a link earlier in virtual time than
+        the previous message: it still queues behind the busy wire, and
+        departures already gone stay gone."""
+        link = Link("a->b", bandwidth_bps=100, latency_s=0.0, queue_depth=2)
+        assert link.send(5.0, 100) == 6.0
+        assert link.send(1.0, 100) == 7.0  # waits 5 s for the wire
+        assert link.queued_s == 5.0
+        assert link.send(0.5, 100) is None  # two still waiting: dropped
+        assert link.send(6.5, 100) == 8.0   # the first left at 6.0
+        assert (link.transfers, link.drops, link.peak_queue) == (3, 1, 2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Link("x", bandwidth_bps=0)
@@ -55,6 +68,79 @@ class TestLink:
             Link("x", latency_s=-1)
         with pytest.raises(ValueError):
             Link("x", queue_depth=0)
+
+
+class ListLink:
+    """The reference queue: the departure list refiltered on every send,
+    so it assumes nothing about the order of ``now_s`` or departures."""
+
+    def __init__(self, bandwidth_bps, latency_s, queue_depth):
+        self.bandwidth_bps = float(bandwidth_bps)
+        self.latency_s = float(latency_s)
+        self.queue_depth = queue_depth
+        self.busy_until_s = 0.0
+        self.departures = []
+        self.transfers = self.drops = self.bytes_moved = 0
+        self.busy_s = self.queued_s = 0.0
+        self.peak_queue = 0
+
+    def send(self, now_s, n_bytes):
+        self.departures = [t for t in self.departures if t > now_s]
+        queued = len(self.departures)
+        if queued > self.peak_queue:
+            self.peak_queue = queued
+        if queued >= self.queue_depth:
+            self.drops += 1
+            return None
+        serialize_s = n_bytes / self.bandwidth_bps
+        start_s = max(now_s, self.busy_until_s)
+        self.busy_until_s = start_s + serialize_s
+        self.departures.append(self.busy_until_s)
+        self.transfers += 1
+        self.bytes_moved += n_bytes
+        self.busy_s += serialize_s
+        self.queued_s += start_s - now_s
+        return self.busy_until_s + self.latency_s
+
+
+COUNTERS = ("transfers", "drops", "bytes_moved", "busy_s", "queued_s",
+            "peak_queue", "busy_until_s")
+
+
+#: How the next send's ``now_s`` is chosen: a step of the random walk
+#: (back as well as forward), or exactly the departure time of one of
+#: the messages the model still queues (index from the newest), so the
+#: "left the wire at exactly now_s" boundary is hit too.
+CLOCK_MOVES = st.one_of(
+    st.floats(min_value=-1e-3, max_value=2e-3, allow_nan=False),
+    st.integers(min_value=1, max_value=4))
+
+
+class TestLinkAgainstListModel:
+    @settings(max_examples=300, deadline=None)
+    @given(bandwidth=st.sampled_from([10.0, 997.0, 4e6, 1e8]),
+           latency=st.sampled_from([0.0, 1e-6, 20e-6, 0.5]),
+           depth=st.integers(min_value=1, max_value=4),
+           sends=st.lists(st.tuples(CLOCK_MOVES,
+                                    st.integers(min_value=0,
+                                                max_value=4096)),
+                          max_size=60))
+    def test_same_answers_and_counters(self, bandwidth, latency, depth,
+                                       sends):
+        """Every return value and counter equals the list model's
+        exactly, for clocks that step back as well as forward."""
+        link = Link("a->b", bandwidth_bps=bandwidth, latency_s=latency,
+                    queue_depth=depth)
+        model = ListLink(bandwidth, latency, depth)
+        now_s = 0.0
+        for move, n_bytes in sends:
+            if isinstance(move, float):
+                now_s += move
+            elif len(model.departures) >= move:
+                now_s = model.departures[-move]
+            assert link.send(now_s, n_bytes) == model.send(now_s, n_bytes)
+            for name in COUNTERS:
+                assert getattr(link, name) == getattr(model, name), name
 
 
 class TestStarFabric:

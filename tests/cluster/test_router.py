@@ -11,6 +11,7 @@ it does at one level.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterRouter
 from repro.hashing import (
@@ -141,6 +142,64 @@ class TestReplicas:
     def test_r_must_be_positive(self):
         with pytest.raises(ValueError, match="replica count"):
             make_router().replicas(1, 0)
+
+
+def successor_walk(table, key, r):
+    """The placement rule spelled out: the primary node, then clockwise
+    successors, skipping quarantined nodes, never more than the ring."""
+    placement, node = [], table.shard(key)
+    for _ in range(table.n_shards):
+        if node not in table.quarantined:
+            placement.append(node)
+            if len(placement) == r:
+                break
+        node = (node + 1) % table.n_shards
+    return placement
+
+
+KEYS = st.one_of(st.integers(min_value=-(1 << 70), max_value=1 << 70),
+                 st.text(max_size=8), st.binary(max_size=8))
+
+#: (node scheme, physical node count) rings the placement tests use.
+RINGS = [("traditional", 2), ("pmod", 3), ("pmod", 4), ("pmod", 5),
+         ("pmod", 7), ("traditional", 8), ("pmod", 11), ("pmod", 16),
+         ("keyed", 13), ("pmod", 31), ("xor", 32)]
+
+
+class TestReplicasAgainstWalk:
+    @pytest.mark.parametrize("node_scheme,n_nodes", RINGS)
+    def test_closed_form_matches_the_walk(self, node_scheme, n_nodes):
+        """Nothing quarantined: every ``r`` from 1 to the ring plus two
+        (the closed form up to the ring, the walk past it) gives the
+        successor walk's placement."""
+        router = make_router(node_scheme=node_scheme, n_nodes=n_nodes,
+                             shards_per_node=5)
+        keys = list(range(-50, 300)) + [1 << 64, "k", b"k"]
+        for r in range(1, router.n_nodes + 3):
+            for key in keys:
+                assert router.replicas(key, r) == successor_walk(
+                    router.node_table, key, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_quarantined_placement_matches_the_walk(self, data):
+        """Over rings, quarantine sets up to all but one node and every
+        ``r`` from 1 to the ring plus two."""
+        node_scheme, n_nodes = data.draw(st.sampled_from(RINGS),
+                                         label="ring")
+        router = make_router(node_scheme=node_scheme, n_nodes=n_nodes,
+                             shards_per_node=5)
+        usable = router.n_nodes
+        quarantine = data.draw(st.sets(
+            st.integers(min_value=0, max_value=usable - 1),
+            max_size=usable - 1), label="quarantine")
+        router = router.with_node_quarantined(quarantine)
+        r = data.draw(st.integers(min_value=1, max_value=usable + 2),
+                      label="r")
+        for key in data.draw(st.lists(KEYS, min_size=1, max_size=20),
+                             label="keys"):
+            assert router.replicas(key, r) == successor_walk(
+                router.node_table, key, r)
 
 
 class TestDerivation:

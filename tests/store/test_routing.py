@@ -1,15 +1,21 @@
 """RoutingTable: epochs, the prime ladder, quarantine re-routing."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.store import (
+    STORE_SCHEMES,
     RoutingTable,
     ladder_down,
     ladder_up,
     normalize_shard_count,
     prime_capable,
 )
+from repro.store.selector import canonical_key
 
 
 class TestLadder:
@@ -139,6 +145,56 @@ class TestQuarantineRouting:
         keys = np.arange(4096, dtype=np.uint64)
         assert np.array_equal(table.shard_array(keys),
                               table.selector.shard_array(keys))
+
+
+#: Keys the canonical fold treats differently: negative ints, ints of
+#: 64 bits and wider, str and bytes.
+KEYS = st.one_of(
+    st.integers(min_value=-(1 << 80), max_value=-1),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.integers(min_value=1 << 64, max_value=1 << 80),
+    st.text(max_size=12),
+    st.binary(max_size=12))
+
+
+class TestRouteAgainstShard:
+    @pytest.mark.parametrize("quarantined", [False, True])
+    @pytest.mark.parametrize("scheme", sorted(STORE_SCHEMES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_route_of_canonical_is_shard(self, scheme, quarantined, data):
+        """``route(canonical_key(k)) == shard(k)`` for every scheme,
+        keyed ones included, over power-of-two and (where the scheme
+        allows) prime fleets, with no shard or up to all but one
+        quarantined."""
+        counts = [16, 64] + ([13, 61] if prime_capable(scheme) else [])
+        table = RoutingTable.create(
+            scheme, data.draw(st.sampled_from(counts), label="n_shards"))
+        if quarantined:
+            table = table.with_quarantined(data.draw(st.sets(
+                st.integers(min_value=0, max_value=table.n_shards - 1),
+                min_size=1, max_size=table.n_shards - 1),
+                label="quarantine"))
+        for key in data.draw(st.lists(KEYS, min_size=1, max_size=25),
+                             label="keys"):
+            assert table.route(canonical_key(key)) == table.shard(key)
+
+    @pytest.mark.parametrize("quarantine", [(), (3, 4)])
+    def test_route_survives_pickle_and_copy(self, quarantine):
+        table = RoutingTable.create("keyed", 61).with_quarantined(
+            quarantine)
+        keys = list(range(0, 1 << 20, 997))
+        for clone in (pickle.loads(pickle.dumps(table)),
+                      copy.copy(table), copy.deepcopy(table)):
+            assert [clone.route(k) for k in keys] == [
+                table.shard(k) for k in keys]
+
+    def test_derived_tables_get_their_own_route(self):
+        table = RoutingTable.create("traditional", 8)
+        quarantined = table.with_quarantined([3])
+        healed = quarantined.without_quarantined()
+        assert (table.route(3), quarantined.route(3), healed.route(3)) == (
+            3, 4, 3)
 
 
 class TestDescribe:
