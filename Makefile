@@ -14,15 +14,18 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # The tier-1 gate: full suite, stop at first failure, quiet output —
+# then every drill's contract through the experiment CLI's --check
+# (store_sharding's Figure 5 ordering on served traffic included),
 # then the bench-regression gate over the recorded BENCH_* trajectory
 # (check-only: `make bench-check` is the target that appends history),
 # then an import check of the bench harness, which tier-1 never loads.
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.reshard --check
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cluster --check
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.adversary --check
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.federation --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments store_sharding --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments reshard --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments adversary --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments federation --check
 	$(MAKE) trace-check
 	PYTHONPATH=src $(PYTHON) -m repro.obs.benchguard --no-update
 	PYTHONPATH=src $(PYTHON) -m pytest --collect-only -q benchmarks
@@ -66,22 +69,23 @@ serve-bench:
 # Health gate: the SLO burn-rate fault drill + hash-quality drift
 # drill; exits nonzero unless every watchdog check holds.
 health-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.health --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments health --check
 
 # Tracing gate: the serving drill with request tracing on (per-scheme
 # stage decompositions must explain >=90% of measured wall time), the
 # cluster drill likewise, and the health drill's SLO page must leave a
-# journaled flight dump with a complete slow-trace waterfall.
+# journaled flight dump with a complete slow-trace waterfall.  --trace
+# also prints the span tree; each run's last line is its verdict.
 trace-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.serving --trace --check --scale 0.25
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cluster --trace --check --scale 0.25
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.health --check --scale 0.5
+	PYTHONPATH=src $(PYTHON) -m repro.experiments serving --trace --check --scale 0.25
+	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --trace --check --scale 0.25
+	PYTHONPATH=src $(PYTHON) -m repro.experiments health --check --scale 0.5
 
 # Reshard gate: live prime-ladder resize under zipfian traffic; exits
 # nonzero unless the reshard contract holds (zero key loss, bounded
 # in-flight moves, Figure 5 ordering preserved post-resize).
 reshard-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.reshard --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments reshard --check
 
 # Online-reshard benchmark: migration drain rate + during-migration
 # throughput; writes BENCH_reshard.json at the root.
@@ -96,7 +100,7 @@ reshard-bench:
 # Figure 5 ordering on the composed map).
 cluster-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/cluster tests/store -q
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cluster --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --check
 
 # Cluster benchmark: healthy-ring replicated-op throughput, during-
 # loss rps and simulated p99, re-replication drain rate; writes
@@ -109,7 +113,7 @@ cluster-bench:
 # holds (exact linear recovery, >=5x prime probe cost, zero-loss
 # rotation back to green).
 adversary-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.adversary --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments adversary --check
 
 # Attack-economics benchmark: probes-to-crack per scheme and wall-time
 # from adversarial page to journaled mitigation; writes
@@ -121,7 +125,7 @@ adversary-bench:
 # paging, TSDB retention, scrape overhead; exits nonzero unless every
 # contract check holds.
 fed-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.federation --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments federation --check
 
 # Telemetry-plane benchmark: scrape sweep rate, merge cost per series,
 # TSDB append throughput; writes BENCH_fed.json at the root.

@@ -28,11 +28,13 @@ Artifact schema (version :data:`ARTIFACT_SCHEMA_VERSION`)::
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping
 
 import repro
-from repro.engine.key import RunConfig
+from repro.engine.key import RunConfig, SimulationKey
 from repro.engine.runner import SimulationEngine
 
 #: Version of the artifact envelope written by :func:`run_experiment`.
@@ -52,8 +54,8 @@ class ExperimentContext:
     Attributes:
         engine: the simulation engine (config, cache, trace sharing,
             parallel grid scheduling).
-        params: experiment-specific parameters from the CLI (e.g. the
-            ``--workload`` of the sweep experiments).
+        params: experiment-specific parameters from the CLI's
+            ``--param`` (e.g. ``workload=bt`` for the sweep experiments).
     """
 
     engine: SimulationEngine
@@ -69,6 +71,34 @@ class ExperimentContext:
 
     def param(self, name: str, default: Any = None) -> Any:
         return self.params.get(name, default)
+
+    def cached(self, workload: str, cell: str, params: Mapping,
+               compute: Callable[[], Dict]) -> Dict:
+        """One cell's JSON payload, reused from ``--cache-dir`` when
+        present, else ``compute()``-d and stored.
+
+        The cell is content-addressed by the run config plus a digest
+        of ``params`` (every knob the payload depends on) in the key's
+        ``machine`` slot, so changing any knob misses the cache.
+        """
+        digest = hashlib.sha256(
+            json.dumps(dict(params), sort_keys=True).encode()
+        ).hexdigest()[:12]
+        key = SimulationKey(
+            workload=workload,
+            scheme=cell,
+            scale=self.config.scale,
+            seed=self.config.seed,
+            skew_replacement=self.config.skew_replacement,
+            machine=digest,
+        )
+        cache = self.engine.cache
+        payload = cache.get_payload(key) if cache is not None else None
+        if payload is None:
+            payload = compute()
+            if cache is not None:
+                cache.put_payload(key, payload)
+        return payload
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,16 @@ module                      reproduces
 ``federation``              cluster-wide telemetry federation drill (extension)
 ========================== ======================================
 
-Each module exposes ``run(...)``, ``render(result)`` and a ``main()``
-CLI, and registers an :class:`~repro.engine.ExperimentSpec` so it is
-also reachable uniformly::
+Each module exposes ``run(...)`` and ``render(result)`` and registers
+an :class:`~repro.engine.ExperimentSpec`; the one CLI runs any of
+them::
 
     python -m repro.experiments <name> --scale S --seed N \
-        --jobs J --cache-dir DIR [--artifact PATH]
+        --jobs J --cache-dir DIR [--artifact PATH] [--check]
 
-(``python -m repro.experiments list`` enumerates the registry.)
+``python -m repro.experiments.<name> ARGS`` hands ARGS to the same
+CLI, ``--check`` gates an experiment's ``checks`` block, and
+``python -m repro.experiments list`` enumerates the registry.
 """
 
 import importlib

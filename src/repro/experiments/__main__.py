@@ -1,4 +1,4 @@
-"""Uniform CLI over the experiment registry.
+"""The one experiment CLI, over the experiment registry.
 
 ::
 
@@ -6,11 +6,14 @@
     python -m repro.experiments <name> [--scale S] [--seed N]
         [--skew-replacement P] [--jobs J] [--cache-dir DIR]
         [--param KEY=VALUE ...] [--artifact PATH]
-        [--metrics-out PATH] [--trace]
+        [--metrics-out PATH] [--trace] [--journal PATH] [--dash PATH]
+        [--check]
 
 Every registered experiment runs through the same path: build an
 artifact (the JSON document described in :mod:`repro.engine.registry`),
 optionally write it to ``--artifact``, then render it to the terminal.
+``python -m repro.experiments.<name> ARGS`` is the same command: each
+module hands its arguments to :func:`main`.
 ``--param`` forwards experiment-specific knobs (e.g.
 ``--param workload=bt`` for the sweep experiments); values parse as
 JSON when possible, otherwise as strings.
@@ -25,6 +28,11 @@ whatever lifecycle events the engine/store/serve layers emit; and
 ``--dash PATH`` renders the post-run health dashboard (metrics + SLO
 burn rates + drift + journal tail + bench trajectory) as one
 self-contained HTML file.
+
+``--check`` gates the experiment's contract, the ``checks`` block of
+its artifact: after every requested output is written, the last line
+is ``<name>-check: ok``, or the run exits 1 naming each false check
+on stderr.  An experiment that publishes no checks is refused.
 """
 
 from __future__ import annotations
@@ -78,6 +86,7 @@ def list_experiments() -> str:
 
 def main(argv: Optional[List[str]] = None) -> None:
     parser = standard_argparser(__doc__)
+    parser.prog = "python -m repro.experiments"
     parser.add_argument("experiment",
                         help="registered experiment name, or 'list'")
     parser.add_argument("--param", action="append", default=[],
@@ -99,6 +108,9 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--dash", default=None, metavar="PATH",
                         help="enable observability and write the "
                              "post-run health dashboard HTML to PATH")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless every entry of the artifact's "
+                             "checks block holds")
     args = parser.parse_args(argv)
     if args.experiment == "list":
         print(list_experiments())
@@ -144,6 +156,8 @@ def _run_and_report(args) -> None:
     finally:
         journal.emit("experiment.finish", experiment=args.experiment,
                      status=status)
+    # keep stdout parseable when the artifact JSON went to '-'
+    report = sys.stderr if args.artifact == "-" else sys.stdout
     if args.artifact == "-":
         json.dump(artifact, sys.stdout, indent=1)
         print()
@@ -156,10 +170,8 @@ def _run_and_report(args) -> None:
         path = write_snapshot(args.metrics_out, get_registry(), get_tracer())
         print(f"metrics snapshot written to {path}", file=sys.stderr)
     if args.trace:
-        # keep stdout parseable when the artifact JSON went to '-'
-        stream = sys.stderr if args.artifact == "-" else sys.stdout
-        print(file=stream)
-        print(get_tracer().render(), file=stream)
+        print(file=report)
+        print(get_tracer().render(), file=report)
     if args.dash:
         from repro.obs.dash import build_dashboard, write_dashboard
         from repro.obs.health import (
@@ -179,6 +191,19 @@ def _run_and_report(args) -> None:
             drift_statuses=drift, bench_root=".")
         path = write_dashboard(args.dash, model)
         print(f"health dashboard written to {path}", file=sys.stderr)
+    if args.check:
+        # The verdict is the last line, after every requested output.
+        name = args.experiment
+        checks = artifact["data"].get("checks")
+        if not checks:
+            raise SystemExit(f"error: {name} publishes no checks for "
+                             f"--check to gate")
+        failing = [check for check, ok in checks.items() if not ok]
+        if failing:
+            print(f"{name}-check: FAILED ({', '.join(failing)})",
+                  file=sys.stderr)
+            raise SystemExit(1)
+        print(f"{name}-check: ok", file=report)
 
 
 if __name__ == "__main__":

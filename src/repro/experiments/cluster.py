@@ -29,37 +29,24 @@ The artifact's ``checks`` block asserts the cluster contract:
   both on the healthy ring and after quarantine rebalancing shifts the
   dead node's range to its ring successors.
 
-With ``--check`` the CLI exits nonzero unless every check holds (the
-``make cluster-check`` gate).
+A traced run (``--trace``) adds one stage-coverage check per stack
+and caches its cells apart from untraced ones; ``--check`` exits
+nonzero unless every check holds (the ``make cluster-check`` gate).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
+from functools import partial
 from time import perf_counter
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping
 
 import numpy as np
 
 from repro.cluster import Cluster, ClusterRouter, ReplicationConfig
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    SimulationKey,
-    register,
-    render_artifact,
-    run_experiment,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.hashing import balance_from_counts
-from repro.obs import (
-    Journal,
-    enable_observability,
-    get_collector,
-    get_journal,
-    set_journal,
-)
+from repro.obs import Journal, get_collector, set_journal
 from repro.store import make_traffic, request_keys
 from repro.store.selector import canonical_key
 
@@ -76,12 +63,6 @@ SHARDS_PER_NODE = 16
 #: Minimum fraction of measured op wall time the per-stage attribution
 #: must explain (the tracing contract, asserted only when tracing ran).
 MIN_STAGE_COVERAGE = 0.9
-
-
-def _fingerprint(params: Mapping) -> str:
-    """Stable digest of every drill knob, for content addressing."""
-    payload = json.dumps(dict(params), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _apply(cluster: Cluster, model: Dict[int, int], request) -> None:
@@ -250,8 +231,10 @@ def run(n_requests: int = 8000, shard_capacity: int = 512,
     }
 
 
-def cluster_checks(cells: Mapping[str, Mapping]) -> Dict[str, bool]:
-    """The cluster contract, one boolean per claim."""
+def cluster_checks(cells: Mapping[str, Mapping],
+                   traced: bool = False) -> Dict[str, bool]:
+    """The cluster contract, one boolean per claim (plus one
+    stage-coverage check per stack when the run traced)."""
     checks: Dict[str, bool] = {}
     for stack, cell in cells.items():
         loss = cell["zero_loss"]
@@ -267,10 +250,11 @@ def cluster_checks(cells: Mapping[str, Mapping]) -> Dict[str, bool]:
             0 <= chain["down_seq"] < chain["first_chunk_seq"]
             < chain["up_seq"])
         checks[f"{stack}_no_evictions"] = cell["evictions"] == 0
-        attribution = cell.get("attribution")
-        if attribution and attribution.get("n_traces"):
+        if traced:
+            attribution = cell.get("attribution") or {}
             checks[f"{stack}_stage_coverage"] = bool(
-                attribution["coverage"] >= MIN_STAGE_COVERAGE)
+                attribution.get("n_traces")
+                and attribution["coverage"] >= MIN_STAGE_COVERAGE)
     prime = cells.get("pmod+pmod")
     pow2 = cells.get("traditional+traditional")
     if prime is not None and pow2 is not None:
@@ -345,32 +329,13 @@ def _build(ctx: ExperimentContext) -> Dict:
         "topology": str(ctx.param("topology", "star")),
         "seed": ctx.config.seed,
     }
-    stacks = list(ctx.param("stacks", DEFAULT_STACKS))
-    cache = ctx.engine.cache
-    fingerprint = _fingerprint(params)
-
-    def cell_key(stack: str) -> SimulationKey:
-        return SimulationKey(
-            workload="cluster-drill",
-            scheme=stack,
-            scale=ctx.config.scale,
-            seed=ctx.config.seed,
-            skew_replacement=ctx.config.skew_replacement,
-            machine=fingerprint,
-        )
-
-    cells: Dict[str, Dict] = {}
-    for stack in stacks:
-        payload: Optional[Dict] = None
-        if cache is not None:
-            payload = cache.get_payload(cell_key(stack))
-        if payload is None:
-            kwargs = dict(params)
-            kwargs.pop("n_requests")
-            payload = measure(stack, n_requests, **kwargs)
-            if cache is not None:
-                cache.put_payload(cell_key(stack), payload)
-        cells[stack] = payload
+    traced = get_collector().enabled
+    key_params = dict(params, traced=True) if traced else params
+    cells = {
+        stack: ctx.cached("cluster-drill", stack, key_params,
+                          partial(measure, stack, **params))
+        for stack in ctx.param("stacks", DEFAULT_STACKS)
+    }
     return {
         "n_requests": n_requests,
         "shard_capacity": params["shard_capacity"],
@@ -379,7 +344,7 @@ def _build(ctx: ExperimentContext) -> Dict:
         "budget": params["budget"],
         "topology": params["topology"],
         "cells": cells,
-        "checks": cluster_checks(cells),
+        "checks": cluster_checks(cells, traced=traced),
     }
 
 
@@ -397,31 +362,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every cluster contract "
-                             "check holds (the make cluster-check gate)")
-    parser.add_argument("--trace", action="store_true",
-                        help="enable op tracing: sample wall-clock stage "
-                             "timelines and publish the per-stack "
-                             "critical-path decomposition")
-    args = parser.parse_args()
-    if args.trace:
-        enable_observability()
-    artifact = run_experiment("cluster", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if failing:
-            print(f"cluster-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("cluster-check: ok")
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["cluster", *sys.argv[1:]])

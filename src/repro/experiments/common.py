@@ -1,10 +1,10 @@
 """Shared infrastructure for the paper-reproduction experiments.
 
 Every experiment module follows the same shape: a ``run(...)`` function
-returning a result dataclass, a ``render(result)`` returning the
-terminal report, and a ``main()`` so each figure/table can be
-regenerated with ``python -m repro.experiments.<name>`` (or uniformly
-via ``python -m repro.experiments <name>``).
+returning a result dataclass and a ``render(result)`` returning the
+terminal report.  One CLI, ``python -m repro.experiments <name>``
+(:mod:`repro.experiments.__main__`), regenerates every figure/table;
+``python -m repro.experiments.<name>`` hands its arguments to it.
 
 Simulation runs flow through :mod:`repro.engine`: the
 :class:`~repro.engine.SimulationEngine` content-addresses every run,
@@ -28,7 +28,7 @@ __all__ = [
 
 
 def standard_argparser(description: str) -> argparse.ArgumentParser:
-    """CLI shared by the experiment mains.
+    """Run-config options shared by the experiment CLI and the scripts.
 
     Options: ``--scale`` / ``--seed`` / ``--skew-replacement`` (the
     RunConfig), ``--jobs`` (parallel grid workers) and ``--cache-dir``

@@ -10,23 +10,14 @@ ways.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from repro.cache import CacheHierarchy, SetAssociativeCache
 from repro.cpu import MachineConfig, Simulator
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
+from repro.experiments.common import RunConfig
 from repro.hashing import make_indexing
 from repro.memory import DramModel
 from repro.reporting import format_table
@@ -122,13 +113,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--workload", default="tree")
-    args = parser.parse_args()
-    ctx = context_from_args(args, workload=args.workload)
-    print(render_artifact(run_experiment("design_space", ctx)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["design_space", *sys.argv[1:]])

@@ -37,27 +37,19 @@ The artifact's ``checks`` block asserts the telemetry contract:
   persisted sketches matches the exact pooled p99 within 2%.
 
 With ``--check`` the CLI exits nonzero unless every check holds (the
-``make fed-check`` gate).
+``make fed-check`` gate, whose verdict reads ``federation-check:``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
+from functools import partial
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.cluster import Cluster, ReplicationConfig
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    SimulationKey,
-    register,
-    render_artifact,
-    run_experiment,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.obs import Journal, declare_core_metrics, set_journal
 from repro.obs.fed import Federation
 from repro.obs.health import SloEngine, SloSpec
@@ -92,12 +84,6 @@ BURST_WEIGHTS = (5, 1, 3, 1, 8, 2, 4, 1, 6, 2)
 
 #: Per-node latency series every cluster op lands in (primary node).
 LATENCY_SERIES = "cluster.node.request_latency_s"
-
-
-def _fingerprint(params: Mapping) -> str:
-    """Stable digest of every drill knob, for content addressing."""
-    payload = json.dumps(dict(params), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _burst_sizes(n_requests: int, sweeps: int) -> List[int]:
@@ -353,31 +339,11 @@ def _build(ctx: ExperimentContext) -> Dict:
         "downsample_ratio": int(ctx.param("downsample_ratio", 4)),
         "seed": ctx.config.seed,
     }
-    cache = ctx.engine.cache
-    fingerprint = _fingerprint(params)
-
-    def cell_key(arm: str) -> SimulationKey:
-        return SimulationKey(
-            workload="federation-drill",
-            scheme=arm,
-            scale=ctx.config.scale,
-            seed=ctx.config.seed,
-            skew_replacement=ctx.config.skew_replacement,
-            machine=fingerprint,
-        )
-
-    cells: Dict[str, Dict] = {}
-    for arm in ("healthy", "stalled"):
-        payload: Optional[Dict] = None
-        if cache is not None:
-            payload = cache.get_payload(cell_key(arm))
-        if payload is None:
-            kwargs = dict(params)
-            kwargs.pop("n_requests")
-            payload = measure(arm, n_requests, **kwargs)
-            if cache is not None:
-                cache.put_payload(cell_key(arm), payload)
-        cells[arm] = payload
+    cells = {
+        arm: ctx.cached("federation-drill", arm, params,
+                        partial(measure, arm, **params))
+        for arm in ("healthy", "stalled")
+    }
     return {
         "n_requests": n_requests,
         "sweeps": params["sweeps"],
@@ -400,26 +366,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every federation "
-                             "contract check holds (the make fed-check "
-                             "gate)")
-    args = parser.parse_args()
-    artifact = run_experiment("federation", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if failing:
-            print(f"fed-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("fed-check: ok")
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["federation", *sys.argv[1:]])

@@ -7,16 +7,11 @@ hashing leaves unused.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.mathutil import largest_prime_below
 from repro.reporting import format_table
 
@@ -88,13 +83,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("fragmentation", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["fragmentation", *sys.argv[1:]])

@@ -31,7 +31,7 @@ end to end, the way a deployment would trust it:
   (its conflict pathology, live), while pMod and pDisp stay green.
 
 The artifact's ``checks`` block records all three drills' verdicts;
-``python -m repro.experiments.health --check`` (the ``make
+``python -m repro.experiments health --check`` (the ``make
 health-check`` target) exits nonzero unless every check holds.
 """
 
@@ -41,13 +41,7 @@ import sys
 from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.obs import (
     Journal,
     disable_observability,
@@ -439,25 +433,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every health check "
-                             "holds (the make health-check gate)")
-    args = parser.parse_args()
-    artifact = run_experiment("health", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if failing:
-            print(f"health-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("health-check: ok")
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["health", *sys.argv[1:]])

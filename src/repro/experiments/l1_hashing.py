@@ -17,23 +17,14 @@ Two parts:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
 from repro.cache import CacheHierarchy, SetAssociativeCache
 from repro.cpu import MachineConfig, Simulator
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
+from repro.experiments.common import RunConfig
 from repro.hashing import (
     balance,
     concentration,
@@ -171,11 +162,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("l1_hashing", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["l1_hashing", *sys.argv[1:]])

@@ -13,22 +13,13 @@ down.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from repro.cache import CacheHierarchy, SetAssociativeCache
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
+from repro.experiments.common import RunConfig
 from repro.hashing import make_indexing
 from repro.reporting import format_table
 from repro.workloads import get_workload
@@ -121,11 +112,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("l3_hashing", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["l3_hashing", *sys.argv[1:]])

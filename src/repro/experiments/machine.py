@@ -6,16 +6,11 @@ simulator encodes, for comparison against the paper's table.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Mapping
 
 from repro.cpu import MachineConfig
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.reporting import format_table
 
 
@@ -64,13 +59,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("machine", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["machine", *sys.argv[1:]])

@@ -9,24 +9,15 @@ misses themselves.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
 from repro.cpu import build_hierarchy
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
+from repro.experiments.common import RunConfig
 from repro.reporting import format_table, sparkline_series
 from repro.trace.records import Trace
 from repro.workloads import get_workload
@@ -153,13 +144,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--workload", default="tree")
-    args = parser.parse_args()
-    ctx = context_from_args(args, workload=args.workload)
-    print(render_artifact(run_experiment("miss_distribution", ctx)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["miss_distribution", *sys.argv[1:]])

@@ -11,6 +11,7 @@ the uniform applications, while skw+pDisp inflates several by up to
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
@@ -19,14 +20,8 @@ from repro.engine import (
     ExperimentSpec,
     SimulationEngine,
     register,
-    render_artifact,
-    run_experiment,
 )
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.experiments.common import RunConfig
 from repro.reporting import bar_chart, format_table
 from repro.workloads import NONUNIFORM_APPS, UNIFORM_APPS
 
@@ -126,11 +121,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("miss_reduction", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["miss_reduction", *sys.argv[1:]])

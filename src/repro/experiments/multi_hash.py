@@ -9,6 +9,7 @@ ones (Section 5.3).
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Mapping
 
 from repro.engine import (
@@ -16,14 +17,8 @@ from repro.engine import (
     ExperimentSpec,
     SimulationEngine,
     register,
-    render_artifact,
-    run_experiment,
 )
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.experiments.common import RunConfig
 from repro.experiments.single_hash import (
     ExecutionTimeFigure,
     build_figure,
@@ -86,11 +81,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("multi_hash", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["multi_hash", *sys.argv[1:]])

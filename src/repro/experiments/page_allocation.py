@@ -23,22 +23,13 @@ mapping the raw traces use corresponds to the color-preserving case.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from repro.cache import simulate_misses
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
+from repro.experiments.common import RunConfig
 from repro.hashing import PrimeModuloIndexing, TraditionalIndexing
 from repro.reporting import format_table
 from repro.vm import (
@@ -143,11 +134,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("page_allocation", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["page_allocation", *sys.argv[1:]])

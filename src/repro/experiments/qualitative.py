@@ -11,18 +11,13 @@ constraints respectively.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping
 
 import numpy as np
 
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.hashing import (
     PrimeDisplacementIndexing,
     PrimeModuloIndexing,
@@ -175,13 +170,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("qualitative", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["qualitative", *sys.argv[1:]])

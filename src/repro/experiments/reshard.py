@@ -27,22 +27,14 @@ unless every contract check holds (the ``make reshard-check`` gate).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
+from functools import partial
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 import numpy as np
 
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    SimulationKey,
-    register,
-    render_artifact,
-    run_experiment,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.hashing import balance_from_counts
 from repro.store import (
     DEFAULT_MOVE_BUDGET,
@@ -62,12 +54,6 @@ DEFAULT_SCHEMES = ("traditional", "xor", "pmod", "pdisp")
 #: rung (61 -> 67 / 64 -> 128).
 def start_shards(scheme: str) -> int:
     return 61 if scheme == "pmod" else 64
-
-
-def _fingerprint(params: Mapping) -> str:
-    """Stable digest of every reshard knob, for content addressing."""
-    payload = json.dumps(dict(params), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _apply(store: ShardedStore, model: Dict[int, int], request) -> None:
@@ -246,32 +232,11 @@ def _build(ctx: ExperimentContext) -> Dict:
         "chunk_requests": int(ctx.param("chunk_requests", 256)),
         "seed": ctx.config.seed,
     }
-    schemes = list(ctx.param("schemes", DEFAULT_SCHEMES))
-    cache = ctx.engine.cache
-    fingerprint = _fingerprint(params)
-
-    def cell_key(scheme: str) -> SimulationKey:
-        return SimulationKey(
-            workload="store-reshard",
-            scheme=scheme,
-            scale=ctx.config.scale,
-            seed=ctx.config.seed,
-            skew_replacement=ctx.config.skew_replacement,
-            machine=fingerprint,
-        )
-
-    cells: Dict[str, Dict] = {}
-    for scheme in schemes:
-        payload: Optional[Dict] = None
-        if cache is not None:
-            payload = cache.get_payload(cell_key(scheme))
-        if payload is None:
-            kwargs = dict(params)
-            kwargs.pop("n_requests")
-            payload = measure(scheme, n_requests, **kwargs)
-            if cache is not None:
-                cache.put_payload(cell_key(scheme), payload)
-        cells[scheme] = payload
+    cells = {
+        scheme: ctx.cached("store-reshard", scheme, params,
+                           partial(measure, scheme, **params))
+        for scheme in ctx.param("schemes", DEFAULT_SCHEMES)
+    }
     return {
         "n_requests": n_requests,
         "shard_capacity": params["shard_capacity"],
@@ -298,25 +263,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every reshard contract "
-                             "check holds (the make reshard-check gate)")
-    args = parser.parse_args()
-    artifact = run_experiment("reshard", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if failing:
-            print(f"reshard-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("reshard-check: ok")
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["reshard", *sys.argv[1:]])

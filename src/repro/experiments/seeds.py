@@ -8,6 +8,7 @@ each scheme's speedup.  The reproduction's claims should hold for
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -16,14 +17,8 @@ from repro.engine import (
     ExperimentSpec,
     SimulationEngine,
     register,
-    render_artifact,
-    run_experiment,
 )
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.experiments.common import RunConfig
 from repro.reporting import format_table
 
 
@@ -129,13 +124,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    args = parser.parse_args()
-    ctx = context_from_args(args, seeds=tuple(args.seeds))
-    print(render_artifact(run_experiment("seeds", ctx)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["seeds", *sys.argv[1:]])

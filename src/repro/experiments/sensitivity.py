@@ -11,22 +11,13 @@ footprint outright — the crossover this experiment locates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from repro.cache import simulate_misses
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
+from repro.experiments.common import RunConfig
 from repro.hashing import PrimeModuloIndexing, TraditionalIndexing
 from repro.reporting import format_table
 from repro.workloads import get_workload
@@ -113,13 +104,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--workload", default="tree")
-    args = parser.parse_args()
-    ctx = context_from_args(args, workload=args.workload)
-    print(render_artifact(run_experiment("sensitivity", ctx)))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["sensitivity", *sys.argv[1:]])

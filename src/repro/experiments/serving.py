@@ -23,25 +23,18 @@ bad routing, visible only because arrivals are open-loop and bursty.
 
 With ``--cache-dir`` set, each scheme's load report is
 content-addressed through the engine's result cache and reused across
-runs.
+runs; a traced run (``--trace``) caches its cells apart, because only
+they carry the per-stage attribution its checks grade.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
-from typing import Dict, List, Mapping, Optional
+from functools import partial
+from typing import Dict, Mapping, Optional
 
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    SimulationKey,
-    register,
-    render_artifact,
-    run_experiment,
-)
-from repro.obs import enable_observability, get_collector
+from repro.engine import ExperimentContext, ExperimentSpec, register
+from repro.obs import get_collector
 from repro.reporting import serve_latency_table, serve_tail_chart
 from repro.serve import (
     AdmissionConfig,
@@ -63,12 +56,6 @@ SPAN_EVERY = 8
 #: Minimum fraction of measured request wall time the per-stage
 #: decomposition must explain for a scheme's attribution to count.
 MIN_STAGE_COVERAGE = 0.9
-
-
-def _serve_fingerprint(params: Mapping) -> str:
-    """Stable digest of every serving knob, for content addressing."""
-    payload = json.dumps(dict(params), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def measure(scheme: str, n_requests: int, pattern: str = "zipfian",
@@ -130,12 +117,13 @@ def measure(scheme: str, n_requests: int, pattern: str = "zipfian",
 
 
 def degradation_checks(cells: Mapping[str, Mapping],
-                       max_queue_depth: int,
-                       stalled: bool) -> Dict[str, bool]:
+                       max_queue_depth: int, stalled: bool,
+                       traced: bool = False) -> Dict[str, bool]:
     """The serving contract, asserted on every scheme's payload:
     every request accounted for, never a silent drop, the in-flight
-    count bounded by the admission cap — and, under an injected stall,
-    explicit timeouts instead of a hang."""
+    count bounded by the admission cap — under an injected stall,
+    explicit timeouts instead of a hang — and, when the run traced,
+    a stage decomposition that explains the measured wall time."""
     checks: Dict[str, bool] = {}
     for scheme, cell in cells.items():
         statuses = cell["statuses"]
@@ -147,13 +135,14 @@ def degradation_checks(cells: Mapping[str, Mapping],
         if stalled:
             checks[f"{scheme}_stall_surfaces_explicitly"] = bool(
                 statuses.get("timeout", 0) + statuses.get("rejected", 0) > 0)
-        attribution = cell.get("attribution")
-        if attribution and attribution.get("n_traces"):
+        if traced:
             # The tracing contract: sampled stage timelines must
             # explain at least MIN_STAGE_COVERAGE of the measured
             # request wall time, or the decomposition is lying.
+            attribution = cell.get("attribution") or {}
             checks[f"{scheme}_stage_coverage"] = bool(
-                attribution["coverage"] >= MIN_STAGE_COVERAGE)
+                attribution.get("n_traces")
+                and attribution["coverage"] >= MIN_STAGE_COVERAGE)
     return checks
 
 
@@ -222,33 +211,13 @@ def _build(ctx: ExperimentContext) -> Dict:
                         if stall_param is not None else None),
         "stall_s": float(ctx.param("stall_s", 0.25)),
     }
-    schemes = list(ctx.param("schemes", DEFAULT_SCHEMES))
-    cache = ctx.engine.cache
-    fingerprint = _serve_fingerprint(params)
-
-    def cell_key(scheme: str) -> SimulationKey:
-        return SimulationKey(
-            workload=f"serve-{params['pattern']}",
-            scheme=scheme,
-            scale=ctx.config.scale,
-            seed=ctx.config.seed,
-            skew_replacement=ctx.config.skew_replacement,
-            machine=fingerprint,
-        )
-
-    cells: Dict[str, Dict] = {}
-    for scheme in schemes:
-        payload: Optional[Dict] = None
-        if cache is not None:
-            payload = cache.get_payload(cell_key(scheme))
-        if payload is None:
-            kwargs = dict(params)
-            kwargs.pop("pattern")
-            payload = measure(scheme, kwargs.pop("n_requests"),
-                              pattern=params["pattern"], **kwargs)
-            if cache is not None:
-                cache.put_payload(cell_key(scheme), payload)
-        cells[scheme] = payload
+    traced = get_collector().enabled
+    key_params = dict(params, traced=True) if traced else params
+    cells = {
+        scheme: ctx.cached(f"serve-{params['pattern']}", scheme, key_params,
+                           partial(measure, scheme, **params))
+        for scheme in ctx.param("schemes", DEFAULT_SCHEMES)
+    }
     return {
         "n_requests": n_requests,
         "pattern": params["pattern"],
@@ -261,7 +230,7 @@ def _build(ctx: ExperimentContext) -> Dict:
         "schemes": cells,
         "checks": degradation_checks(cells, params["max_queue_depth"],
                                      stalled=params["stall_shard"]
-                                     is not None),
+                                     is not None, traced=traced),
     }
 
 
@@ -279,34 +248,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    parser = standard_argparser(__doc__)
-    parser.add_argument("--trace", action="store_true",
-                        help="enable request tracing: sample stage "
-                             "timelines and publish the per-scheme "
-                             "critical-path decomposition")
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every serving contract "
-                             "check holds (the make trace-check gate)")
-    args = parser.parse_args()
-    if args.trace:
-        enable_observability()
-    artifact = run_experiment("serving", context_from_args(args))
-    print(render_artifact(artifact))
-    if args.check:
-        checks = artifact["data"]["checks"]
-        failing = [name for name, ok in checks.items() if not ok]
-        if args.trace and not any(name.endswith("_stage_coverage")
-                                  for name in checks):
-            failing.append("stage_coverage_attribution_missing")
-        if failing:
-            print(f"serving-check: FAILED ({', '.join(failing)})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("serving-check: ok")
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["serving", *sys.argv[1:]])

@@ -12,22 +12,13 @@ disjoint address spaces) and compares schemes.  Two questions:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.cpu import simulate_scheme
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
+from repro.experiments.common import RunConfig
 from repro.reporting import format_table
 from repro.trace.multiprogram import interleave_traces
 from repro.workloads import get_workload
@@ -125,11 +116,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("shared_cache", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["shared_cache", *sys.argv[1:]])

@@ -8,6 +8,7 @@ Busy / Other Stalls / Memory Stall, exactly as in the paper.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
@@ -17,14 +18,8 @@ from repro.engine import (
     ExperimentSpec,
     SimulationEngine,
     register,
-    render_artifact,
-    run_experiment,
 )
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.experiments.common import RunConfig
 from repro.reporting import format_table, stacked_bar_chart
 from repro.workloads import NONUNIFORM_APPS, UNIFORM_APPS
 
@@ -155,11 +150,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("single_hash", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["single_hash", *sys.argv[1:]])

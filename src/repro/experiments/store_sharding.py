@@ -17,24 +17,17 @@ pDisp strictly beat traditional modulo on the strided and pow2-aligned
 streams, where power-of-two routing collapses onto a handful of shards.
 
 With ``--cache-dir`` set, each (pattern, scheme) measurement is
-content-addressed through the engine's :class:`~repro.engine.cache.
-ResultCache` payload surface and reused across runs.
+content-addressed through :meth:`~repro.engine.ExperimentContext.cached`
+and reused across runs; ``--check`` gates the four ordering checks.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Dict, List, Mapping, Optional
+import sys
+from functools import partial
+from typing import Dict, List, Mapping
 
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    SimulationKey,
-    register,
-    render_artifact,
-    run_experiment,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.reporting import shard_balance_chart, shard_balance_table
 from repro.store import ShardedStore, make_traffic, replay
 
@@ -47,12 +40,6 @@ DEFAULT_PATTERNS = ("zipfian", "strided", "pow2")
 #: Patterns on which the paper's ordering (pMod/pDisp < traditional)
 #: is asserted by the artifact's ``checks`` block.
 ORDERED_PATTERNS = ("strided", "pow2")
-
-
-def _store_fingerprint(params: Mapping) -> str:
-    """Stable digest of every store/traffic knob, for content addressing."""
-    payload = json.dumps(dict(params), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def measure(pattern: str, scheme: str, n_requests: int, n_shards: int = 64,
@@ -151,32 +138,14 @@ def _build(ctx: ExperimentContext) -> Dict:
         "seed": ctx.config.seed,
     }
     schemes = list(ctx.param("schemes", DEFAULT_SCHEMES))
-    patterns = list(ctx.param("patterns", DEFAULT_PATTERNS))
-    cache = ctx.engine.cache
-    fingerprint = _store_fingerprint(params)
-
-    def cell_key(pattern: str, scheme: str) -> SimulationKey:
-        return SimulationKey(
-            workload=f"store-{pattern}",
-            scheme=scheme,
-            scale=ctx.config.scale,
-            seed=ctx.config.seed,
-            skew_replacement=ctx.config.skew_replacement,
-            machine=fingerprint,
-        )
-
-    grid: Dict[str, Dict[str, Dict]] = {}
-    for pattern in patterns:
-        grid[pattern] = {}
-        for scheme in schemes:
-            payload: Optional[Dict] = None
-            if cache is not None:
-                payload = cache.get_payload(cell_key(pattern, scheme))
-            if payload is None:
-                payload = measure(pattern, scheme, **params)
-                if cache is not None:
-                    cache.put_payload(cell_key(pattern, scheme), payload)
-            grid[pattern][scheme] = payload
+    grid = {
+        pattern: {
+            scheme: ctx.cached(f"store-{pattern}", scheme, params,
+                               partial(measure, pattern, scheme, **params))
+            for scheme in schemes
+        }
+        for pattern in ctx.param("patterns", DEFAULT_PATTERNS)
+    }
     return {
         "n_requests": n_requests,
         "n_shards": params["n_shards"],
@@ -202,13 +171,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("store_sharding", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["store_sharding", *sys.argv[1:]])

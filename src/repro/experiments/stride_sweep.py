@@ -14,18 +14,13 @@ functions.  The paper's reference observations (Section 5.1):
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
 import numpy as np
 
-from repro.engine import (
-    ExperimentContext,
-    ExperimentSpec,
-    register,
-    render_artifact,
-    run_experiment,
-)
+from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.hashing import (
     IndexingFunction,
     PrimeDisplacementIndexing,
@@ -153,13 +148,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    from repro.experiments.common import context_from_args, standard_argparser
-
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("stride_sweep", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["stride_sweep", *sys.argv[1:]])

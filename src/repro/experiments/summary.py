@@ -7,6 +7,7 @@ A pathological case is a slowdown of more than 1% relative to Base
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
@@ -15,14 +16,8 @@ from repro.engine import (
     ExperimentSpec,
     SimulationEngine,
     register,
-    render_artifact,
-    run_experiment,
 )
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.experiments.common import RunConfig
 from repro.reporting import format_table
 from repro.workloads import NONUNIFORM_APPS, UNIFORM_APPS
 
@@ -123,11 +118,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("summary", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["summary", *sys.argv[1:]])

@@ -13,6 +13,7 @@ classification next to the paper's.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional
 
@@ -22,14 +23,8 @@ from repro.engine import (
     ExperimentSpec,
     TraceMaterializer,
     register,
-    render_artifact,
-    run_experiment,
 )
-from repro.experiments.common import (
-    RunConfig,
-    context_from_args,
-    standard_argparser,
-)
+from repro.experiments.common import RunConfig
 from repro.hashing import uniformity
 from repro.reporting import format_table
 from repro.workloads import all_workload_names, get_workload
@@ -115,11 +110,6 @@ register(ExperimentSpec(
 ))
 
 
-def main() -> None:
-    args = standard_argparser(__doc__).parse_args()
-    artifact = run_experiment("uniformity_table", context_from_args(args))
-    print(render_artifact(artifact))
-
-
 if __name__ == "__main__":
-    main()
+    from repro.experiments.__main__ import main
+    main(["uniformity_table", *sys.argv[1:]])

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.engine import all_experiment_names, validate_artifact
+from repro.engine import (
+    ExperimentSpec,
+    all_experiment_names,
+    register,
+    registry,
+    validate_artifact,
+)
 from repro.experiments.__main__ import main, parse_params
 from repro.obs import (
     Journal,
@@ -110,3 +116,103 @@ class TestObservabilityRestored:
             get_registry().clear()
             get_tracer().clear()
             set_journal(Journal(enabled=False))
+
+
+@pytest.fixture
+def toy(monkeypatch):
+    """A millisecond experiment whose ``checks`` block is whatever
+    ``--param checks=...`` says (no block when the param is absent),
+    registered for one test only."""
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+
+    def build(ctx):
+        if "checks" not in ctx.params:
+            return {}
+        return {"checks": ctx.param("checks")}
+
+    register(ExperimentSpec(name="toy", title="toy contract", build=build,
+                            render=lambda artifact: "toy report",
+                            uses_simulation=False))
+    return "toy"
+
+
+class TestCheck:
+    """``--check``: the one gate over every experiment's contract."""
+
+    def test_holding_contract_prints_ok_last(self, toy, capsys):
+        main([toy, "--check", "--trace",
+              "--param", 'checks={"a": true, "b": true}'])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert "toy report" in lines
+        assert lines[-1] == "toy-check: ok"
+
+    def test_broken_contract_exits_1_naming_every_false_check(
+            self, toy, tmp_path, capsys):
+        artifact_path = tmp_path / "toy.json"
+        prior = get_journal()
+        with pytest.raises(SystemExit) as exit_info:
+            main([toy, "--check", "--artifact", str(artifact_path),
+                  "--trace", "--journal", str(tmp_path / "run.jsonl"),
+                  "--param", 'checks={"a": true, "b": false, "c": false}'])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines()[-1] == (
+            "toy-check: FAILED (b, c)")
+        assert "toy-check: ok" not in captured.out
+        data = json.loads(artifact_path.read_text())["data"]
+        assert data["checks"] == {"a": True, "b": False, "c": False}
+        assert not get_registry().enabled
+        assert not get_tracer().enabled
+        assert not get_collector().enabled
+        assert get_journal() is prior
+
+    def test_no_checks_block_is_refused(self, toy, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([toy, "--check"])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("error: toy publishes no checks")
+
+    def test_verdict_goes_to_stderr_when_the_artifact_is_stdout(
+            self, toy, capsys):
+        main([toy, "--check", "--artifact", "-",
+              "--param", 'checks={"a": true}'])
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["data"]["checks"] == {"a": True}
+        assert captured.err.strip().splitlines()[-1] == "toy-check: ok"
+
+
+#: One cell per cached experiment, with the ``SimulationKey`` stem its
+#: ``--cache-dir`` entry had before the experiments shared one cache
+#: helper; a changed stem would orphan every existing cache entry.
+RECORDED_STEMS = {
+    "store_sharding": (
+        ["--scale", "0.05", "--param", 'schemes=["pmod"]',
+         "--param", 'patterns=["strided"]'],
+        {"store-strided--pmod--f01ef48db320b9e7"}),
+    "serving": (
+        ["--scale", "0.2", "--param", 'schemes=["pmod"]',
+         "--param", "rate_rps=20000"],
+        {"serve-zipfian--pmod--a2db6120425eeace"}),
+    "reshard": (
+        ["--scale", "0.05", "--param", 'schemes=["pmod"]'],
+        {"store-reshard--pmod--949aee86d6487dbf"}),
+    "cluster": (
+        ["--scale", "0.1", "--param", 'stacks=["pmod+pmod"]'],
+        {"cluster-drill--pmod+pmod--cdf451381f4d096a"}),
+    "federation": (
+        ["--scale", "0.05"],
+        {"federation-drill--healthy--160ed434ebdd7da3",
+         "federation-drill--stalled--650ec725f04aa772"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_STEMS))
+def test_cache_keys_match_recorded_stems(name, tmp_path, capsys):
+    args, stems = RECORDED_STEMS[name]
+    cache = tmp_path / "cache"
+    main([name, "--cache-dir", str(cache), *args])
+    capsys.readouterr()
+    written = {path.name.removesuffix(".payload.json")
+               for path in cache.glob("*/*.payload.json")}
+    assert written == stems

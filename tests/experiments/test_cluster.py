@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine import all_experiment_names, get_experiment
 from repro.experiments import cluster
+from repro.experiments.__main__ import main
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,35 @@ class TestChecksLogic:
         tampered["pmod+pmod"]["balance_rebalanced"] = 10**6
         assert not cluster.cluster_checks(tampered)[
             "pmod_stack_beats_pow2_stack_after_rebalance"]
+
+
+class TestTracedCheck:
+    def test_untraced_cells_lack_coverage_checks(self, cells):
+        assert not any(name.endswith("_stage_coverage")
+                       for name in cluster.cluster_checks(cells))
+
+    def test_traced_run_without_attribution_fails_coverage(self, cells):
+        checks = cluster.cluster_checks(cells, traced=True)
+        assert checks["pmod+pmod_stage_coverage"] is False
+
+    def test_traced_check_after_an_untraced_warm_cache(self, tmp_path,
+                                                       capsys):
+        """A traced run must not reuse the untraced run's cached cells
+        (they carry no attribution): it measures its own, publishes
+        every stage-coverage check, and passes the gate."""
+        args = ["cluster", "--scale", "0.1", "--param",
+                'stacks=["pmod+pmod", "traditional+traditional"]',
+                "--cache-dir", str(tmp_path / "cache")]
+        main(args)
+        artifact_path = tmp_path / "traced.json"
+        main([*args, "--trace", "--check",
+              "--artifact", str(artifact_path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1] == "cluster-check: ok"
+        checks = json.loads(artifact_path.read_text())["data"]["checks"]
+        assert checks["pmod+pmod_stage_coverage"]
+        assert checks["traditional+traditional_stage_coverage"]
+        assert all(checks.values()), checks
 
 
 class TestRender:

@@ -53,6 +53,22 @@ class TestMeasure:
         assert not checks["pmod_stall_surfaces_explicitly"]
         assert len(checks) == 8
 
+    def test_traced_checks_grade_every_scheme_coverage(self):
+        cell = {"statuses": {"ok": 10}, "n_requests": 10,
+                "peak_queue_depth": 5}
+        cells = {
+            "pmod": {**cell, "attribution": {"n_traces": 4,
+                                             "coverage": 0.95}},
+            "xor": {**cell, "attribution": {"n_traces": 4,
+                                            "coverage": 0.5}},
+            "traditional": cell,
+        }
+        checks = serving.degradation_checks(cells, max_queue_depth=8,
+                                            stalled=False, traced=True)
+        assert checks["pmod_stage_coverage"] is True
+        assert checks["xor_stage_coverage"] is False
+        assert checks["traditional_stage_coverage"] is False
+
 
 class TestRender:
     def test_render_has_table_chart_and_verdict(self):
@@ -119,6 +135,24 @@ class TestCli:
         hists = snapshot["metrics"]["histograms"]
         assert any(h["name"] == "serve.latency_s" and h["count"] > 0
                    for h in hists)
+
+    def test_traced_check_after_an_untraced_warm_cache(self, tmp_path,
+                                                       capsys):
+        """A traced run must not reuse the untraced run's cached cells
+        (they carry no attribution): it measures its own, publishes
+        every stage-coverage check, and passes the gate."""
+        args = ["serving", *FAST, "--param", "schemes=[\"pmod\",\"xor\"]",
+                "--cache-dir", str(tmp_path / "cache")]
+        main(args)
+        artifact_path = tmp_path / "traced.json"
+        main([*args, "--trace", "--check",
+              "--artifact", str(artifact_path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1] == "serving-check: ok"
+        checks = json.loads(artifact_path.read_text())["data"]["checks"]
+        assert checks["pmod_stage_coverage"]
+        assert checks["xor_stage_coverage"]
+        assert all(checks.values()), checks
 
     def test_payload_cache_round_trip(self, tmp_path):
         cache = tmp_path / "cache"

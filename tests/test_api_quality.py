@@ -8,8 +8,12 @@ guarantee (deliverable (e)) from regressing.
 
 import importlib
 import inspect
+import runpy
+import sys
 
 import pytest
+
+from repro.engine import registry
 
 PUBLIC_PACKAGES = (
     "repro",
@@ -61,16 +65,29 @@ def test_all_exports_resolve(package_name):
         assert hasattr(package, name), f"{package_name}.{name} missing"
 
 
+# runpy warns that the module already sits in sys.modules; running it
+# again as __main__ is the point.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("module_name", EXPERIMENT_MODULES)
-def test_every_experiment_has_run_render_main(module_name):
+def test_every_experiment_has_run_render_main(module_name, monkeypatch,
+                                              capsys):
+    """``run``/``render``, and ``python -m repro.experiments.<name>``
+    reaches the one experiment CLI."""
     module = importlib.import_module(f"repro.experiments.{module_name}")
-    if module_name == "machine":
-        assert callable(module.render) and callable(module.main)
-        return
-    assert callable(module.run)
     assert callable(module.render)
-    assert callable(module.main)
-    assert module.__doc__ and module.__doc__.strip()
+    if module_name != "machine":
+        assert callable(module.run)
+        assert module.__doc__ and module.__doc__.strip()
+    # Executing the module re-registers its spec; keep the registry as
+    # found for the tests that follow.
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    monkeypatch.setattr(sys, "argv", [module.__file__, "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module(f"repro.experiments.{module_name}",
+                         run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: python -m repro.experiments ")
 
 
 def test_version_exposed():
