@@ -75,7 +75,9 @@ health-check:
 # stage decompositions must explain >=90% of measured wall time), the
 # cluster drill likewise, and the health drill's SLO page must leave a
 # journaled flight dump with a complete slow-trace waterfall.  --trace
-# also prints the span tree; each run's last line is its verdict.
+# also prints the trace collector's tree (the experiment span, then
+# every retained sampled request trace); each run's last line is its
+# verdict.
 trace-check:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments serving --trace --check --scale 0.25
 	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --trace --check --scale 0.25

@@ -10,6 +10,13 @@ doubles as a regression gate for the reproduction.
 import pytest
 
 from repro.engine import RunConfig, SimulationEngine
+from repro.obs import (
+    Journal,
+    disable_observability,
+    get_collector,
+    get_registry,
+    set_journal,
+)
 
 #: Trace scale used by the simulation benches; small enough that the
 #: whole harness finishes in minutes, large enough that the cyclic /
@@ -21,3 +28,16 @@ BENCH_SCALE = 0.4
 @pytest.fixture(scope="session")
 def store():
     return SimulationEngine(RunConfig(scale=BENCH_SCALE, seed=0))
+
+
+@pytest.fixture(autouse=True)
+def _isolate_global_observability():
+    """Every bench leaves the global registry and trace collector off
+    and empty, and the global journal a fresh disabled one, so a bench
+    that enables observability cannot leak series into the next (the
+    disabled-overhead guard asserts an empty registry)."""
+    yield
+    disable_observability()
+    get_registry().clear()
+    get_collector().clear()
+    set_journal(Journal(enabled=False))

@@ -21,7 +21,9 @@ JSON when possible, otherwise as strings.
 ``--metrics-out PATH`` turns on the :mod:`repro.obs` layer for the
 run and dumps the metrics + span snapshot (schema in
 ``docs/observability.md``) to PATH next to the artifact; ``--trace``
-turns it on too and prints the rendered span tree after the report.
+turns it on too and prints the trace collector's span tree (the
+``experiment`` root first, then any sampled request traces) after the
+report.
 ``--journal PATH`` additionally records the run's structured event
 log (JSONL, ``docs/observability.md``) — experiment start/finish plus
 whatever lifecycle events the engine/store/serve layers emit; and
@@ -52,9 +54,9 @@ from repro.obs import (
     disable_observability,
     enable_journal,
     enable_observability,
+    get_collector,
     get_journal,
     get_registry,
-    get_tracer,
     set_journal,
     trace_span,
     write_snapshot,
@@ -133,7 +135,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     finally:
         # Hand the process-wide observability back as it was found, so a
         # later caller in the same process does not inherit this run's
-        # registry, tracer or journal.
+        # registry, trace collector or journal.
         if observed and not was_enabled:
             disable_observability()
         set_journal(prior_journal)
@@ -167,11 +169,12 @@ def _run_and_report(args) -> None:
                 json.dump(artifact, stream, indent=1)
         print(render_artifact(artifact))
     if args.metrics_out:
-        path = write_snapshot(args.metrics_out, get_registry(), get_tracer())
+        path = write_snapshot(args.metrics_out, get_registry(),
+                              get_collector())
         print(f"metrics snapshot written to {path}", file=sys.stderr)
     if args.trace:
         print(file=report)
-        print(get_tracer().render(), file=report)
+        print(get_collector().render(), file=report)
     if args.dash:
         from repro.obs.dash import build_dashboard, write_dashboard
         from repro.obs.health import (
@@ -186,7 +189,8 @@ def _run_and_report(args) -> None:
                                        journal=journal)
         drift = detector.evaluate()
         model = build_dashboard(
-            registry=get_registry(), tracer=get_tracer(), journal=journal,
+            registry=get_registry(), collector=get_collector(),
+            journal=journal,
             slo_statuses=statuses, alerts=engine.active_alerts(),
             drift_statuses=drift, bench_root=".")
         path = write_dashboard(args.dash, model)

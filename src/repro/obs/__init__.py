@@ -1,8 +1,9 @@
 """`repro.obs` — unified metrics, tracing, journal, and health layer.
 
 One process-wide :class:`MetricsRegistry` (counters, gauges, windowed
-p50/p95/p99 histograms, labeled series), one :class:`SpanTracer`
-(nested wall-time spans via ``perf_counter``), one append-only event
+p50/p95/p99 histograms, labeled series), one :class:`TraceCollector`
+(sampled request traces and nested wall-time spans, one trace model:
+:mod:`repro.obs.attrib`), one append-only event
 :class:`~repro.obs.journal.Journal` (JSONL, monotonic sequence
 numbers), and pluggable sinks (JSON snapshot, Prometheus text
 exposition, human-readable tables).  The engine (:mod:`repro.engine`),
@@ -32,6 +33,7 @@ from repro.obs.attrib import (
     current_trace,
     get_collector,
     set_collector,
+    trace_span,
 )
 from repro.obs.journal import (
     EVENT_SCHEMA_VERSION,
@@ -63,7 +65,6 @@ from repro.obs.sinks import (
     validate_snapshot,
     write_snapshot,
 )
-from repro.obs.spans import Span, SpanTracer, get_tracer, set_tracer, trace_span
 
 __all__ = [
     "ADVERSARY_METRICS",
@@ -92,8 +93,6 @@ __all__ = [
     "NullInstrument",
     "SNAPSHOT_SCHEMA_VERSION",
     "SketchHistogram",
-    "Span",
-    "SpanTracer",
     "Stage",
     "Trace",
     "TraceCollector",
@@ -108,13 +107,11 @@ __all__ = [
     "get_collector",
     "get_journal",
     "get_registry",
-    "get_tracer",
     "metrics_snapshot",
     "metrics_table",
     "set_collector",
     "set_journal",
     "set_registry",
-    "set_tracer",
     "to_prometheus",
     "trace_span",
     "validate_event",
@@ -283,8 +280,8 @@ def declare_core_metrics(registry: MetricsRegistry = None) -> None:
 
 
 def enable_observability(clear: bool = True):
-    """Enable the process-wide registry, tracer, and trace collector;
-    returns (registry, tracer).
+    """Enable the process-wide registry and trace collector; returns
+    (registry, collector).
 
     ``clear`` resets any series/spans/traces accumulated by a previous
     enable, so one CLI run snapshots only its own events.  The journal
@@ -293,20 +290,19 @@ def enable_observability(clear: bool = True):
     declared here so snapshots stay schema-stable either way.
     """
     registry = get_registry().enable()
-    tracer = get_tracer().enable()
     collector = get_collector()
     collector.enabled = True
     if clear:
         registry.clear()
-        tracer.clear()
         collector.clear()
     declare_core_metrics(registry)
-    return registry, tracer
+    return registry, collector
 
 
 def disable_observability():
-    """Disable the process-wide registry, tracer, trace collector, and
-    journal; returns (registry, tracer)."""
+    """Disable the process-wide registry, trace collector, and journal;
+    returns (registry, collector)."""
     disable_journal()
-    get_collector().enabled = False
-    return get_registry().disable(), get_tracer().disable()
+    collector = get_collector()
+    collector.enabled = False
+    return get_registry().disable(), collector

@@ -1,5 +1,6 @@
-"""Per-request causal attribution: trace contexts, critical-path
-analysis, a tail-latency flight recorder, and heavy-hitter tracking.
+"""Traces — one model for per-request causal attribution and nested
+wall-time spans — plus critical-path analysis, a tail-latency flight
+recorder, and heavy-hitter tracking.
 
 The metrics layer answers *how slow* (windowed p50/p95/p99 per scheme);
 this module answers *where the time went*.  A sampled request carries a
@@ -10,6 +11,12 @@ duration.  The finished :class:`Trace` is a causal stage timeline, not
 a per-thread flat span list, so the serving and cluster drills can
 decompose a measured p99 into queue wait vs. hash/storage vs. fabric
 vs. retry and prove where an optimisation actually moved time.
+
+:func:`trace_span` times a synchronous region with the same records:
+with no trace active it begins a root :class:`TraceContext`, inside
+one it records a nested :class:`Stage` that carries its parent.  The
+innermost open span lives in a contextvar, so parentage follows each
+asyncio task; a plain thread starts its own roots.
 
 Four consumers sit on top:
 
@@ -29,7 +36,8 @@ Four consumers sit on top:
 
 Everything is off by default: the process-wide :class:`TraceCollector`
 starts disabled (``begin`` returns ``None`` and every call site guards
-on that), so the untraced path costs one attribute check.
+on that; :func:`trace_span` returns one shared no-op context manager),
+so the untraced path costs one attribute check.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ import itertools
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -56,31 +65,40 @@ __all__ = [
     "current_trace",
     "get_collector",
     "set_collector",
+    "trace_span",
 ]
 
 _TRACE_SEQ = itertools.count(1)
 
 
 def _next_trace_id() -> str:
-    return f"t{next(_TRACE_SEQ):08x}"
+    return "t" + format(next(_TRACE_SEQ), "08x")
 
 
 # ---------------------------------------------------------------------------
 # Trace records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Stage:
-    """One named, measured segment of a request's wall time.
+    """One named, measured segment of a trace's wall time.
 
     ``start_s`` is relative to the owning trace's start, so a list of
-    stages renders directly as a waterfall.
+    stages renders directly as a waterfall.  ``parent`` is the
+    enclosing stage of a nested span (None directly under the root).
+    Slotted, not a frozen dataclass: the sampled request path builds
+    these, and frozen construction costs several times more.
     """
 
-    name: str
-    start_s: float
-    duration_s: float
-    detail: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "start_s", "duration_s", "detail", "parent")
+
+    def __init__(self, name: str, start_s: float, duration_s: float,
+                 detail: Optional[Dict[str, Any]] = None,
+                 parent: Optional["Stage"] = None):
+        self.name = name
+        self.start_s = start_s
+        self.duration_s = duration_s
+        self.detail = {} if detail is None else detail
+        self.parent = parent
 
     def as_dict(self) -> Dict[str, Any]:
         row: Dict[str, Any] = {
@@ -93,18 +111,26 @@ class Stage:
         return row
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A finished request timeline: identity, outcome, and its stages."""
+_BY_START = attrgetter("start_s")
 
-    trace_id: str
-    op: str
-    scheme: str
-    status: str
-    start_s: float
-    wall_s: float
-    stages: Tuple[Stage, ...]
-    baggage: Dict[str, Any] = field(default_factory=dict)
+
+class Trace:
+    """A finished timeline: identity, outcome, and its stages."""
+
+    __slots__ = ("trace_id", "op", "scheme", "status", "start_s", "wall_s",
+                 "stages", "baggage")
+
+    def __init__(self, trace_id: str, op: str, scheme: str, status: str,
+                 start_s: float, wall_s: float, stages: Tuple[Stage, ...],
+                 baggage: Optional[Dict[str, Any]] = None):
+        self.trace_id = trace_id
+        self.op = op
+        self.scheme = scheme
+        self.status = status
+        self.start_s = start_s
+        self.wall_s = wall_s
+        self.stages = stages
+        self.baggage = {} if baggage is None else baggage
 
     def stage_total_s(self) -> float:
         return sum(s.duration_s for s in self.stages)
@@ -137,15 +163,10 @@ class TraceContext:
     :meth:`finish` snapshots the stage list exactly once — a late
     append from an abandoned (timed-out) work item lands after the
     snapshot and is dropped rather than double-counted.
-
-    ``span_stack`` is the per-*context* open-span stack that
-    :class:`repro.obs.spans.SpanTracer` parents on while this context
-    is active, which is what keeps parentage correct when two asyncio
-    tasks interleave on one thread.
     """
 
     __slots__ = ("trace_id", "op", "scheme", "baggage", "start_s",
-                 "span_stack", "marks", "_stages", "_lock", "_done")
+                 "marks", "_stages", "_lock", "_done")
 
     def __init__(self, op: str, scheme: str = "",
                  trace_id: Optional[str] = None,
@@ -153,17 +174,12 @@ class TraceContext:
         self.trace_id = trace_id or _next_trace_id()
         self.op = op
         self.scheme = scheme
-        self.baggage = dict(baggage)
+        self.baggage = baggage
         self.start_s = perf_counter()
-        self.span_stack: List[Any] = []
         self.marks: Dict[str, float] = {}
         self._stages: List[Stage] = []
         self._lock = threading.Lock()
         self._done = False
-
-    @property
-    def finished(self) -> bool:
-        return self._done
 
     def mark(self, name: str, at_s: Optional[float] = None) -> float:
         """Stamp a named instant (absolute ``perf_counter`` seconds)."""
@@ -176,12 +192,15 @@ class TraceContext:
         """Record one completed stage; ``start_s`` is absolute
         ``perf_counter`` seconds.  Returns False (and records nothing)
         once the trace has finished."""
-        st = Stage(name=name, start_s=start_s - self.start_s,
-                   duration_s=max(0.0, duration_s), detail=detail)
+        return self._add(Stage(name, start_s - self.start_s,
+                               duration_s if duration_s > 0.0 else 0.0,
+                               detail))
+
+    def _add(self, stage: Stage) -> bool:
         with self._lock:
             if self._done:
                 return False
-            self._stages.append(st)
+            self._stages.append(stage)
         return True
 
     def stage_since(self, name: str, t0: float, **detail: Any) -> bool:
@@ -195,47 +214,71 @@ class TraceContext:
         stages)."""
         with self._lock:
             self._done = True
-            stages = tuple(sorted(self._stages, key=lambda s: s.start_s))
+            stages = tuple(sorted(self._stages, key=_BY_START))
         wall = (perf_counter() - self.start_s) if wall_s is None else wall_s
-        return Trace(trace_id=self.trace_id, op=self.op, scheme=self.scheme,
-                     status=status, start_s=self.start_s, wall_s=wall,
-                     stages=stages, baggage=dict(self.baggage))
+        return Trace(self.trace_id, self.op, self.scheme, status,
+                     self.start_s, wall, stages, self.baggage)
 
 
 # ---------------------------------------------------------------------------
-# Context propagation
+# Context propagation and spans
 # ---------------------------------------------------------------------------
 
+#: The innermost open span of this execution flow, as ``(ctx, stage)``:
+#: its trace, and its stage (None at the trace's root).
 _ACTIVE: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_obs_active_trace", default=None)
+    "repro_obs_active_span", default=None)
 
 
 def current_trace() -> Optional[TraceContext]:
     """The TraceContext active in this task/thread, if any."""
-    return _ACTIVE.get()
+    active = _ACTIVE.get()
+    return None if active is None else active[0]
 
 
-class activate:
+@contextmanager
+def activate(ctx: Optional[TraceContext]):
     """Make ``ctx`` the active trace for the current execution flow.
 
-    ``contextvars`` gives each asyncio task its own value, so two
-    tasks interleaving on one thread (or a work item executing on a
-    batcher worker) each see their own context — the fix for the old
-    per-thread span-stack mis-parenting.
+    Each asyncio task inherits its creator's active span, but a thread
+    (an executor worker included) starts with none: a callable run on
+    one activates the context its submitter read from
+    :func:`current_trace`, and its spans then nest under that root.
     """
+    token = _ACTIVE.set(None if ctx is None else (ctx, None))
+    try:
+        yield ctx
+    finally:
+        _ACTIVE.reset(token)
 
-    __slots__ = ("_ctx", "_token")
 
-    def __init__(self, ctx: Optional[TraceContext]):
-        self._ctx = ctx
-        self._token = None
+#: What :meth:`TraceCollector.span` hands out while disabled.
+_NULL_SPAN = nullcontext()
 
-    def __enter__(self) -> Optional[TraceContext]:
-        self._token = _ACTIVE.set(self._ctx)
-        return self._ctx
 
-    def __exit__(self, *exc) -> None:
-        _ACTIVE.reset(self._token)
+@contextmanager
+def _span(collector: "TraceCollector", name: str, labels: Dict[str, Any]):
+    """One open span: a root trace of its own, or a stage nested under
+    the innermost open span of the active trace."""
+    active = _ACTIVE.get()
+    if active is None:
+        ctx, stage = TraceContext(name), None
+        ctx.baggage = labels  # not **labels: they may reuse `scheme`/`op`
+    else:
+        ctx, parent = active
+        stage = Stage(name, perf_counter() - ctx.start_s, 0.0, labels,
+                      parent)
+    token = _ACTIVE.set((ctx, stage))
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)
+        if stage is None:
+            collector._keep_span(ctx.finish(),
+                                 threading.current_thread().name)
+        else:
+            stage.duration_s = perf_counter() - ctx.start_s - stage.start_s
+            ctx._add(stage)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +405,7 @@ class FlightRecorder:
             self._slow.clear()
             self._errors.clear()
             self.recorded = 0
+            self.dumps = 0
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -473,21 +517,26 @@ class HeavyHitterTracker:
 # ---------------------------------------------------------------------------
 
 class TraceCollector:
-    """Process-wide sink for sampled traces, mirroring the registry /
-    tracer / journal global pattern: disabled by default, one shared
-    instance, swap with :func:`set_collector`.
+    """Process-wide sink for traces, mirroring the registry / journal
+    global pattern: disabled by default, one shared instance, swap
+    with :func:`set_collector`.
 
     ``begin`` returns ``None`` while disabled so instrumented call
     sites stay a single ``if ctx is not None`` on the untraced path.
-    Finished traces land in a bounded deque (for the critical-path
-    analyzer) and in the attached :class:`FlightRecorder`.
+    Finished request traces land in a bounded deque (for the
+    critical-path analyzer) and in the attached :class:`FlightRecorder`.
+    Finished span roots (:meth:`span`) are kept apart until
+    :meth:`clear`: exported, but never analyzed, flight-recorded, or
+    counted against the request traces' capacity.
     """
 
     def __init__(self, capacity: int = 1024, enabled: bool = True,
                  flight: Optional[FlightRecorder] = None):
         self.enabled = enabled
         self.flight = flight if flight is not None else FlightRecorder()
+        self.epoch = perf_counter()
         self._traces: deque = deque(maxlen=capacity)
+        self._spans: List[Tuple[Trace, str]] = []
         self._lock = threading.Lock()
 
     def begin(self, op: str, scheme: str = "",
@@ -507,8 +556,21 @@ class TraceCollector:
             self.flight.record(trace)
         return trace
 
+    def span(self, name: str, **labels: Any):
+        """Context manager timing one region: a root trace when no
+        trace is active, else a stage nested under the innermost open
+        span; no-op while disabled."""
+        if not self.enabled:
+            return _NULL_SPAN
+        return _span(self, name, labels)
+
+    def _keep_span(self, trace: Trace, thread: str) -> None:
+        with self._lock:
+            self._spans.append((trace, thread))
+
     def traces(self, op: Optional[str] = None,
                scheme: Optional[str] = None) -> List[Trace]:
+        """Retained request traces (span roots excluded)."""
         with self._lock:
             rows = list(self._traces)
         if op is not None:
@@ -523,10 +585,72 @@ class TraceCollector:
         return CriticalPathAnalyzer(
             self.traces(op=op, scheme=scheme)).decompose()
 
+    # -- export --------------------------------------------------------
+
+    def flat(self) -> List[Dict[str, Any]]:
+        """The span roots and retained request traces as depth-first rows,
+        roots in start order; ``parent`` is the parent's row index
+        (None for roots) so the JSON round-trips the tree exactly.  A
+        request trace's root row is ``trace.<op>`` labeled with its id,
+        scheme and status, and its ``thread`` is None: it may cross
+        threads.  Times are relative to the last :meth:`clear`."""
+        with self._lock:
+            roots = [(t, Stage(t.op, 0.0, t.wall_s, t.baggage), thread)
+                     for t, thread in self._spans]
+            roots += [(t, Stage(f"trace.{t.op}", 0.0, t.wall_s,
+                                {"trace_id": t.trace_id, "scheme": t.scheme,
+                                 "status": t.status}), None)
+                      for t in self._traces]
+        roots.sort(key=lambda root: root[0].start_s)
+        rows: List[Dict[str, Any]] = []
+        for trace, root, thread in roots:
+            origin = trace.start_s - self.epoch
+            children: Dict[Stage, List[Stage]] = {}
+            for stage in trace.stages:
+                children.setdefault(stage.parent or root, []).append(stage)
+            pending = [(root, 0, None)]
+            while pending:  # depth-first, children in start order
+                stage, depth, parent = pending.pop()
+                rows.append({"name": stage.name, "labels": dict(stage.detail),
+                             "start_s": origin + stage.start_s,
+                             "duration_s": stage.duration_s,
+                             "thread": thread, "depth": depth,
+                             "parent": parent})
+                pending.extend((child, depth + 1, len(rows) - 1) for child
+                               in reversed(children.get(stage, ())))
+        return rows
+
+    def render(self) -> str:
+        """:meth:`flat` as an indented tree with wall times, for the
+        terminal (the ``--trace`` output)."""
+        rows = self.flat()
+        children: Dict[Optional[int], List[int]] = {}
+        for index, row in enumerate(rows):
+            children.setdefault(row["parent"], []).append(index)
+        lines: List[str] = []
+
+        def walk(index: int, prefix: str, branch: str, indent: str) -> None:
+            row = rows[index]
+            labels = " ".join(f"{k}={v}" for k, v in row["labels"].items())
+            lines.append(f"{prefix}{branch}{row['name']}"
+                         f"{' ' + labels if labels else ''}"
+                         f"  {row['duration_s'] * 1e3:10.2f} ms")
+            kids = children.get(index, [])
+            for i, kid in enumerate(kids):
+                tail = i == len(kids) - 1
+                walk(kid, prefix + indent, "`- " if tail else "|- ",
+                     "   " if tail else "|  ")
+
+        for root in children.get(None, []):
+            walk(root, "", "", "")
+        return "\n".join(lines) if lines else "(no spans recorded)"
+
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
+            self._spans = []
         self.flight.clear()
+        self.epoch = perf_counter()
 
     def __len__(self) -> int:
         with self._lock:
@@ -547,3 +671,9 @@ def set_collector(collector: TraceCollector) -> TraceCollector:
     previous = _global_collector
     _global_collector = collector
     return previous
+
+
+def trace_span(name: str, **labels: Any):
+    """:meth:`TraceCollector.span` on the process-wide collector (no-op
+    while tracing is off)."""
+    return _global_collector.span(name, **labels)

@@ -49,10 +49,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.obs.attrib import TraceCollector
 from repro.obs.journal import Journal, get_journal
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sinks import metrics_snapshot
-from repro.obs.spans import SpanTracer
 
 __all__ = [
     "build_dashboard",
@@ -173,7 +173,7 @@ def _tsdb_model(store: Any) -> Dict[str, Any]:
 
 
 def build_dashboard(registry: Optional[MetricsRegistry] = None,
-                    tracer: Optional[SpanTracer] = None,
+                    collector: Optional[TraceCollector] = None,
                     snapshot: Optional[Mapping] = None,
                     journal: Optional[Journal] = None,
                     journal_events: Optional[Sequence[Mapping]] = None,
@@ -189,7 +189,7 @@ def build_dashboard(registry: Optional[MetricsRegistry] = None,
                     tail_rows: int = DEFAULT_TAIL_ROWS) -> Dict[str, Any]:
     """Assemble the dashboard model from whichever sources exist.
 
-    Pass either a live ``registry`` (+ optional ``tracer``) or an
+    Pass either a live ``registry`` (+ optional ``collector``) or an
     already-written ``snapshot`` dict; either a live ``journal`` or
     decoded ``journal_events``; health results as the
     ``as_dict()``-able objects the health layer returns (or plain
@@ -205,7 +205,7 @@ def build_dashboard(registry: Optional[MetricsRegistry] = None,
     also accept already-built model dicts.
     """
     if snapshot is None and registry is not None:
-        snapshot = metrics_snapshot(registry, tracer)
+        snapshot = metrics_snapshot(registry, collector)
     events: List[Dict[str, Any]] = []
     if journal_events is not None:
         events = [dict(e) for e in journal_events]

@@ -1,4 +1,4 @@
-"""Export sinks for the metrics registry and span tracer.
+"""Export sinks for the metrics registry and trace collector.
 
 Three formats, one source of truth:
 
@@ -28,6 +28,10 @@ Snapshot schema (version 1)::
                  "depth", "parent"}, ...]   # depth-first; parent = index
     }
 
+``spans`` is :meth:`~repro.obs.attrib.TraceCollector.flat`: the
+collector's span roots and retained request traces, roots in start
+order.
+
 ``exemplars`` is additive within schema version 1 (readers of v1
 ignore unknown fields): a list of ``{"value", "trace_id"}`` pairs
 linking a histogram's tail to concrete recorded traces; validated when
@@ -48,8 +52,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from repro.obs.attrib import TraceCollector
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanTracer
 
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
@@ -84,22 +88,24 @@ def _de_nan(value: Any) -> Any:
 
 
 def metrics_snapshot(registry: MetricsRegistry,
-                     tracer: Optional[SpanTracer] = None) -> Dict[str, Any]:
-    """The full snapshot document for ``registry`` (+ spans, if any)."""
+                     collector: Optional[TraceCollector] = None
+                     ) -> Dict[str, Any]:
+    """The full snapshot document for ``registry`` (+ the collector's
+    spans, if given)."""
     return _de_nan({
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "generated_unix_s": time.time(),
         "metrics": registry.snapshot(),
-        "spans": tracer.flat() if tracer is not None else [],
+        "spans": collector.flat() if collector is not None else [],
     })
 
 
 def write_snapshot(path: Union[str, os.PathLike],
                    registry: MetricsRegistry,
-                   tracer: Optional[SpanTracer] = None) -> Path:
+                   collector: Optional[TraceCollector] = None) -> Path:
     """Write the snapshot JSON to ``path``; returns the path."""
     path = Path(path)
-    snapshot = metrics_snapshot(registry, tracer)
+    snapshot = metrics_snapshot(registry, collector)
     path.write_text(json.dumps(snapshot, indent=1) + "\n")
     return path
 

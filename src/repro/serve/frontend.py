@@ -38,7 +38,7 @@ Instrumentation (all through :mod:`repro.obs`, free when disabled):
 ``serve.timeouts``/``serve.errors``/``serve.dropped`` counters,
 ``serve.latency_s`` and ``serve.batch_size`` histograms,
 ``serve.queue_depth`` gauge, synchronous ``serve.batch`` spans, and
-1-in-``span_every`` sampled ``serve.request`` traces: when the
+1-in-``span_every`` sampled request traces: when the
 process-wide :class:`~repro.obs.attrib.TraceCollector` is enabled, a
 sampled request carries a :class:`~repro.obs.attrib.TraceContext`
 through the whole pipeline and yields a causal stage timeline —
@@ -47,9 +47,8 @@ through the whole pipeline and yields a causal stage timeline —
 within the batch), ``store`` (the backend op), ``settle`` (future set
 → submitter resumed), ``timeout`` (an abandoned attempt's measured
 wait) and ``backoff`` (retry sleeps).  The finished trace feeds the
-critical-path analyzer and flight recorder, its ``trace_id`` is
-attached to the ``serve.latency_s`` observation as an exemplar, and
-it is mirrored into the span tracer as a waterfall.
+critical-path analyzer and flight recorder, and its ``trace_id`` is
+attached to the ``serve.latency_s`` observation as an exemplar.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from repro.obs import (
     get_collector,
     get_journal,
     get_registry,
-    get_tracer,
     trace_span,
 )
 from repro.serve.admission import (
@@ -178,9 +176,9 @@ class Frontend:
             ``simulate`` requests (see :func:`engine_simulate_fn`);
             without one, simulate requests get an explicit error.
         registry: metrics registry override (defaults to the global).
-        span_every: sample one ``serve.request`` span per this many
-            finished requests when tracing is enabled (0 disables;
-            sampling bounds trace size under load).
+        span_every: trace one request per this many submitted
+            while tracing is enabled (0 disables; sampling bounds
+            trace size under load).
     """
 
     def __init__(self, store: ShardedStore, *,
@@ -211,7 +209,6 @@ class Frontend:
         self._sweep_timer: Optional[asyncio.TimerHandle] = None
         self.peak_queue_depth = 0
         self._span_every = max(0, span_every)
-        self._finished = 0
         self.counts: Dict[str, int] = {
             "requests": 0, "ok": 0, "rejected": 0, "timeouts": 0,
             "errors": 0, "dropped": 0, "retries": 0,
@@ -667,20 +664,8 @@ class Frontend:
                     exemplar=None if ctx is None else ctx.trace_id)
             self._queue_gauge.set(self._pending)
         if ctx is not None:
-            trace = get_collector().finish(ctx, status=response.status,
-                                           wall_s=response.latency_s)
-            tracer = get_tracer()
-            if trace is not None and tracer.enabled:
-                tracer.record_trace(trace)
-            return response
-        if self._span_every:
-            self._finished += 1
-            if self._finished % self._span_every == 0:
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.record("serve.request", response.latency_s,
-                                  op=response.op, status=response.status,
-                                  scheme=self.store.scheme)
+            get_collector().finish(ctx, status=response.status,
+                                   wall_s=response.latency_s)
         return response
 
     def metrics_snapshot(self) -> Dict[str, Any]:

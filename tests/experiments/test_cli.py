@@ -20,7 +20,6 @@ from repro.obs import (
     get_collector,
     get_journal,
     get_registry,
-    get_tracer,
     set_journal,
 )
 
@@ -81,7 +80,6 @@ class TestObservabilityRestored:
               "--journal", str(journal_path)])
         capsys.readouterr()
         assert not get_registry().enabled
-        assert not get_tracer().enabled
         assert not get_collector().enabled
         assert get_journal() is prior
         assert not prior.enabled
@@ -108,13 +106,13 @@ class TestObservabilityRestored:
                   str(tmp_path / "metrics.json")])
             capsys.readouterr()
             assert get_registry().enabled
-            assert get_tracer().enabled
+            assert get_collector().enabled
             assert get_journal() is journal
             assert journal.enabled
         finally:
             disable_observability()
             get_registry().clear()
-            get_tracer().clear()
+            get_collector().clear()
             set_journal(Journal(enabled=False))
 
 
@@ -162,7 +160,6 @@ class TestCheck:
         data = json.loads(artifact_path.read_text())["data"]
         assert data["checks"] == {"a": True, "b": False, "c": False}
         assert not get_registry().enabled
-        assert not get_tracer().enabled
         assert not get_collector().enabled
         assert get_journal() is prior
 

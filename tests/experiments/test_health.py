@@ -165,6 +165,13 @@ class TestRun:
         assert "remediation: actions=['quarantine']" in text
         assert "TRIPPED" in text  # traditional's row
 
+    def test_a_second_drill_counts_only_its_own_flight_dumps(
+            self, artifact_data):
+        again = health.run(scale=0.0, seed=0)
+        for data in (artifact_data, again):
+            flight = data["flight"]
+            assert flight["dumps"] == len(flight["dump_events"]) == 1
+
 
 class TestRegistration:
     def test_health_is_a_registered_experiment(self):

@@ -5,9 +5,9 @@ import pytest
 from repro.obs import (
     Journal,
     disable_observability,
+    get_collector,
     get_journal,
     get_registry,
-    get_tracer,
     set_journal,
     validate_event,
 )
@@ -15,7 +15,7 @@ from repro.obs import (
 
 @pytest.fixture(autouse=True)
 def _isolate_global_observability():
-    """Every obs test leaves the global registry/tracer off and empty,
+    """Every obs test leaves the global registry/collector off and empty,
     and the global journal replaced by a fresh disabled one (a test may
     have installed its own via set_journal/enable_journal).
 
@@ -28,7 +28,7 @@ def _isolate_global_observability():
     events = [event.as_dict() for event in get_journal().tail()]
     disable_observability()
     get_registry().clear()
-    get_tracer().clear()
+    get_collector().clear()
     set_journal(Journal(enabled=False))
     for event in events:  # after the reset, so one failure can't cascade
         validate_event(event, require_known_kind=True)

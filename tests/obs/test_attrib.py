@@ -158,6 +158,20 @@ class TestFlightRecorderOverflow:
         assert slowest["stages"]  # a complete waterfall rides along
         assert get_registry().counter("obs.flight_dumps").value == 1
 
+    def test_clear_resets_the_dump_count(self):
+        """A second drill in one process clears the recorder first, so
+        its ``dumps`` must count only its own journaled dumps."""
+        set_journal(Journal())
+        recorder = FlightRecorder()
+        recorder.record(synthetic_trace("slow", 0.050))
+        recorder.dump(reason="first drill")
+        recorder.clear()
+        assert recorder.dumps == 0
+        assert recorder.snapshot() == {"recorded": 0, "dumps": 0,
+                                       "slowest": [], "errors": []}
+        recorder.dump(reason="second drill")
+        assert recorder.dumps == 1
+
 
 class TestHeavyHitters:
     def test_top_orders_by_count_with_error_bounds(self):

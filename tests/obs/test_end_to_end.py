@@ -88,3 +88,29 @@ class TestMetricsOut:
         capsys.readouterr()
         assert get_registry().enabled is False
         assert len(get_registry()) == 0
+
+
+class TestClusterTraces:
+    def test_snapshot_carries_the_sampled_request_traces(self, tmp_path,
+                                                         capsys):
+        """The cluster's sampled op traces export beside the experiment
+        span: each a root after ``experiment``, with its stage rows."""
+        metrics_path = tmp_path / "metrics.json"
+        main(["cluster", "--scale", "0.05",
+              "--param", 'stacks=["pmod+pmod"]',
+              "--metrics-out", str(metrics_path)])
+        capsys.readouterr()
+        snapshot = json.loads(metrics_path.read_text())
+        validate_snapshot(snapshot)
+        spans = snapshot["spans"]
+        assert spans[0]["name"] == "experiment"
+        assert spans[0]["parent"] is None
+        roots = [index for index, span in enumerate(spans)
+                 if span["name"] in ("trace.get", "trace.put")]
+        assert roots
+        for index in roots:
+            root = spans[index]
+            assert root["parent"] is None
+            assert root["labels"]["scheme"] == "pmod+pmod"
+            assert [s["name"] for s in spans if s["parent"] == index] == [
+                "route", "contact", "settle"]

@@ -59,13 +59,13 @@ class TestResultCacheCounters:
 
 class TestEngineSpans:
     def test_simulation_records_spans_and_counters(self):
-        _, tracer = enable_observability()
+        _, collector = enable_observability()
         engine = SimulationEngine(config=RunConfig(scale=0.05, seed=0))
         engine.result("tree", "pmod")
         counters = {c.name: c.value for c in get_registry().counters()}
         assert counters["engine.sim.runs"] == 1
         assert counters["engine.trace.builds"] == 1
-        names = [row["name"] for row in tracer.flat()]
+        names = [row["name"] for row in collector.flat()]
         assert "simulate" in names
         assert "materialize" in names
 

@@ -7,7 +7,7 @@ import pytest
 from repro.obs import (
     MetricsRegistry,
     SNAPSHOT_SCHEMA_VERSION,
-    SpanTracer,
+    TraceCollector,
     metrics_snapshot,
     metrics_table,
     to_prometheus,
@@ -24,24 +24,24 @@ def _populated():
     histogram = registry.histogram("store.op.latency_s", op="get")
     for value in (0.001, 0.002, 0.004):
         histogram.observe(value)
-    tracer = SpanTracer()
-    with tracer.span("experiment", experiment="demo"):
-        with tracer.span("replay", scheme="pmod"):
+    collector = TraceCollector()
+    with collector.span("experiment", experiment="demo"):
+        with collector.span("replay", scheme="pmod"):
             pass
-    return registry, tracer
+    return registry, collector
 
 
 class TestJsonSnapshot:
     def test_snapshot_validates(self):
-        registry, tracer = _populated()
-        snapshot = metrics_snapshot(registry, tracer)
+        registry, collector = _populated()
+        snapshot = metrics_snapshot(registry, collector)
         validate_snapshot(snapshot)
         assert snapshot["schema_version"] == SNAPSHOT_SCHEMA_VERSION
         assert snapshot["generated_unix_s"] > 0
 
     def test_file_round_trip(self, tmp_path):
-        registry, tracer = _populated()
-        path = write_snapshot(tmp_path / "m.json", registry, tracer)
+        registry, collector = _populated()
+        path = write_snapshot(tmp_path / "m.json", registry, collector)
         loaded = json.loads(path.read_text())
         validate_snapshot(loaded)
         counters = {c["name"]: c["value"]
@@ -64,15 +64,15 @@ class TestJsonSnapshot:
             validate_snapshot({"schema_version": SNAPSHOT_SCHEMA_VERSION})
 
     def test_validate_rejects_wrong_version(self):
-        registry, tracer = _populated()
-        snapshot = metrics_snapshot(registry, tracer)
+        registry, collector = _populated()
+        snapshot = metrics_snapshot(registry, collector)
         snapshot["schema_version"] = 999
         with pytest.raises(ValueError, match="schema v999"):
             validate_snapshot(snapshot)
 
     def test_validate_rejects_malformed_histogram(self):
-        registry, tracer = _populated()
-        snapshot = metrics_snapshot(registry, tracer)
+        registry, collector = _populated()
+        snapshot = metrics_snapshot(registry, collector)
         del snapshot["metrics"]["histograms"][0]["p95"]
         with pytest.raises(ValueError, match="missing fields"):
             validate_snapshot(snapshot)
