@@ -1,7 +1,9 @@
 """`repro.obs` — unified metrics, tracing, journal, and health layer.
 
 One process-wide :class:`MetricsRegistry` (counters, gauges, windowed
-p50/p95/p99 histograms, labeled series), one :class:`TraceCollector`
+p50/p95/p99 histograms — optionally holding a lifetime
+:class:`QuantileSketch` that :mod:`repro.obs.fed` sums across nodes —
+labeled series), one :class:`TraceCollector`
 (sampled request traces and nested wall-time spans, one trace model:
 :mod:`repro.obs.attrib`), one append-only event
 :class:`~repro.obs.journal.Journal` (JSONL, monotonic sequence
@@ -52,7 +54,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     NULL,
     NullInstrument,
-    SketchHistogram,
     get_registry,
     set_registry,
 )
@@ -92,7 +93,6 @@ __all__ = [
     "NULL",
     "NullInstrument",
     "SNAPSHOT_SCHEMA_VERSION",
-    "SketchHistogram",
     "Stage",
     "Trace",
     "TraceCollector",
@@ -250,7 +250,8 @@ FED_METRICS = {
 }
 
 #: Declaration kind -> registry factory call.  ``"sketch"`` declares a
-#: mergeable :class:`SketchHistogram` under the histogram namespace.
+#: :class:`Histogram` that also feeds a lifetime quantile sketch (the
+#: federation feed), under the histogram namespace.
 _DECLARERS = {
     "counter": lambda registry, name: registry.counter(name),
     "gauge": lambda registry, name: registry.gauge(name),

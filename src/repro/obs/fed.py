@@ -14,7 +14,7 @@ served.  This module closes the gap in three moves:
 2. an :class:`Aggregator` merges the per-node documents into one
    in-memory registry: counters by sum, gauges by a per-name
    max/min/last policy, sketch-backed histograms by exact sketch
-   merge;
+   addition;
 3. a :class:`Federation` facade runs scrape → merge on demand,
    publishes its own telemetry (``fed.*`` series, per-node staleness
    gauges), and hands the merged registry to the *unchanged* health
@@ -30,14 +30,16 @@ Merge semantics worth knowing:
   nodes — a cluster-wide rate is the sum of per-node rates.
 * **Gauges** follow :data:`GAUGE_POLICIES`: worst-case-wins (``max``)
   for imbalance/concentration/queue-depth style gauges, ``min`` for
-  hit rates, freshest-snapshot-wins (``last``) otherwise.
-* **Histograms** carrying a sketch merge *exactly* — the merged
-  quantile equals the sketch of the concatenated stream, within the
-  sketch's relative accuracy.  Sketchless histograms merge summaries
-  only (counts and sums add, min/min max/max); their percentiles are
-  reported as the per-node maximum, a conservative tail bound, and
-  their ``window_values()`` is empty — latency SLOs that must alert
-  on federated data should use sketch-kind series.
+  hit rates, freshest-snapshot-wins (``last``) otherwise —
+  :meth:`Federation.collect` hands the documents over by arrival time,
+  oldest first.
+* **Histograms** carrying a sketch merge *exactly*: the merged series
+  is a :class:`~repro.obs.registry.Histogram` holding the sum of the
+  rows' sketches, whose quantiles equal the sketch of the
+  concatenated stream, within the sketch's relative accuracy.  Rows
+  without a sketch (windowed-only series) have nothing to merge and
+  stay local — latency SLOs that must alert on federated data use
+  sketch-kind series.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from repro.obs.journal import Journal, get_journal
 from repro.obs.registry import (
     Counter,
     Gauge,
+    Histogram,
     MetricsRegistry,
     get_registry,
 )
@@ -60,7 +63,6 @@ __all__ = [
     "Aggregator",
     "Federation",
     "GAUGE_POLICIES",
-    "MergedHistogram",
     "ScrapeResult",
     "Scraper",
     "SCRAPE_REQUEST_BYTES",
@@ -227,102 +229,6 @@ class Scraper:
         return min(1.0, max(self.scrape_busy_s.values()) / elapsed_s)
 
 
-class MergedHistogram:
-    """A histogram reconstructed from one or more snapshot rows.
-
-    Sketch-backed rows merge exactly: quantiles come from the merged
-    :class:`QuantileSketch` and ``window_values()`` reconstructs
-    per-observation representatives, so the SLO engine's threshold
-    counting works on federated data unchanged.  Sketchless rows merge
-    summaries only — percentiles report the per-node maximum (a
-    conservative tail bound) and the window is empty.
-    """
-
-    kind = "histogram"
-
-    def __init__(self, name: str, labels: Dict[str, Any]):
-        self.name = name
-        self.labels = labels
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.sketch: Optional[QuantileSketch] = None
-        self._summary_quantiles: Dict[str, float] = {}
-        self._sources = 0
-
-    def absorb(self, row: Mapping[str, Any]) -> None:
-        """Fold one snapshot histogram row into the merge."""
-        self._sources += 1
-        self.count += int(row.get("count", 0))
-        self.total += float(row.get("sum", 0.0))
-        for field, op in (("min", min), ("max", max)):
-            value = row.get(field)
-            if value is not None and not (isinstance(value, float)
-                                          and math.isnan(value)):
-                current = getattr(self, field)
-                setattr(self, field, op(current, float(value)))
-        payload = row.get("sketch")
-        if payload is not None:
-            incoming = QuantileSketch.from_dict(payload)
-            if self.sketch is None:
-                self.sketch = QuantileSketch(incoming.relative_accuracy)
-            self.sketch.merge(incoming)
-        else:
-            for q in ("p50", "p95", "p99"):
-                value = row.get(q)
-                if value is None or (isinstance(value, float)
-                                     and math.isnan(value)):
-                    continue
-                self._summary_quantiles[q] = max(
-                    self._summary_quantiles.get(q, -math.inf), float(value))
-
-    @property
-    def mergeable(self) -> bool:
-        """True when every absorbed row carried a sketch."""
-        return self.sketch is not None
-
-    def percentile(self, q: float) -> float:
-        if self.sketch is not None:
-            return self.sketch.percentile(q)
-        key = f"p{int(q)}"
-        return self._summary_quantiles.get(key, math.nan)
-
-    def window_values(self) -> List[float]:
-        if self.sketch is None:
-            return []
-        return self.sketch.reconstruct()
-
-    def exemplars(self, n: int = 4) -> List[Dict[str, Any]]:
-        return []
-
-    def summary(self) -> Dict[str, Any]:
-        empty = self.count == 0
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": math.nan if empty else self.min,
-            "max": math.nan if empty else self.max,
-            "mean": math.nan if empty else self.total / self.count,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "window": self.count if self.sketch is not None else 0,
-        }
-
-    def as_dict(self) -> Dict[str, Any]:
-        payload = {"name": self.name, "labels": dict(self.labels),
-                   **self.summary(), "exemplars": []}
-        if self.sketch is not None:
-            payload["sketch"] = self.sketch.as_dict()
-        return payload
-
-    def __repr__(self) -> str:
-        backing = "sketch" if self.sketch is not None else "summary"
-        return (f"MergedHistogram({self.name!r}, {self.labels}, "
-                f"count={self.count}, {backing}, nodes={self._sources})")
-
-
 class Aggregator:
     """Merges per-node snapshot documents into one registry."""
 
@@ -336,12 +242,15 @@ class Aggregator:
 
         ``docs`` should be ordered oldest-first when it matters: the
         ``last`` gauge policy takes the value from the latest document
-        that carries the series.
+        that carries the series.  Each sketch-carrying histogram series
+        merges into a :class:`~repro.obs.registry.Histogram` holding
+        the rows' summed sketch, with its lifetime count/sum/min/max;
+        rows without a sketch are left out.
         """
         merged = MetricsRegistry(enabled=True)
         counters: Dict[_LabelKey, Counter] = {}
         gauges: Dict[_LabelKey, Gauge] = {}
-        histograms: Dict[_LabelKey, MergedHistogram] = {}
+        histograms: Dict[_LabelKey, Histogram] = {}
         for doc in docs:
             metrics = doc.get("metrics", doc)
             for row in metrics.get("counters", ()):
@@ -368,13 +277,23 @@ class Aggregator:
                 else:
                     gauge.value = value
             for row in metrics.get("histograms", ()):
+                payload = row.get("sketch")
+                if payload is None:
+                    continue
+                incoming = QuantileSketch.from_dict(payload)
                 key = _identity(row)
                 histogram = histograms.get(key)
                 if histogram is None:
-                    histogram = MergedHistogram(
-                        row["name"], dict(row.get("labels", {})))
+                    histogram = Histogram(row["name"],
+                                          dict(row.get("labels", {})))
+                    histogram.sketch = QuantileSketch(
+                        incoming.relative_accuracy)
                     histograms[key] = histogram
-                histogram.absorb(row)
+                histogram.sketch.merge(incoming)
+        for histogram in histograms.values():
+            sketch = histogram.sketch
+            histogram.count, histogram.total = sketch.count, sketch.total
+            histogram.min, histogram.max = sketch.min, sketch.max
         for table in (counters, gauges, histograms):
             for instrument in table.values():
                 merged.adopt(instrument)
@@ -433,14 +352,17 @@ class Federation:
 
         Nodes that missed this sweep contribute their last good
         snapshot (if any); each node's ``fed.node.staleness_s`` gauge
-        reports how old the merged-in document is at ``now_s``.
+        reports how old the merged-in document is at ``now_s``.  The
+        documents merge oldest arrival first (endpoint breaks ties),
+        so the ``last`` gauge policy keeps the freshest value.
         """
         registry = self.registry
         self.scraper.scrape(now_s)
         started = perf_counter()
         docs = []
         for endpoint, (doc, arrival_s) in sorted(
-                self.scraper.latest.items()):
+                self.scraper.latest.items(),
+                key=lambda item: (item[1][1], item[0])):
             docs.append(doc)
             staleness = max(0.0, now_s - arrival_s)
             registry.gauge("fed.node.staleness_s",
@@ -454,14 +376,14 @@ class Federation:
 
     def merged_sketch(self, name: str, **labels: Any) -> QuantileSketch:
         """The exact cluster-wide sketch for ``name``: every matching
-        sketch-backed series in the merged registry, merged again
-        across its label variants (e.g. per-node series pooled into
-        one distribution)."""
+        histogram in the merged registry (each sketch-backed), merged
+        again across its label variants (e.g. per-node series pooled
+        into one distribution)."""
         if self.merged is None:
             raise RuntimeError("collect() has not produced a merge yet")
         sketches = [instrument.sketch
                     for instrument in self.merged.matching(name, **labels)
-                    if getattr(instrument, "sketch", None) is not None]
+                    if instrument.kind == "histogram"]
         if not sketches:
             raise KeyError(f"no sketch-backed series named {name!r} "
                            f"with labels {labels} in the merged registry")

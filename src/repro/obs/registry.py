@@ -6,7 +6,9 @@ store, experiments) reports into.  Three instrument kinds:
 * :class:`Counter` — monotonically increasing event count;
 * :class:`Gauge` — last-written value (occupancy, balance, ...);
 * :class:`Histogram` — bounded window of observations with streaming
-  ``count``/``sum``/``min``/``max`` plus windowed p50/p95/p99.
+  ``count``/``sum``/``min``/``max`` plus windowed p50/p95/p99,
+  optionally feeding a lifetime quantile sketch the federation layer
+  merges across nodes.
 
 Instruments are identified by ``(name, labels)``; the same name with
 different labels is a *labeled series* (e.g. one
@@ -31,6 +33,8 @@ import threading
 from collections import deque
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.sketch import QuantileSketch
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -38,7 +42,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL",
     "NullInstrument",
-    "SketchHistogram",
     "get_registry",
     "set_registry",
 ]
@@ -124,15 +127,26 @@ class Histogram:
     time an exemplar-carrying observation is evicted, the histogram
     journals one edge-triggered ``obs.exemplar_drop`` event;
     ``exemplar_drops`` counts every such eviction.
+
+    **Sketch.** With ``sketch=True`` (``registry.histogram(name,
+    sketch=True)``) every observation also lands in a
+    :class:`~repro.obs.sketch.QuantileSketch` covering the series'
+    *full lifetime*, and the snapshot row carries its payload; the
+    federation layer (:mod:`repro.obs.fed`) sums those sketches across
+    nodes into true cluster-wide quantiles.  A merged histogram holds
+    the summed sketch and no raw window, so its ``percentile()`` and
+    ``window_values()`` answer from the sketch.
     """
 
     __slots__ = ("name", "labels", "count", "total", "min", "max",
-                 "_window", "_exemplars", "exemplar_drops", "_drop_noted")
+                 "_window", "_exemplars", "exemplar_drops", "_drop_noted",
+                 "sketch")
 
     kind = "histogram"
 
     def __init__(self, name: str, labels: Dict[str, Any],
-                 window: int = DEFAULT_HISTOGRAM_WINDOW):
+                 window: int = DEFAULT_HISTOGRAM_WINDOW,
+                 sketch: bool = False):
         self.name = name
         self.labels = labels
         self.count = 0
@@ -143,6 +157,8 @@ class Histogram:
         self._exemplars: deque = deque(maxlen=window)
         self.exemplar_drops = 0
         self._drop_noted = False
+        self.sketch: Optional[QuantileSketch] = (
+            QuantileSketch() if sketch else None)
 
     @property
     def window(self) -> int:
@@ -160,6 +176,8 @@ class Histogram:
             self._note_exemplar_drop()
         self._window.append(value)
         self._exemplars.append(exemplar)
+        if self.sketch is not None:
+            self.sketch.add(value)
 
     def _note_exemplar_drop(self) -> None:
         """An exemplar-carrying observation just aged out of the
@@ -185,10 +203,13 @@ class Histogram:
         """Windowed percentile ``q`` in [0, 100]; NaN when empty.
 
         Nearest-rank on the sorted window — cheap, monotone, and exact
-        for the small windows the registry keeps.
+        for the small windows the registry keeps.  With no raw window
+        but a sketch (a federation merge) the sketch answers, within
+        its relative accuracy.
         """
         if not self._window:
-            return math.nan
+            return (math.nan if self.sketch is None
+                    else self.sketch.percentile(q))
         ordered = sorted(self._window)
         rank = max(0, min(len(ordered) - 1,
                           math.ceil(q / 100.0 * len(ordered)) - 1))
@@ -199,8 +220,12 @@ class Histogram:
 
         The raw values back the health layer's threshold counting
         (fraction of recent observations over an SLO threshold), which
-        a percentile summary cannot answer exactly.
+        a percentile summary cannot answer exactly.  With no raw window
+        but a sketch (a federation merge) they are the sketch's
+        per-observation representatives.
         """
+        if not self._window and self.sketch is not None:
+            return self.sketch.reconstruct()
         return list(self._window)
 
     def summary(self) -> Dict[str, Any]:
@@ -218,52 +243,16 @@ class Histogram:
         }
 
     def as_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "labels": dict(self.labels),
-                **self.summary(), "exemplars": self.exemplars()}
-
-    def __repr__(self) -> str:
-        return (f"Histogram({self.name!r}, {self.labels}, "
-                f"count={self.count})")
-
-
-class SketchHistogram(Histogram):
-    """A histogram that additionally feeds a mergeable quantile sketch.
-
-    Requested via ``registry.histogram(name, sketch=True)``.  The
-    windowed behaviour (exact recent percentiles, exemplars, SLO
-    threshold counting over ``window_values()``) is inherited
-    unchanged; on top, every observation lands in a
-    :class:`~repro.obs.sketch.QuantileSketch` covering the series'
-    *full lifetime*, which the federation layer extracts from
-    snapshots and merges across nodes into true cluster-wide
-    quantiles.  ``kind`` stays ``"histogram"`` so every existing
-    snapshot/sink/health consumer sees it as one.
-    """
-
-    __slots__ = ("sketch",)
-
-    def __init__(self, name: str, labels: Dict[str, Any],
-                 window: int = DEFAULT_HISTOGRAM_WINDOW,
-                 relative_accuracy: Optional[float] = None):
-        super().__init__(name, labels, window=window)
-        from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
-        if relative_accuracy is None:
-            relative_accuracy = DEFAULT_RELATIVE_ACCURACY
-        self.sketch = QuantileSketch(relative_accuracy)
-
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
-        super().observe(value, exemplar=exemplar)
-        self.sketch.add(value)
-
-    def as_dict(self) -> Dict[str, Any]:
-        # Additive within snapshot schema v1: readers that don't know
-        # about sketches ignore the extra field.
-        payload = super().as_dict()
-        payload["sketch"] = self.sketch.as_dict()
+        payload = {"name": self.name, "labels": dict(self.labels),
+                   **self.summary(), "exemplars": self.exemplars()}
+        if self.sketch is not None:
+            # Additive within snapshot schema v1: readers that don't
+            # know about sketches ignore the extra field.
+            payload["sketch"] = self.sketch.as_dict()
         return payload
 
     def __repr__(self) -> str:
-        return (f"SketchHistogram({self.name!r}, {self.labels}, "
+        return (f"Histogram({self.name!r}, {self.labels}, "
                 f"count={self.count})")
 
 
@@ -358,12 +347,9 @@ class MetricsRegistry:
                     series = cls(name, labels, **kwargs)
                     self._series[key] = series
         if not isinstance(series, cls):
-            have = (type(series).__name__ if series.kind == cls.kind
-                    else series.kind)
-            want = cls.__name__ if series.kind == cls.kind else cls.kind
             raise TypeError(
                 f"metric {name!r} with labels {labels} already registered "
-                f"as a {have}, not a {want}"
+                f"as a {series.kind}, not a {cls.kind}"
             )
         return series
 
@@ -379,19 +365,22 @@ class MetricsRegistry:
 
     def histogram(self, name: str, window: int = DEFAULT_HISTOGRAM_WINDOW,
                   sketch: bool = False, **labels: Any) -> Histogram:
-        """Get-or-create a histogram; ``sketch=True`` requests the
-        mergeable :class:`SketchHistogram` variant.  Asking for a plain
-        histogram when the series was declared as a sketch returns the
-        sketch (it is a histogram); the reverse raises, because a plain
-        histogram cannot honour the mergeability the caller expects —
-        declare the series as kind ``"sketch"`` instead.
+        """Get-or-create a histogram; ``sketch=True`` requests one that
+        also feeds a lifetime quantile sketch (the federation feed).
+        Asking without a sketch for a series declared with one returns
+        it; the reverse raises, because a sketchless histogram cannot
+        honour the cluster-wide merge the caller expects — declare the
+        series as kind ``"sketch"`` instead.
         """
         if not self.enabled:
             return NULL
-        if sketch:
-            return self._get_or_create(SketchHistogram, name, labels,
-                                       window=window)
-        return self._get_or_create(Histogram, name, labels, window=window)
+        series = self._get_or_create(Histogram, name, labels,
+                                     window=window, sketch=sketch)
+        if sketch and series.sketch is None:
+            raise TypeError(
+                f"metric {name!r} with labels {labels} already registered "
+                f"as a histogram without a sketch")
+        return series
 
     def adopt(self, instrument: Any) -> Any:
         """Install a fully-built instrument under its own identity.

@@ -38,7 +38,7 @@ DEFAULT_RELATIVE_ACCURACY = 0.01
 
 
 class QuantileSketch:
-    """A mergeable quantile sketch with bounded relative error.
+    """A quantile sketch with bounded relative error and exact merge.
 
     Args:
         relative_accuracy: ``alpha`` in (0, 1); every reported quantile

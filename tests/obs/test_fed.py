@@ -10,14 +10,9 @@ from repro.cluster import Cluster
 from repro.cluster.interconnect import make_fabric
 from repro.cluster.node import NodeDownError
 from repro.obs import Journal, declare_core_metrics
-from repro.obs.fed import (
-    Aggregator,
-    Federation,
-    MergedHistogram,
-    Scraper,
-)
+from repro.obs.fed import Aggregator, Federation, Scraper
 from repro.obs.health import SloEngine, SloSpec
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.sketch import QuantileSketch
 
 
@@ -153,6 +148,25 @@ class TestAggregator:
         assert merged.matching("store.hit_rate")[0].value == 0.4  # min
         assert merged.matching("custom.gauge")[0].value == 2.0  # last
 
+    def test_last_gauge_policy_keeps_the_freshest_snapshot(self):
+        """``last`` is the freshest snapshot, not the alphabetically
+        last endpoint: a node whose exporter went down still merges
+        its stale snapshot, which loses to a fresher one."""
+        node0 = FakeNode("node0", _doc(gauges=[
+            _gauge_row("custom.gauge", 1.0)]))
+        node1 = FakeNode("node1", _doc(gauges=[
+            _gauge_row("custom.gauge", 2.0)]))
+        fed = Federation(
+            Scraper([("node0", node0), ("node1", node1)],
+                    registry=MetricsRegistry(enabled=True)),
+            registry=MetricsRegistry(enabled=True))
+        fed.collect(now_s=0.0)
+        node1.down = True
+        node0.doc = _doc(gauges=[_gauge_row("custom.gauge", 5.0)])
+        node0.version = 2
+        merged = fed.collect(now_s=10.0)
+        assert merged.matching("custom.gauge")[0].value == 5.0
+
     def test_sketch_histograms_merge_exactly(self):
         rng = np.random.default_rng(0)
         left = rng.lognormal(-9, 0.5, 3000)
@@ -161,7 +175,6 @@ class TestAggregator:
                 _doc(histograms=[_sketch_row("lat", list(right))])]
         merged = Aggregator().merge(docs)
         (hist,) = merged.matching("lat")
-        assert hist.mergeable
         pooled = np.concatenate([left, right])
         exact = float(np.percentile(pooled, 99))
         assert abs(hist.percentile(99) - exact) / exact <= 0.02
@@ -169,37 +182,55 @@ class TestAggregator:
         assert len(hist.window_values()) == 6000
 
     def test_sketchless_histograms_merge_conservatively(self):
+        """A windowed-only row has nothing to merge: it stays local
+        (absent from the merge), while the same documents' counters
+        and gauges still merge."""
         docs = [
-            _doc(histograms=[{"name": "lat", "labels": {}, "count": 10,
+            _doc(counters=[_counter_row("ops", 10)],
+                 gauges=[_gauge_row("store.balance", 1.2)],
+                 histograms=[{"name": "lat", "labels": {}, "count": 10,
                               "sum": 1.0, "min": 0.05, "max": 0.2,
                               "p50": 0.1, "p95": 0.15, "p99": 0.2}]),
-            _doc(histograms=[{"name": "lat", "labels": {}, "count": 5,
+            _doc(counters=[_counter_row("ops", 5)],
+                 gauges=[_gauge_row("store.balance", 1.5)],
+                 histograms=[{"name": "lat", "labels": {}, "count": 5,
                               "sum": 2.0, "min": 0.01, "max": 0.9,
                               "p50": 0.4, "p95": 0.8, "p99": 0.9}]),
         ]
         merged = Aggregator().merge(docs)
-        (hist,) = merged.matching("lat")
-        assert not hist.mergeable
-        assert hist.count == 15
-        assert hist.min == 0.01 and hist.max == 0.9
-        assert hist.percentile(99) == 0.9  # per-node max: tail bound
-        assert hist.window_values() == []  # no raw data to pretend
+        assert merged.matching("lat") == []
+        assert merged.histograms() == []
+        assert merged.matching("ops")[0].value == 15
+        assert merged.matching("store.balance")[0].value == 1.5
 
 
 class TestMergedHistogram:
+    """The Aggregator's merged series: a Histogram holding the summed
+    sketch and no raw window."""
+
     def test_summary_shape_matches_histogram_row(self):
-        hist = MergedHistogram("lat", {})
-        hist.absorb(_sketch_row("lat", [0.1, 0.2, 0.3]))
+        merged = Aggregator().merge(
+            [_doc(histograms=[_sketch_row("lat", [0.1, 0.2, 0.3])])])
+        (hist,) = merged.matching("lat")
+        assert isinstance(hist, Histogram)
         row = hist.as_dict()
         for key in ("name", "labels", "count", "sum", "min", "max",
                     "mean", "p50", "p95", "p99", "exemplars"):
             assert key in row
-        assert "sketch" in row  # stays mergeable downstream
+        assert "sketch" in row  # merges again downstream
+        assert row["count"] == 3 and row["exemplars"] == []
 
     def test_empty_summary_is_nan(self):
-        summary = MergedHistogram("lat", {}).summary()
+        empty = {"name": "lat", "labels": {}, "count": 0, "sum": 0.0,
+                 "min": math.nan, "max": math.nan,
+                 "sketch": QuantileSketch().as_dict()}
+        (hist,) = Aggregator().merge([_doc(histograms=[empty])]).matching(
+            "lat")
+        summary = hist.summary()
         assert summary["count"] == 0
         assert math.isnan(summary["min"])
+        assert math.isnan(summary["p99"])
+        assert hist.window_values() == []
 
 
 class TestFederationOnCluster:
@@ -255,6 +286,19 @@ class TestFederationOnCluster:
         (status,) = engine.evaluate()
         assert not status.alerting  # nothing is over a 10s threshold
         assert status.fast_burn == 0.0
+
+    def test_scrape_payload_sketches_only_the_latency_series(
+            self, served_cluster):
+        """The scrape wire format: only ``cluster.node.request_latency_s``
+        rows carry a sketch payload; every other histogram row ships
+        its windowed summary alone."""
+        for node in served_cluster.nodes:
+            rows = node.metrics_snapshot()["metrics"]["histograms"]
+            sketched = [row for row in rows if "sketch" in row]
+            assert sketched
+            assert {row["name"] for row in sketched} == {
+                "cluster.node.request_latency_s"}
+            assert len(rows) > len(sketched)
 
     def test_quantile_before_collect_raises(self, served_cluster):
         fed = Federation.for_cluster(

@@ -19,13 +19,19 @@ PUBLIC_PACKAGES = (
     "repro",
     "repro.adversary",
     "repro.cache",
+    "repro.cluster",
+    "repro.control",
     "repro.cpu",
+    "repro.engine",
     "repro.experiments",
     "repro.hardware",
     "repro.hashing",
     "repro.mathutil",
     "repro.memory",
+    "repro.obs",
     "repro.reporting",
+    "repro.serve",
+    "repro.store",
     "repro.trace",
     "repro.vm",
     "repro.workloads",
