@@ -130,7 +130,7 @@ fed-check:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments federation --check
 
 # Telemetry-plane benchmark: scrape sweep rate, merge cost per series,
-# TSDB append throughput; writes BENCH_fed.json at the root.
+# in-memory TSDB append throughput; writes BENCH_fed.json at the root.
 fed-bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fed.py -q -s
 

@@ -6,8 +6,8 @@ Measures the three rates that bound how much cluster you can watch:
   fabric (serialize + round-trip + version check, per node);
 * **merge_ns_per_series** — aggregator merge cost per series, the
   per-evaluation price of the cluster-wide registry;
-* **tsdb_append_rps** — time-series appends per second including
-  JSONL persistence and ring age-out.
+* **tsdb_append_rps** — appends per second into the in-memory
+  time-series store the federation drill uses, ring age-out included.
 
 Emits ``BENCH_fed.json`` at the repo root — the machine-readable
 record future PRs regress their telemetry changes against (gated by
@@ -15,7 +15,6 @@ record future PRs regress their telemetry changes against (gated by
 """
 
 import json
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
@@ -80,14 +79,13 @@ def test_federation_plane(benchmark):
     merge_ns_per_series = (merge_elapsed / (MERGE_ROUNDS * n_series)
                            * 1e9 if n_series else 0.0)
 
-    # Append throughput with persistence and age-out in the loop.
-    with tempfile.TemporaryDirectory() as root:
-        tsdb = TimeSeriesStore(root=root, retention_points=256,
-                               downsample_ratio=8, registry=local)
-        started = perf_counter()
-        for i in range(TSDB_APPENDS):
-            tsdb.append("bench.gauge", float(i), float(i % 97))
-        tsdb_elapsed = perf_counter() - started
+    # Append throughput with age-out in the loop.
+    tsdb = TimeSeriesStore(retention_points=256, downsample_ratio=8,
+                           registry=local)
+    started = perf_counter()
+    for i in range(TSDB_APPENDS):
+        tsdb.append("bench.gauge", float(i), float(i % 97))
+    tsdb_elapsed = perf_counter() - started
     tsdb_append_rps = (TSDB_APPENDS / tsdb_elapsed
                        if tsdb_elapsed > 0 else 0.0)
 
@@ -97,7 +95,7 @@ def test_federation_plane(benchmark):
     print(f"  merge cost         {merge_ns_per_series:>10.0f} ns/series "
           f"({n_series} series, {len(docs)} docs)")
     print(f"  tsdb appends       {tsdb_append_rps:>10.0f} appends/s "
-          f"(persisted, {tsdb.evictions} evictions)")
+          f"(in memory, {tsdb.evictions} evictions)")
 
     payload = {
         "bench": "fed",

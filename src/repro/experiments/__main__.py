@@ -27,8 +27,9 @@ report.
 ``--journal PATH`` additionally records the run's structured event
 log (JSONL, ``docs/observability.md``) — experiment start/finish plus
 whatever lifecycle events the engine/store/serve layers emit; and
-``--dash PATH`` renders the post-run health dashboard (metrics + SLO
-burn rates + drift + journal tail + bench trajectory) as one
+``--dash PATH`` renders the post-run health dashboard (SLO burn
+rates + drift + the artifact's checks + the flight recorder's slowest
+traces + journal tail + bench trajectory + metrics) as one
 self-contained HTML file.
 
 ``--check`` gates the experiment's contract, the ``checks`` block of
@@ -109,7 +110,8 @@ def main(argv: Optional[List[str]] = None) -> None:
                              "structured event log (JSONL) to PATH")
     parser.add_argument("--dash", default=None, metavar="PATH",
                         help="enable observability and write the "
-                             "post-run health dashboard HTML to PATH")
+                             "post-run health dashboard HTML (checks and "
+                             "flight recorder included) to PATH")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless every entry of the artifact's "
                              "checks block holds")
@@ -192,7 +194,8 @@ def _run_and_report(args) -> None:
             registry=get_registry(), collector=get_collector(),
             journal=journal,
             slo_statuses=statuses, alerts=engine.active_alerts(),
-            drift_statuses=drift, bench_root=".")
+            drift_statuses=drift, checks=artifact["data"].get("checks"),
+            bench_root=".", flight=get_collector().flight)
         path = write_dashboard(args.dash, model)
         print(f"health dashboard written to {path}", file=sys.stderr)
     if args.check:

@@ -32,9 +32,10 @@ The artifact's ``checks`` block asserts the telemetry contract:
 * **misses are journaled** — scraping a down node emits
   ``obs.scrape_miss``;
 * **the TSDB keeps honest history** — raw retention is bounded,
-  age-out produced downsampled points (counters as block rates), the
-  recovered mean rate is near truth, and the windowed quantile from
-  persisted sketches matches the exact pooled p99 within 2%.
+  age-out produced downsampled points (each counter block kept as its
+  last sample), the recovered mean rate is near truth, and the
+  windowed quantile from retained sketches matches the exact pooled
+  p99 within 2%.
 
 With ``--check`` the CLI exits nonzero unless every check holds (the
 ``make fed-check`` gate, whose verdict reads ``federation-check:``).
@@ -191,9 +192,9 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
         evict_events = journal.find("obs.tsdb_evict")
 
         raw_points = [p for p in tsdb.range("cluster.ops")
-                      if p.kind == "counter"]
+                      if p.span == 1]
         aged_points = [p for p in tsdb.range("cluster.ops")
-                       if p.kind == "rate"]
+                       if p.span > 1]
         tsdb_rate = tsdb.rate("cluster.ops")
         true_rate = (cluster.counts["ops"] / elapsed_s
                      if elapsed_s > 0 else 0.0)

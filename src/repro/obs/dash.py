@@ -1,42 +1,37 @@
 """Unified health dashboard: one document for the whole system's state.
 
-Collects the four observability surfaces into a single *dashboard
-model* (a JSON-serializable dict) and renders it two ways:
+Collects the observability surfaces into a single *dashboard model* (a
+JSON-serializable dict) and describes each of its panels once, as a
+``(title, headers, rows)`` table.  Two renderers draw those tables:
 
-* :func:`render_text` — the terminal dashboard (the repo's standard
-  aligned tables plus unicode trend bars);
+* :func:`render_text` — the terminal dashboard, through the repo's
+  standard :func:`~repro.reporting.format_table`;
 * :func:`render_html` — one **self-contained** HTML file: inline CSS,
   no scripts, no fonts, no images, no external requests of any kind —
   it renders identically from a file:// open on an air-gapped box.
+  Every cell is escaped, pass/fail verdicts are green or red, and the
+  flight recorder's slowest traces are also drawn as stage waterfalls,
+  the one HTML-only element.
 
-The model's four sections:
-
-1. **metrics** — a ``--metrics-out`` snapshot (live registry or a
-   snapshot JSON loaded from disk);
-2. **journal tail** — the most recent events from the
-   :mod:`repro.obs.journal` stream;
-3. **health** — active alerts, SLO statuses and drift verdicts from
-   :mod:`repro.obs.health` evaluations;
-4. **bench trajectory** — the ``BENCH_*.json`` metrics plus their
-   :mod:`repro.obs.benchguard` history, sparklined.
-
-Two cluster-scale panels join them when their sources exist:
-
-* **federation** — per-node scrape state (version, staleness, up/down)
-  and cluster-wide merged quantiles from a live
-  :class:`~repro.obs.fed.Federation`;
-* **time series** — per-series point counts and sparklines from a
-  :class:`~repro.obs.tsdb.TimeSeriesStore` (live, or re-opened from a
-  persisted directory via ``--tsdb``).
+The panels, each left out when its source is empty: active alerts,
+SLO burn rates and hash-quality drift verdicts
+(:mod:`repro.obs.health`); the run's checks; the bench trajectory
+(``BENCH_*.json`` plus their :mod:`repro.obs.benchguard` history,
+sparklined); the flight recorder's slowest traces; the journal tail
+(:mod:`repro.obs.journal`); and the metrics snapshot, whose tables are
+the ones :func:`repro.obs.sinks.metrics_table` prints.  The
+cluster-wide quantile table is the metrics panel of
+``build_dashboard(registry=federation.merged)``.
 
 CLI::
 
-    python -m repro.obs.dash --snapshot metrics.json \\
-        [--journal run.jsonl] [--bench-root .] [--tsdb DIR] \\
+    python -m repro.obs.dash [--snapshot metrics.json] \\
+        [--journal run.jsonl] [--bench-root .] [--flight dump.jsonl] \\
         [--out dash.html]
 
 renders a dashboard from files on disk; ``python -m repro.experiments
-<name> --dash PATH`` writes one from the live run.
+<name> --dash PATH`` writes one from the live run, with its checks and
+flight recorder.
 """
 
 from __future__ import annotations
@@ -47,12 +42,13 @@ import math
 import os
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (Any, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.obs.attrib import TraceCollector
 from repro.obs.journal import Journal, get_journal
 from repro.obs.registry import MetricsRegistry
-from repro.obs.sinks import metrics_snapshot
+from repro.obs.sinks import metric_tables, metrics_snapshot
 
 __all__ = [
     "build_dashboard",
@@ -67,8 +63,9 @@ DEFAULT_TAIL_ROWS = 40
 #: Unicode trend glyphs for the bench trajectory (oldest -> newest).
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 
-#: Trailing time-series points sparklined per series on the dashboard.
-_TSDB_SPARK_POINTS = 40
+#: Slow traces rendered as waterfalls on the HTML dashboard (the rest
+#: stay in the JSONL dump; the panel is for reading, not archiving).
+_WATERFALL_TRACES = 5
 
 
 def _now_iso() -> str:
@@ -101,75 +98,9 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _federation_model(federation: Any,
-                      elapsed_s: Optional[float]) -> Dict[str, Any]:
-    """JSON-serializable cluster panel from a live Federation (a
-    pre-built mapping passes through untouched)."""
-    if isinstance(federation, Mapping):
-        return dict(federation)
-    scraper = federation.scraper
-    nodes = []
-    for endpoint, _source in scraper.targets:
-        have = scraper.latest.get(endpoint)
-        doc, arrival = have if have is not None else (None, None)
-        nodes.append({
-            "endpoint": endpoint,
-            "scraped": have is not None,
-            "version": scraper._versions.get(endpoint, 0),
-            "arrival_s": arrival,
-            "state": (doc.get("fed", {}).get("state", "?")
-                      if doc is not None else "never"),
-        })
-    histograms = []
-    if federation.merged is not None:
-        doc = metrics_snapshot(federation.merged)
-        histograms = [row for row in doc["metrics"]["histograms"]
-                      if row.get("count")]
-        for row in histograms:  # sketches are for merging, not reading
-            row.pop("sketch", None)
-    return {
-        "targets": len(scraper.targets),
-        "scrapes": scraper.scrapes,
-        "misses": scraper.misses,
-        "merges": federation.merges,
-        "utilization": (scraper.scrape_utilization(elapsed_s)
-                        if elapsed_s else None),
-        "nodes": nodes,
-        "histograms": histograms,
-    }
-
-
-def _tsdb_model(store: Any) -> Dict[str, Any]:
-    """JSON-serializable time-series panel (mapping passes through)."""
-    if isinstance(store, Mapping):
-        return dict(store)
-
-    def _scalar(point: Any) -> Optional[float]:
-        value = point.value
-        if hasattr(value, "percentile"):  # sketch point: sparkline p99
-            return value.percentile(99)
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            return None
-
-    series = []
-    for name in store.series_names():
-        points = store.range(name)
-        values = [v for v in (_scalar(p) for p in points[-_TSDB_SPARK_POINTS:])
-                  if v is not None]
-        series.append({
-            "name": name,
-            "kind": points[-1].kind if points else "-",
-            "points": len(points),
-            "downsampled": sum(1 for p in points if p.span > 1
-                               or p.kind == "rate"),
-            "latest": values[-1] if values else None,
-            "values": values,
-        })
-    return {"retention_points": store.retention_points,
-            "downsample_ratio": store.downsample_ratio,
-            "series": series}
+def _dictify(items: Sequence[Any]) -> List[Dict[str, Any]]:
+    return [item.as_dict() if hasattr(item, "as_dict") else dict(item)
+            for item in items]
 
 
 def build_dashboard(registry: Optional[MetricsRegistry] = None,
@@ -183,40 +114,26 @@ def build_dashboard(registry: Optional[MetricsRegistry] = None,
                     checks: Optional[Mapping[str, bool]] = None,
                     bench_root: Union[str, os.PathLike, None] = None,
                     flight: Any = None,
-                    federation: Any = None,
-                    federation_elapsed_s: Optional[float] = None,
-                    tsdb: Any = None,
                     tail_rows: int = DEFAULT_TAIL_ROWS) -> Dict[str, Any]:
     """Assemble the dashboard model from whichever sources exist.
 
     Pass either a live ``registry`` (+ optional ``collector``) or an
     already-written ``snapshot`` dict; either a live ``journal`` or
-    decoded ``journal_events``; health results as the
-    ``as_dict()``-able objects the health layer returns (or plain
-    dicts).  ``bench_root`` pulls ``BENCH_*.json`` + history through
-    :mod:`repro.obs.benchguard`.  ``flight`` is a live
-    :class:`~repro.obs.attrib.FlightRecorder`, its ``snapshot()``
-    dict, or a plain list of trace dicts (e.g. a flight-dump JSONL
-    replayed from disk) — rendered as slow-trace waterfalls.
-    ``federation`` is a live :class:`~repro.obs.fed.Federation` (pass
-    ``federation_elapsed_s`` — virtual seconds the scrape traffic had
-    to spread over — to report the overhead fraction) and ``tsdb`` a
-    live or re-opened :class:`~repro.obs.tsdb.TimeSeriesStore`; both
-    also accept already-built model dicts.
+    decoded ``journal_events`` (with neither, the process journal when
+    it is enabled); health results as the ``as_dict()``-able objects
+    the health layer returns (or plain dicts).  ``bench_root`` pulls
+    ``BENCH_*.json`` + history through :mod:`repro.obs.benchguard`.
+    ``flight`` is a live :class:`~repro.obs.attrib.FlightRecorder`,
+    its ``snapshot()`` dict, or a plain list of trace dicts (e.g. a
+    flight-dump JSONL replayed from disk).
     """
     if snapshot is None and registry is not None:
         snapshot = metrics_snapshot(registry, collector)
-    events: List[Dict[str, Any]] = []
-    if journal_events is not None:
-        events = [dict(e) for e in journal_events]
-    elif journal is not None:
-        events = [e.as_dict() for e in journal.tail()]
-    elif get_journal().enabled:
-        events = [e.as_dict() for e in get_journal().tail()]
-
-    def _dictify(items: Sequence[Any]) -> List[Dict[str, Any]]:
-        return [item.as_dict() if hasattr(item, "as_dict") else dict(item)
-                for item in items]
+    if journal is None and journal_events is None and get_journal().enabled:
+        journal = get_journal()
+    if journal_events is None:
+        journal_events = journal.tail() if journal is not None else ()
+    events = _dictify(journal_events)
 
     bench: Dict[str, Any] = {}
     if bench_root is not None:
@@ -261,10 +178,114 @@ def build_dashboard(registry: Optional[MetricsRegistry] = None,
         "checks": dict(checks) if checks else {},
         "bench": bench,
         "flight": flight_model,
-        "federation": (_federation_model(federation, federation_elapsed_s)
-                       if federation is not None else None),
-        "tsdb": _tsdb_model(tsdb) if tsdb is not None else None,
     }
+
+
+# -- the panels, described once ----------------------------------------
+
+
+class _Verdict(NamedTuple):
+    """A pass/fail table cell: its ``label`` in the terminal, green
+    (``ok``) or red in HTML."""
+
+    ok: bool
+    label: str
+
+    def __str__(self) -> str:
+        return self.label
+
+
+def _verdict(ok: bool, bad: str = "FAIL") -> _Verdict:
+    return _Verdict(bool(ok), "ok" if ok else bad)
+
+
+#: One panel: ``(title, headers, rows)``; cells are strings or verdicts.
+_Table = Tuple[str, Sequence[str], List[List[Any]]]
+
+#: The flight panel's headers; the HTML renderer draws the waterfalls
+#: right after the table that carries them.
+_FLIGHT_HEADERS = ("trace", "op", "scheme", "status", "wall (ms)",
+                   "coverage", "stages")
+
+
+def _tables(model: Mapping[str, Any]) -> List[_Table]:
+    """Every non-empty panel of ``model``, in dashboard order."""
+    tables: List[_Table] = []
+    alerts = model.get("alerts") or []
+    if alerts:
+        tables.append((
+            f"active alerts ({len(alerts)})",
+            ("slo", "window", "severity", "burn rate", "threshold",
+             "message"),
+            [[a["slo"], a["window"], _Verdict(False, str(a["severity"])),
+              _fmt(a["burn_rate"]), _fmt(a["threshold"]), a["message"]]
+             for a in alerts]))
+    slos = model.get("slos") or []
+    if slos:
+        tables.append((
+            "SLO burn rates",
+            ("slo", "objective", "fast burn", "slow burn", "state"),
+            [[s["name"], _fmt(s["objective"]), _fmt(s["fast_burn"]),
+              _fmt(s["slow_burn"]), _verdict(not s["alerting"], "ALERTING")]
+             for s in slos]))
+    drift = model.get("drift") or []
+    if drift:
+        tables.append((
+            "hash-quality drift (Eq. 1 balance / Eq. 2 concentration "
+            "bands)",
+            ("scheme", "balance", "band max", "concentration", "band max",
+             "state"),
+            [[d["scheme"], _fmt(d["balance"]), _fmt(d["balance_max"]),
+              _fmt(d["concentration"]), _fmt(d["concentration_max"]),
+              _verdict(d["ok"], "DRIFT")] for d in drift]))
+    checks = model.get("checks") or {}
+    if checks:
+        held = sum(bool(ok) for ok in checks.values())
+        tables.append((
+            f"checks ({held}/{len(checks)} hold)", ("check", "verdict"),
+            [[name, _verdict(ok)] for name, ok in sorted(checks.items())]))
+    bench = model.get("bench") or {}
+    if bench:
+        tables.append((
+            "bench trajectory (BENCH_*.json + history)",
+            ("bench metric", "current", "better", "trend", "runs"),
+            [[name, _fmt(cell.get("current")), cell.get("direction", "-"),
+              _spark(cell.get("history") or []) or "-",
+              str(len(cell.get("history") or []))]
+             for name, cell in sorted(bench.items())]))
+    flight = model.get("flight") or {}
+    slowest = flight.get("slowest") or []
+    if slowest:
+        tables.append((
+            f"flight recorder — slowest traces ({len(slowest)} retained, "
+            f"{flight.get('recorded', len(slowest))} recorded, "
+            f"{len(flight.get('errors') or [])} errors, "
+            f"{flight.get('dumps', 0)} dumps)",
+            _FLIGHT_HEADERS,
+            [[t.get("trace_id", "-"), t.get("op", "-"),
+              t.get("scheme") or "-",
+              _Verdict(t.get("status", "ok") == "ok",
+                       str(t.get("status", "ok"))),
+              f"{t.get('wall_s', 0.0) * 1e3:.2f}", _fmt(t.get("coverage")),
+              " ".join(f"{s['name']}={s['duration_s'] * 1e3:.2f}ms"
+                       for s in t.get("stages") or []) or "-"]
+             for t in slowest]))
+    events = model.get("journal_tail") or []
+    if events:
+        tables.append((
+            f"journal tail ({len(events)} of "
+            f"{model.get('journal_events_total', len(events))} events)",
+            ("seq", "t(s)", "event", "fields"),
+            [[str(e["seq"]), f"{e['mono_s']:.3f}", e["kind"],
+              ", ".join(f"{k}={_fmt(v)}"
+                        for k, v in sorted(e["fields"].items())) or "-"]
+             for e in events]))
+    metrics = model.get("metrics")
+    if metrics:
+        tables += [(f"metrics snapshot: {title}", headers, rows)
+                   for title, headers, rows
+                   in metric_tables(metrics["metrics"])]
+    return tables
 
 
 # -- terminal rendering ------------------------------------------------
@@ -274,140 +295,11 @@ def render_text(model: Mapping[str, Any]) -> str:
     """The dashboard as the repo's standard aligned-table report."""
     from repro.reporting import format_table  # deferred: keep obs light
 
-    sections: List[str] = [f"health dashboard — {model['generated_at']}"]
-
-    alerts = model.get("alerts") or []
-    if alerts:
-        sections.append(format_table(
-            ["slo", "window", "severity", "burn", "threshold"],
-            [[a["slo"], a["window"], a["severity"],
-              _fmt(a["burn_rate"]), _fmt(a["threshold"])] for a in alerts],
-            title=f"ACTIVE ALERTS ({len(alerts)})"))
-    else:
+    sections = [f"health dashboard — {model['generated_at']}"]
+    if not model.get("alerts"):
         sections.append("alerts: none active")
-
-    slos = model.get("slos") or []
-    if slos:
-        sections.append(format_table(
-            ["slo", "objective", "fast burn", "slow burn", "state"],
-            [[s["name"], _fmt(s["objective"]), _fmt(s["fast_burn"]),
-              _fmt(s["slow_burn"]),
-              "ALERTING" if s["alerting"] else "ok"] for s in slos],
-            title="SLO burn rates"))
-
-    drift = model.get("drift") or []
-    if drift:
-        sections.append(format_table(
-            ["scheme", "balance", "band max", "concentration", "band max",
-             "state"],
-            [[d["scheme"], _fmt(d["balance"]), _fmt(d["balance_max"]),
-              _fmt(d["concentration"]), _fmt(d["concentration_max"]),
-              "ok" if d["ok"] else "DRIFT"] for d in drift],
-            title="hash-quality drift (Eq. 1 / Eq. 2 bands)"))
-
-    checks = model.get("checks") or {}
-    if checks:
-        held = sum(bool(v) for v in checks.values())
-        sections.append(format_table(
-            ["check", "verdict"],
-            [[name, "ok" if ok else "FAIL"]
-             for name, ok in sorted(checks.items())],
-            title=f"checks ({held}/{len(checks)} hold)"))
-
-    bench = model.get("bench") or {}
-    if bench:
-        rows = []
-        for name, cell in sorted(bench.items()):
-            history = cell.get("history") or []
-            rows.append([name, _fmt(cell.get("current")),
-                         cell.get("direction", "-"),
-                         _spark(history) or "-", str(len(history))])
-        sections.append(format_table(
-            ["bench metric", "current", "better", "trend", "runs"],
-            rows, title="bench trajectory (BENCH_*.json + history)"))
-
-    fed = model.get("federation") or {}
-    if fed:
-        rows = [[n["endpoint"], n["state"],
-                 str(n["version"]) if n["version"] else "-",
-                 _fmt(n["arrival_s"]),
-                 "ok" if n["scraped"] else "NEVER SCRAPED"]
-                for n in fed.get("nodes") or []]
-        util = fed.get("utilization")
-        sections.append(format_table(
-            ["node", "state", "version", "last scrape t(s)", "scraped"],
-            rows,
-            title=(f"metrics federation — {fed.get('targets', 0)} targets, "
-                   f"{fed.get('scrapes', 0)} scrapes, "
-                   f"{fed.get('misses', 0)} misses, "
-                   f"{fed.get('merges', 0)} merges"
-                   + (f", scrape overhead {util:.2%} of worst link"
-                      if util is not None else ""))))
-        hist_rows = [[h["name"],
-                      ", ".join(f"{k}={v}" for k, v
-                                in sorted(h["labels"].items())) or "-",
-                      str(h["count"]), _fmt(h["p50"]), _fmt(h["p99"]),
-                      _fmt(h["max"])]
-                     for h in fed.get("histograms") or []]
-        if hist_rows:
-            sections.append(format_table(
-                ["merged series", "labels", "count", "p50", "p99", "max"],
-                hist_rows, title="cluster-wide merged quantiles"))
-
-    tsdb = model.get("tsdb") or {}
-    if tsdb:
-        rows = [[s["name"], s["kind"], str(s["points"]),
-                 str(s["downsampled"]), _fmt(s.get("latest")),
-                 _spark(s.get("values") or []) or "-"]
-                for s in tsdb.get("series") or []]
-        sections.append(format_table(
-            ["series", "kind", "points", "aged", "latest", "spark"],
-            rows,
-            title=(f"time series — retention "
-                   f"{tsdb.get('retention_points', '-')} raw points, "
-                   f"{tsdb.get('downsample_ratio', '-')}:1 downsample")))
-
-    flight = model.get("flight") or {}
-    slowest = flight.get("slowest") or []
-    if slowest:
-        rows = []
-        for t in slowest:
-            stages = t.get("stages") or []
-            breakdown = " ".join(
-                f"{s['name']}={s['duration_s'] * 1e3:.2f}ms"
-                for s in stages) or "-"
-            rows.append([t.get("trace_id", "-"), t.get("op", "-"),
-                         t.get("scheme") or "-", t.get("status", "-"),
-                         f"{t.get('wall_s', 0.0) * 1e3:.2f}",
-                         _fmt(t.get("coverage")), breakdown])
-        sections.append(format_table(
-            ["trace", "op", "scheme", "status", "wall (ms)", "coverage",
-             "stages"],
-            rows,
-            title=(f"flight recorder — slowest traces "
-                   f"({len(slowest)} retained, "
-                   f"{flight.get('recorded', len(slowest))} recorded, "
-                   f"{len(flight.get('errors') or [])} errors)")))
-
-    events = model.get("journal_tail") or []
-    if events:
-        rows = [[str(e["seq"]), f"{e['mono_s']:.3f}", e["kind"],
-                 ", ".join(f"{k}={_fmt(v)}"
-                           for k, v in sorted(e["fields"].items())) or "-"]
-                for e in events]
-        sections.append(format_table(
-            ["seq", "t(s)", "event", "fields"], rows,
-            title=f"journal tail ({len(events)} of "
-                  f"{model.get('journal_events_total', len(events))} events)"))
-
-    metrics = model.get("metrics")
-    if metrics:
-        counts = {kind: len(metrics["metrics"][kind])
-                  for kind in ("counters", "gauges", "histograms")}
-        sections.append(
-            f"metrics snapshot: {counts['counters']} counters, "
-            f"{counts['gauges']} gauges, {counts['histograms']} histograms, "
-            f"{len(metrics.get('spans', []))} spans")
+    sections += [format_table(headers, rows, title=title)
+                 for title, headers, rows in _tables(model)]
     return "\n\n".join(sections)
 
 
@@ -425,7 +317,6 @@ th { background: #efefe8; } td:first-child, th:first-child
 .ok { color: #166534; font-weight: bold; }
 .bad { color: #b91c1c; font-weight: bold; }
 .muted { color: #777; }
-.spark { letter-spacing: 1px; }
 .wf { margin: 0.4rem 0 1.2rem; max-width: 64rem; }
 .wf-row { display: flex; align-items: center; font-size: 0.8rem;
           margin: 2px 0; }
@@ -440,33 +331,24 @@ th { background: #efefe8; } td:first-child, th:first-child
 """
 
 
-def _h(value: Any) -> str:
-    return html.escape(_fmt(value))
+def _html_cell(value: Any) -> str:
+    # Cells are data (check names, label values, messages), never
+    # markup: escape every one, or a label like `scheme=<b>x` walks
+    # straight into the document.
+    if isinstance(value, _Verdict):
+        return (f'<span class="{"ok" if value.ok else "bad"}">'
+                f"{html.escape(value.label)}</span>")
+    return html.escape(str(value))
 
 
-def _html_table(headers: Sequence[str],
-                rows: Sequence[Sequence[str]]) -> List[str]:
-    out = ["<table>", "<tr>" + "".join(f"<th>{html.escape(h)}</th>"
-                                       for h in headers) + "</tr>"]
-    for row in rows:
-        out.append("<tr>" + "".join(f"<td>{cell}</td>" for cell in row)
-                   + "</tr>")
-    out.append("</table>")
-    return out
-
-
-def _verdict(ok: bool, good: str = "ok", bad: str = "FAIL") -> str:
-    # The labels are data (alert severities, check names), not markup:
-    # escape them, or a metric label like `scheme=<b>x` walks straight
-    # into the document.
-    label = html.escape(good if ok else bad)
-    return (f'<span class="ok">{label}</span>' if ok
-            else f'<span class="bad">{label}</span>')
-
-
-#: Slow traces rendered as waterfalls on the HTML dashboard (the rest
-#: stay in the JSONL dump; the panel is for reading, not archiving).
-_WATERFALL_TRACES = 5
+def _html_table(title: str, headers: Sequence[str],
+                rows: Sequence[Sequence[Any]]) -> List[str]:
+    return [f"<h2>{html.escape(title)}</h2>", "<table>",
+            "<tr>" + "".join(f"<th>{html.escape(h)}</th>"
+                             for h in headers) + "</tr>",
+            *("<tr>" + "".join(f"<td>{_html_cell(cell)}</td>"
+                               for cell in row) + "</tr>" for row in rows),
+            "</table>"]
 
 
 def _waterfall(trace: Mapping[str, Any]) -> List[str]:
@@ -513,170 +395,23 @@ def render_html(model: Mapping[str, Any]) -> str:
         "<meta charset=\"utf-8\">",
         "<title>repro health dashboard</title>",
         f"<style>{_CSS}</style>", "</head><body>",
-        f"<h1>repro health dashboard</h1>",
-        f"<p class=\"muted\">generated {_h(model['generated_at'])} — "
+        "<h1>repro health dashboard</h1>",
+        f"<p class=\"muted\">generated "
+        f"{html.escape(str(model['generated_at']))} — "
         "prime-indexed store/serve health: SLO burn rates, hash-quality "
-        "drift, journal, bench trajectory</p>",
+        "drift, checks, flight recorder, journal, bench trajectory</p>",
     ]
-
-    alerts = model.get("alerts") or []
-    parts.append("<h2>Active alerts</h2>")
-    if alerts:
-        parts += _html_table(
-            ["slo", "window", "severity", "burn rate", "threshold",
-             "message"],
-            [[_h(a["slo"]), _h(a["window"]),
-              _verdict(False, bad=_fmt(a["severity"])),
-              _h(a["burn_rate"]), _h(a["threshold"]), _h(a["message"])]
-             for a in alerts])
-    else:
-        parts.append(f"<p>{_verdict(True, good='none active')}</p>")
-
-    slos = model.get("slos") or []
-    if slos:
-        parts.append("<h2>SLO burn rates</h2>")
-        parts += _html_table(
-            ["slo", "objective", "fast burn", "slow burn", "state"],
-            [[_h(s["name"]), _h(s["objective"]), _h(s["fast_burn"]),
-              _h(s["slow_burn"]),
-              _verdict(not s["alerting"], bad="ALERTING")] for s in slos])
-
-    drift = model.get("drift") or []
-    if drift:
-        parts.append("<h2>Hash-quality drift (Eq. 1 balance / "
-                     "Eq. 2 concentration)</h2>")
-        parts += _html_table(
-            ["scheme", "balance", "band max", "concentration", "band max",
-             "state"],
-            [[_h(d["scheme"]), _h(d["balance"]), _h(d["balance_max"]),
-              _h(d["concentration"]), _h(d["concentration_max"]),
-              _verdict(d["ok"], bad="DRIFT")] for d in drift])
-
-    checks = model.get("checks") or {}
-    if checks:
-        held = sum(bool(v) for v in checks.values())
-        parts.append(f"<h2>Checks ({held}/{len(checks)} hold)</h2>")
-        parts += _html_table(
-            ["check", "verdict"],
-            [[_h(name), _verdict(bool(ok))]
-             for name, ok in sorted(checks.items())])
-
-    bench = model.get("bench") or {}
-    if bench:
-        parts.append("<h2>Bench trajectory</h2>")
-        rows = []
-        for name, cell in sorted(bench.items()):
-            history = cell.get("history") or []
-            rows.append([
-                _h(name), _h(cell.get("current")),
-                _h(cell.get("direction")),
-                f'<span class="spark">{html.escape(_spark(history))}</span>'
-                if _spark(history) else "-",
-                _h(len(history)),
-            ])
-        parts += _html_table(
-            ["bench metric", "current", "better", "trend", "runs"], rows)
-
-    fed = model.get("federation") or {}
-    if fed:
-        util = fed.get("utilization")
-        parts.append("<h2>Metrics federation</h2>")
+    if not model.get("alerts"):
         parts.append(
-            f"<p class=\"muted\">{_h(fed.get('targets', 0))} targets, "
-            f"{_h(fed.get('scrapes', 0))} scrapes, "
-            f"{_h(fed.get('misses', 0))} misses, "
-            f"{_h(fed.get('merges', 0))} merges"
-            + (f", scrape overhead {util:.2%} of the busiest link"
-               if util is not None else "") + "</p>")
-        parts += _html_table(
-            ["node", "state", "version", "last scrape t (s)", "scraped"],
-            [[_h(n["endpoint"]), _h(n["state"]),
-              _h(n["version"] or "-"), _h(n["arrival_s"]),
-              _verdict(bool(n["scraped"]), bad="NEVER SCRAPED")]
-             for n in fed.get("nodes") or []])
-        hists = fed.get("histograms") or []
-        if hists:
-            parts.append("<h3>cluster-wide merged quantiles</h3>")
-            parts += _html_table(
-                ["merged series", "labels", "count", "p50", "p95", "p99",
-                 "max"],
-                [[_h(h["name"]),
-                  _h(", ".join(f"{k}={v}" for k, v
-                               in sorted(h["labels"].items())) or "-"),
-                  _h(h["count"]), _h(h["p50"]), _h(h["p95"]), _h(h["p99"]),
-                  _h(h["max"])] for h in hists])
-
-    tsdb = model.get("tsdb") or {}
-    if tsdb:
-        parts.append("<h2>Time series</h2>")
-        parts.append(
-            f"<p class=\"muted\">retention "
-            f"{_h(tsdb.get('retention_points'))} raw points per series, "
-            f"{_h(tsdb.get('downsample_ratio'))}:1 downsample on "
-            "age-out</p>")
-        rows = []
-        for s in tsdb.get("series") or []:
-            spark = _spark(s.get("values") or [])
-            rows.append([
-                _h(s["name"]), _h(s["kind"]), _h(s["points"]),
-                _h(s["downsampled"]), _h(s.get("latest")),
-                (f'<span class="spark">{html.escape(spark)}</span>'
-                 if spark else "-"),
-            ])
-        parts += _html_table(
-            ["series", "kind", "points", "aged", "latest", "spark"], rows)
-
-    flight = model.get("flight") or {}
-    slowest = flight.get("slowest") or []
-    if slowest:
-        n_err = len(flight.get("errors") or [])
-        parts.append("<h2>Flight recorder — slow-trace waterfalls</h2>")
-        parts.append(
-            f"<p class=\"muted\">{len(slowest)} slow traces retained of "
-            f"{_h(flight.get('recorded', len(slowest)))} recorded; "
-            f"{n_err} error traces; {_h(flight.get('dumps', 0))} dumps. "
-            "Bars are stage offsets/durations within each trace's "
-            "measured wall time.</p>")
-        for t in slowest[:_WATERFALL_TRACES]:
-            parts += _waterfall(t)
-
-    events = model.get("journal_tail") or []
-    if events:
-        parts.append(
-            f"<h2>Journal tail ({len(events)} of "
-            f"{_h(model.get('journal_events_total', len(events)))} "
-            "events)</h2>")
-        parts += _html_table(
-            ["seq", "t (s)", "event", "fields"],
-            [[_h(e["seq"]), _h(round(e["mono_s"], 3)), _h(e["kind"]),
-              _h(", ".join(f"{k}={_fmt(v)}"
-                           for k, v in sorted(e["fields"].items())) or "-")]
-             for e in events])
-
-    metrics = model.get("metrics")
-    if metrics:
-        parts.append("<h2>Metrics snapshot</h2>")
-        for kind in ("counters", "gauges"):
-            rows = [[_h(m["name"]),
-                     _h(", ".join(f"{k}={v}" for k, v
-                                  in sorted(m["labels"].items())) or "-"),
-                     _h(m["value"])]
-                    for m in metrics["metrics"][kind]]
-            if rows:
-                parts.append(f"<h3>{kind}</h3>")
-                parts += _html_table(["name", "labels", "value"], rows)
-        hist_rows = [[_h(m["name"]),
-                      _h(", ".join(f"{k}={v}" for k, v
-                                   in sorted(m["labels"].items())) or "-"),
-                      _h(m["count"]), _h(m["mean"]), _h(m["p50"]),
-                      _h(m["p95"]), _h(m["p99"]), _h(m["max"])]
-                     for m in metrics["metrics"]["histograms"]]
-        if hist_rows:
-            parts.append("<h3>histograms (windowed percentiles)</h3>")
-            parts += _html_table(
-                ["name", "labels", "count", "mean", "p50", "p95", "p99",
-                 "max"], hist_rows)
-
+            f"<p>alerts: {_html_cell(_Verdict(True, 'none active'))}</p>")
+    for title, headers, rows in _tables(model):
+        parts += _html_table(title, headers, rows)
+        if headers is _FLIGHT_HEADERS:
+            parts.append(
+                "<p class=\"muted\">Bars are stage offsets/durations "
+                "within each trace's measured wall time.</p>")
+            for trace in model["flight"]["slowest"][:_WATERFALL_TRACES]:
+                parts += _waterfall(trace)
     parts.append("</body></html>")
     return "\n".join(parts)
 
@@ -704,9 +439,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--flight", default=None, metavar="PATH",
                         help="flight-recorder dump JSONL (one trace per "
                              "line) rendered as slow-trace waterfalls")
-    parser.add_argument("--tsdb", default=None, metavar="DIR",
-                        help="persisted repro.obs.tsdb directory, "
-                             "rendered as per-series sparklines")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write self-contained HTML here "
                              "(default: terminal rendering to stdout)")
@@ -723,14 +455,8 @@ def main(argv: Optional[List[str]] = None) -> None:
     if args.flight:
         flight = [json.loads(line) for line
                   in Path(args.flight).read_text().splitlines() if line]
-    tsdb = None
-    if args.tsdb:
-        from repro.obs.tsdb import TimeSeriesStore
-
-        tsdb = TimeSeriesStore.open(args.tsdb)
     model = build_dashboard(snapshot=snapshot, journal_events=events,
-                            bench_root=args.bench_root, flight=flight,
-                            tsdb=tsdb)
+                            bench_root=args.bench_root, flight=flight)
     if args.out:
         print(f"dashboard written to {write_dashboard(args.out, model)}")
     else:

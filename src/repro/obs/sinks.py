@@ -10,7 +10,9 @@ Three formats, one source of truth:
   ``# TYPE`` headers, label sets, histogram summaries as quantile
   series) for scraping or pushing;
 * :func:`metrics_table` — the human-readable tables, rendered through
-  :mod:`repro.reporting` like every other report in the repo.
+  :mod:`repro.reporting` like every other report in the repo; their
+  rows come from :func:`metric_tables`, which the dashboard's metrics
+  panel draws too.
 
 Snapshot schema (version 1)::
 
@@ -50,13 +52,14 @@ import math
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.attrib import TraceCollector
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
+    "metric_tables",
     "metrics_snapshot",
     "metrics_table",
     "to_prometheus",
@@ -270,33 +273,36 @@ def _fmt_float(value: Any) -> str:
     return f"{value:.6g}"
 
 
+def metric_tables(metrics: Mapping[str, Any]
+                  ) -> List[Tuple[str, List[str], List[List[str]]]]:
+    """``(title, headers, rows)`` for a snapshot's ``metrics`` block:
+    counters/gauges, then histogram summaries, each left out when it
+    has no rows (the dashboard's metrics panel draws the same tables)."""
+    tables = []
+    scalar_rows = sorted(
+        [row["name"], kind[:-1], _fmt_labels(row["labels"]),
+         _fmt_float(row["value"])]
+        for kind in ("counters", "gauges") for row in metrics[kind])
+    if scalar_rows:
+        tables.append(("counters / gauges",
+                       ["metric", "kind", "labels", "value"], scalar_rows))
+    hist_rows = sorted(
+        [row["name"], _fmt_labels(row["labels"]), str(row["count"])]
+        + [_fmt_float(row[field])
+           for field in ("mean", "p50", "p95", "p99", "max")]
+        for row in metrics["histograms"])
+    if hist_rows:
+        tables.append(("histograms (windowed percentiles)",
+                       ["histogram", "labels", "count", "mean", "p50",
+                        "p95", "p99", "max"], hist_rows))
+    return tables
+
+
 def metrics_table(registry: MetricsRegistry) -> str:
     """Counters/gauges and histogram summaries as aligned tables."""
     from repro.reporting import format_table  # deferred: keep obs light
 
-    sections: List[str] = []
-    scalar_rows = [
-        [s.name, s.kind, _fmt_labels(s.labels), _fmt_float(float(s.value))]
-        for s in list(registry.counters()) + list(registry.gauges())
-    ]
-    if scalar_rows:
-        sections.append(format_table(
-            ["metric", "kind", "labels", "value"],
-            sorted(scalar_rows), title="counters / gauges",
-        ))
-    hist_rows = []
-    for h in registry.histograms():
-        s = h.summary()
-        hist_rows.append([
-            h.name, _fmt_labels(h.labels), str(s["count"]),
-            _fmt_float(s["mean"]), _fmt_float(s["p50"]),
-            _fmt_float(s["p95"]), _fmt_float(s["p99"]),
-            _fmt_float(s["max"]),
-        ])
-    if hist_rows:
-        sections.append(format_table(
-            ["histogram", "labels", "count", "mean", "p50", "p95", "p99",
-             "max"],
-            sorted(hist_rows), title="histograms (windowed percentiles)",
-        ))
-    return "\n\n".join(sections) if sections else "(no metrics recorded)"
+    return "\n\n".join(
+        format_table(headers, rows, title=title)
+        for title, headers, rows in metric_tables(registry.snapshot())
+    ) or "(no metrics recorded)"

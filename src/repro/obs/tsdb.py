@@ -3,38 +3,28 @@
 Registries answer "what is the value *now*"; the trend questions the
 roadmap's raw-speed push keeps asking ("is p99 creeping?", "did the
 scrape rate fall after the reshard?") need values *over time*.  This
-module is the smallest honest database for that job: per-series
-append-only rings with two tiers —
+module is the smallest honest in-memory database for that job:
+per-series append-only rings with two tiers —
 
 * a **raw tier** of the most recent ``retention_points`` samples,
   exactly as appended;
 * a **downsampled tier** that raw blocks age into at
-  ``downsample_ratio``:1 — counters become the block's average *rate*
-  (a summed total would be meaningless after losing the samples),
-  gauges become the block mean, and sketch samples merge into one
-  block sketch (exact, by construction) — so old history keeps its
+  ``downsample_ratio``:1 — counters keep the block's last cumulative
+  sample (so :meth:`TimeSeriesStore.rate` differences across tiers and
+  an increment landing between two blocks is never lost), gauges
+  become the block mean, and sketch samples merge into one block
+  sketch (exact, by construction) — so old history keeps its
   quantiles at 1/10th the storage.
 
 Each age-out journals ``obs.tsdb_evict`` and counts on
 ``fed.tsdb.evictions``; appends count on ``fed.tsdb.appends``.
-
-Persistence is an append-only JSONL file per series under ``root``
-(None = memory only), compacted back to the retained window whenever
-the file grows past twice the retained point count — the "ring" is the
-compaction, not an O(1) seek structure; at telemetry rates that is the
-right trade.  :meth:`TimeSeriesStore.open` re-reads a directory into a
-queryable store, which is how ``dash.py`` renders sparklines from a
-finished run.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from collections import deque
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.journal import Journal, get_journal
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -48,84 +38,58 @@ DEFAULT_RETENTION_POINTS = 512
 #: Raw points folded into one downsampled point on age-out.
 DEFAULT_DOWNSAMPLE_RATIO = 10
 
-_SAFE = re.compile(r"[^A-Za-z0-9_.-]+")
-
-
-def _filename(series: str) -> str:
-    return _SAFE.sub("_", series) + ".jsonl"
-
 
 class Point:
     """One sample: time, value, and how it should aggregate.
 
     ``kind`` is ``"gauge"`` (mean on downsample), ``"counter"``
-    (cumulative total; rate on downsample) or ``"sketch"`` (``value``
-    is a :class:`QuantileSketch`; merge on downsample).  Downsampled
-    points carry ``span`` — how many raw samples they summarize — and
-    ``t_end_s``, the timestamp of the last raw sample they cover,
-    which is what lets :meth:`TimeSeriesStore.open` drop raw lines a
-    later downsampled line already accounts for.
+    (cumulative total; the block's last sample on downsample) or
+    ``"sketch"`` (``value`` is a :class:`QuantileSketch`; merge on
+    downsample).  ``span`` is how many raw samples the point
+    summarizes: 1 for a raw point, the block size for an aged one.
     """
 
-    __slots__ = ("t_s", "value", "kind", "span", "t_end_s")
+    __slots__ = ("t_s", "value", "kind", "span")
 
     def __init__(self, t_s: float, value: Any, kind: str = "gauge",
-                 span: int = 1, t_end_s: Optional[float] = None):
+                 span: int = 1):
         self.t_s = t_s
         self.value = value
         self.kind = kind
         self.span = span
-        self.t_end_s = t_end_s
 
     def as_dict(self) -> Dict[str, Any]:
         value = (self.value.as_dict()
                  if isinstance(self.value, QuantileSketch) else self.value)
-        payload = {"t_s": self.t_s, "value": value, "kind": self.kind,
-                   "span": self.span}
-        if self.t_end_s is not None:
-            payload["t_end_s"] = self.t_end_s
-        return payload
+        return {"t_s": self.t_s, "value": value, "kind": self.kind,
+                "span": self.span}
 
     def __repr__(self) -> str:
         return f"Point(t={self.t_s:.6g}, kind={self.kind}, span={self.span})"
 
 
-def _point_from_dict(payload: Dict[str, Any]) -> Point:
-    value = payload["value"]
-    if payload["kind"] == "sketch" and isinstance(value, dict):
-        value = QuantileSketch.from_dict(value)
-    t_end = payload.get("t_end_s")
-    return Point(float(payload["t_s"]), value, payload.get("kind", "gauge"),
-                 int(payload.get("span", 1)),
-                 float(t_end) if t_end is not None else None)
-
-
 class _Series:
-    """One series' two tiers plus its sink file bookkeeping."""
+    """One series' two tiers."""
 
-    __slots__ = ("name", "raw", "downsampled", "file_lines")
+    __slots__ = ("name", "raw", "downsampled")
 
-    def __init__(self, name: str, retention: int):
+    def __init__(self, name: str):
         self.name = name
         self.raw: deque = deque()
         self.downsampled: List[Point] = []
-        self.file_lines = 0
 
 
 class TimeSeriesStore:
-    """Two-tier time-series storage with JSONL persistence.
+    """Two-tier in-memory time-series storage.
 
     Args:
-        root: directory for per-series JSONL files (created on demand);
-            None keeps everything in memory.
         retention_points: raw samples kept per series.
         downsample_ratio: raw points folded into one aged point.
         registry / journal: where ``fed.tsdb.*`` telemetry and
             ``obs.tsdb_evict`` events land.
     """
 
-    def __init__(self, root: Union[str, Path, None] = None,
-                 retention_points: int = DEFAULT_RETENTION_POINTS,
+    def __init__(self, retention_points: int = DEFAULT_RETENTION_POINTS,
                  downsample_ratio: int = DEFAULT_DOWNSAMPLE_RATIO,
                  registry: Optional[MetricsRegistry] = None,
                  journal: Optional[Journal] = None):
@@ -133,7 +97,6 @@ class TimeSeriesStore:
             raise ValueError("retention_points must be >= 2")
         if downsample_ratio < 2:
             raise ValueError("downsample_ratio must be >= 2")
-        self.root = Path(root) if root is not None else None
         self.retention_points = retention_points
         self.downsample_ratio = downsample_ratio
         self._registry = registry
@@ -168,17 +131,15 @@ class TimeSeriesStore:
             value = QuantileSketch.from_dict(value)
         entry = self._series.get(series)
         if entry is None:
-            entry = _Series(series, self.retention_points)
+            entry = _Series(series)
             self._series[series] = entry
         if entry.raw and t_s < entry.raw[-1].t_s:
             raise ValueError(
                 f"series {series!r}: append at t={t_s} behind tail "
                 f"t={entry.raw[-1].t_s} (rings are append-only)")
-        point = Point(t_s, value, kind)
-        entry.raw.append(point)
+        entry.raw.append(Point(t_s, value, kind))
         self.appends += 1
         self.registry.counter("fed.tsdb.appends").inc()
-        self._persist(entry, point)
         if len(entry.raw) > self.retention_points:
             self._age_out(entry)
 
@@ -187,115 +148,31 @@ class TimeSeriesStore:
         downsampled point; journals the eviction."""
         block = [entry.raw.popleft()
                  for _ in range(min(self.downsample_ratio, len(entry.raw)))]
-        aged = self._downsample(block)
-        entry.downsampled.append(aged)
-        # Persist the aged point too, so a crash between compactions
-        # re-opens to exactly the live two-tier state (raw lines the
-        # aged point covers are dropped by open() via its t_end_s).
-        self._persist(entry, aged)
+        entry.downsampled.append(self._downsample(block))
         self.evictions += 1
         self.registry.counter("fed.tsdb.evictions").inc()
         self.journal.emit("obs.tsdb_evict", series=entry.name,
                           points=len(block),
                           from_s=block[0].t_s, to_s=block[-1].t_s)
-        self._compact(entry)
 
     @staticmethod
     def _downsample(block: Sequence[Point]) -> Point:
         """One aged point summarizing ``block`` (oldest raw samples)."""
         kind = block[0].kind
-        t_mid = block[len(block) // 2].t_s
         span = sum(p.span for p in block)
-        t_end = block[-1].t_s
+        if kind == "counter":
+            # The last cumulative total, at its own time: rate()
+            # differences it against the next block, so an increment
+            # between two blocks is kept.
+            return Point(block[-1].t_s, block[-1].value, "counter", span)
+        t_mid = block[len(block) // 2].t_s
         if kind == "sketch":
             merged = QuantileSketch.merged(
                 [p.value for p in block
                  if isinstance(p.value, QuantileSketch)])
-            return Point(t_mid, merged, "sketch", span, t_end)
-        if kind == "counter":
-            dt = block[-1].t_s - block[0].t_s
-            dv = float(block[-1].value) - float(block[0].value)
-            rate = dv / dt if dt > 0 else 0.0
-            return Point(t_mid, rate, "rate", span, t_end)
+            return Point(t_mid, merged, "sketch", span)
         mean = sum(float(p.value) for p in block) / len(block)
-        return Point(t_mid, mean, "gauge", span, t_end)
-
-    # -- persistence ---------------------------------------------------
-
-    def _path(self, series: str) -> Optional[Path]:
-        if self.root is None:
-            return None
-        return self.root / _filename(series)
-
-    def _persist(self, entry: _Series, point: Point) -> None:
-        path = self._path(entry.name)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a") as stream:
-            stream.write(json.dumps({"series": entry.name,
-                                     **point.as_dict()},
-                                    sort_keys=True) + "\n")
-        entry.file_lines += 1
-
-    def _compact(self, entry: _Series) -> None:
-        """Rewrite the sink to the retained window once the append-only
-        file holds twice the live point count — this is what makes the
-        file a bounded ring rather than an unbounded log."""
-        path = self._path(entry.name)
-        if path is None:
-            return
-        live = len(entry.downsampled) + len(entry.raw)
-        if entry.file_lines <= 2 * max(live, 1):
-            return
-        tmp = path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w") as stream:
-            for point in list(entry.downsampled) + list(entry.raw):
-                stream.write(json.dumps({"series": entry.name,
-                                         **point.as_dict()},
-                                        sort_keys=True) + "\n")
-        tmp.replace(path)
-        entry.file_lines = live
-
-    @classmethod
-    def open(cls, root: Union[str, Path],
-             **kwargs) -> "TimeSeriesStore":
-        """Re-read a persisted directory into a queryable store.
-
-        Downsampled points (``kind`` ``"rate"`` or ``span > 1``) land
-        back in the downsampled tier, raw points in the raw tier —
-        re-opening is lossless with respect to what was retained.
-        """
-        store = cls(root=root, **kwargs)
-        root = Path(root)
-        if not root.exists():
-            return store
-        for path in sorted(root.glob("*.jsonl")):
-            for line in path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                payload = json.loads(line)
-                name = payload.pop("series")
-                point = _point_from_dict(payload)
-                entry = store._series.get(name)
-                if entry is None:
-                    entry = _Series(name, store.retention_points)
-                    store._series[name] = entry
-                if point.kind == "rate" or point.span > 1:
-                    entry.downsampled.append(point)
-                else:
-                    entry.raw.append(point)
-                entry.file_lines += 1
-        # Raw lines a downsampled line already covers (written before
-        # their block aged out, still awaiting compaction) would double
-        # count; the aged point's coverage end says which to drop.
-        for entry in store._series.values():
-            covered = max((p.t_end_s for p in entry.downsampled
-                           if p.t_end_s is not None), default=None)
-            if covered is not None:
-                entry.raw = deque(p for p in entry.raw
-                                  if p.t_s > covered)
-        return store
+        return Point(t_mid, mean, "gauge", span)
 
     # -- querying ------------------------------------------------------
 
@@ -316,25 +193,17 @@ class TimeSeriesStore:
 
     def rate(self, series: str, t0_s: float = -math.inf,
              t1_s: float = math.inf) -> float:
-        """Average per-second rate of a counter series over the window.
-
-        Uses raw cumulative samples when at least two fall inside the
-        window; otherwise averages the downsampled block rates — the
-        honest answer once the raw samples are gone.
-        """
-        window = self.range(series, t0_s, t1_s)
-        raw = [p for p in window if p.kind == "counter"]
-        if len(raw) >= 2:
-            dt = raw[-1].t_s - raw[0].t_s
-            if dt <= 0:
-                return 0.0
-            return (float(raw[-1].value) - float(raw[0].value)) / dt
-        rates = [p for p in window if p.kind == "rate"]
-        if not rates:
+        """Average per-second rate of a counter series over the window:
+        the difference between its first and last cumulative samples,
+        whichever tier each sits in (0.0 with fewer than two)."""
+        samples = [p for p in self.range(series, t0_s, t1_s)
+                   if p.kind == "counter"]
+        if len(samples) < 2:
             return 0.0
-        total_span = sum(p.span for p in rates)
-        return (sum(float(p.value) * p.span for p in rates) / total_span
-                if total_span else 0.0)
+        dt = samples[-1].t_s - samples[0].t_s
+        if dt <= 0:
+            return 0.0
+        return (float(samples[-1].value) - float(samples[0].value)) / dt
 
     def quantile(self, series: str, q: float, t0_s: float = -math.inf,
                  t1_s: float = math.inf) -> float:
@@ -366,6 +235,5 @@ class TimeSeriesStore:
         return len(self._series)
 
     def __repr__(self) -> str:
-        sink = str(self.root) if self.root else "memory"
-        return (f"TimeSeriesStore({sink}, series={len(self._series)}, "
+        return (f"TimeSeriesStore(series={len(self._series)}, "
                 f"appends={self.appends}, evictions={self.evictions})")

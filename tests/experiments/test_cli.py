@@ -170,6 +170,18 @@ class TestCheck:
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith("error: toy publishes no checks")
 
+    def test_dash_shows_the_checks_and_the_flight_recorder(
+            self, tmp_path, capsys):
+        path = tmp_path / "dash.html"
+        main(["health", "--scale", "0.1", "--check", "--dash", str(path)])
+        assert capsys.readouterr().out.strip().splitlines()[-1] == (
+            "health-check: ok")
+        page = path.read_text()
+        assert "<h2>checks (12/12 hold)</h2>" in page
+        assert "<h2>flight recorder — slowest traces" in page
+        assert '<div class="wf">' in page
+        assert not get_registry().enabled
+
     def test_verdict_goes_to_stderr_when_the_artifact_is_stdout(
             self, toy, capsys):
         main([toy, "--check", "--artifact", "-",

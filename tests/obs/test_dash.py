@@ -1,17 +1,20 @@
 """The unified dashboard: model assembly, terminal and HTML rendering."""
 
+import html
 import json
+import re
 
 import pytest
 
-from repro.obs import Journal, MetricsRegistry
+from repro.obs import Journal, MetricsRegistry, set_journal
+from repro.obs.attrib import FlightRecorder, Stage, Trace
 from repro.obs.dash import (
     build_dashboard,
     render_html,
     render_text,
     write_dashboard,
 )
-from repro.obs.dash import _spark, main as dash_main
+from repro.obs.dash import _WATERFALL_TRACES, _spark, main as dash_main
 from repro.obs.health import (
     HashQualityDetector,
     SloEngine,
@@ -88,6 +91,15 @@ class TestModel:
             6, 7, 8, 9]
         assert model["journal_events_total"] == 10
 
+    def test_process_journal_counts_lifetime_events(self):
+        journal = Journal()  # default tail keeps the last 2048
+        set_journal(journal)
+        for i in range(2100):
+            journal.emit("experiment.start", experiment="x", seed=i)
+        model = build_dashboard()
+        assert len(model["journal_tail"]) == 40
+        assert model["journal_events_total"] == 2100
+
     def test_journal_events_may_come_from_disk(self, tmp_path):
         events = [{"seq": 0, "mono_s": 0.1, "kind": "replayed",
                    "fields": {}, "ts_unix_s": 1.0, "schema_version": 1}]
@@ -98,6 +110,29 @@ class TestModel:
         model = build_dashboard()
         assert "alerts: none active" in render_text(model)
         assert "<html" in render_html(model)
+
+
+def _trace(i, wall_s, stage="store.get", status="ok"):
+    return Trace(f"t{i:04d}", "get", "pmod", status, 0.0, wall_s,
+                 (Stage("queue", 0.0, wall_s / 4),
+                  Stage(stage, wall_s / 4, wall_s / 2)))
+
+
+def _text_tables(text):
+    """(title, headers) of every format_table in a text rendering."""
+    lines = text.splitlines()
+    return [(lines[i - 1],
+             [cell.strip() for cell in lines[i + 1].strip("|").split("|")])
+            for i, line in enumerate(lines)
+            if line.startswith("+-") and not lines[i - 1].startswith("|")]
+
+
+def _html_tables(page):
+    """(title, headers) of every panel table in an HTML rendering."""
+    return [(html.unescape(title),
+             [html.unescape(h) for h in re.findall(r"<th>(.*?)</th>", row)])
+            for title, row in re.findall(
+                r"<h2>(.*?)</h2>\n<table>\n<tr>(.*?)</tr>", page)]
 
 
 class TestFederationAndTsdbPanels:
@@ -116,67 +151,87 @@ class TestFederationAndTsdbPanels:
         fed.collect(cluster.virtual_now_s)
         return cluster, fed
 
-    def _tsdb(self):
-        from repro.obs.tsdb import TimeSeriesStore
-
-        store = TimeSeriesStore(retention_points=8, downsample_ratio=4,
-                                registry=MetricsRegistry(enabled=True))
-        for t in range(40):
-            store.append("cluster.ops", float(t), t * 3.0,
-                         kind="counter")
-        return store
-
     def test_federation_panel_from_a_live_federation(self):
-        cluster, fed = self._federated()
-        model = build_dashboard(
-            federation=fed, federation_elapsed_s=cluster.virtual_now_s)
-        json.dumps(model)  # sketches must not leak into the model
-        panel = model["federation"]
-        assert panel["targets"] == len(cluster.nodes)
-        assert panel["scrapes"] + panel["misses"] == panel["targets"]
-        assert panel["merges"] == 1
-        assert panel["utilization"] is not None
-        scraped = [n for n in panel["nodes"] if n["scraped"]]
-        assert scraped and all(n["state"] == "up" for n in scraped)
-        assert any(row["name"] == "cluster.node.request_latency_s"
-                   for row in panel["histograms"])
-        assert all("sketch" not in row for row in panel["histograms"])
+        _cluster, fed = self._federated()
+        model = build_dashboard(registry=fed.merged)
+        json.dumps(model)
+        merged = [row for row in model["metrics"]["metrics"]["histograms"]
+                  if row["name"] == "cluster.node.request_latency_s"
+                  and row["count"]]
+        assert merged and all("node" in row["labels"] for row in merged)
+        text_rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                     for line in render_text(model).splitlines()
+                     if line.startswith("|")]
+        html_rows = [[html.unescape(cell) for cell
+                      in re.findall(r"<td>(.*?)</td>", row)]
+                     for row in re.findall(r"<tr>(<td>.*?)</tr>",
+                                           render_html(model))]
+        for row in merged:  # the cluster-wide quantiles, one per node
+            cells = [row["name"],
+                     ",".join(f"{k}={v}"
+                              for k, v in sorted(row["labels"].items())),
+                     str(row["count"])] + [
+                f"{row[field]:.6g}"
+                for field in ("mean", "p50", "p95", "p99", "max")]
+            assert cells in text_rows
+            assert cells in html_rows
 
     def test_tsdb_panel_scalarizes_and_bounds_sparklines(self):
-        model = build_dashboard(tsdb=self._tsdb())
+        recorder = FlightRecorder(slow_capacity=_WATERFALL_TRACES + 3)
+        for i in range(3 * _WATERFALL_TRACES):
+            recorder.record(_trace(i, 1e-3 * (i + 1)))
+        model = build_dashboard(flight=recorder)
         json.dumps(model)
-        panel = model["tsdb"]
-        assert panel["retention_points"] == 8
-        (series,) = panel["series"]
-        assert series["name"] == "cluster.ops"
-        assert series["downsampled"] > 0  # rate blocks aged in
-        assert len(series["values"]) <= 40
-        assert series["latest"] == series["values"][-1]
+        assert len(model["flight"]["slowest"]) == _WATERFALL_TRACES + 3
+        assert model["flight"]["recorded"] == 3 * _WATERFALL_TRACES
+        page = render_html(model)
+        assert page.count('<div class="wf">') == _WATERFALL_TRACES
+        # Slowest first: the last recorded trace leads the waterfalls.
+        assert f"t{3 * _WATERFALL_TRACES - 1:04d} — op=get" in page
 
     def test_prebuilt_mappings_pass_through(self):
-        model = build_dashboard(federation={"targets": 2},
-                                tsdb={"series": []})
-        assert model["federation"] == {"targets": 2}
-        assert model["tsdb"] == {"series": []}
+        flight = {"recorded": 1, "dumps": 0, "errors": [],
+                  "slowest": [_trace(0, 2e-3).as_dict()]}
+        snapshot = {"metrics": {"counters": [], "gauges": [],
+                                "histograms": []}, "spans": []}
+        model = build_dashboard(flight=flight, snapshot=snapshot)
+        assert model["flight"] == flight
+        assert model["metrics"] == snapshot
 
-    def test_panels_render_in_text_and_html(self):
-        cluster, fed = self._federated()
-        model = build_dashboard(
-            federation=fed, federation_elapsed_s=cluster.virtual_now_s,
-            tsdb=self._tsdb())
-        text = render_text(model)
-        assert "metrics federation" in text
-        assert "cluster-wide merged quantiles" in text
-        assert "time series" in text
-        html = render_html(model)
-        assert "Metrics federation" in html
-        assert "Time series" in html
+    def test_panels_render_in_text_and_html(self, tmp_path):
+        recorder = FlightRecorder()
+        recorder.record(_trace(0, 2e-3))
+        recorder.record(_trace(1, 3e-3, status="error"))
+        model = seeded_sources(tmp_path)
+        model["flight"] = recorder.snapshot()
+        model["alerts"] = [{"slo": "serve-p99-latency", "window": "fast",
+                            "severity": "page", "burn_rate": 20.0,
+                            "threshold": 14.4, "message": "burning"}]
+        text_tables = _text_tables(render_text(model))
+        assert [title for title, _ in text_tables][:7] == [
+            "active alerts (1)", "SLO burn rates",
+            "hash-quality drift (Eq. 1 balance / Eq. 2 concentration "
+            "bands)", "checks (1/2 hold)",
+            "bench trajectory (BENCH_*.json + history)",
+            "flight recorder — slowest traces (2 retained, 2 recorded, "
+            "1 errors, 0 dumps)",
+            "journal tail (3 of 3 events)"]
+        assert len(text_tables) == 9  # + the two metrics tables
+        assert _html_tables(render_html(model)) == text_tables
 
     def test_absent_panels_stay_out_of_the_model(self):
-        model = build_dashboard()
-        assert model["federation"] is None
-        assert model["tsdb"] is None
-        assert "metrics federation" not in render_text(model)
+        model = build_dashboard(registry=MetricsRegistry(enabled=True),
+                                journal_events=[], checks={},
+                                flight=FlightRecorder())
+        assert model["checks"] == {}
+        assert model["journal_tail"] == []
+        assert model["flight"]["slowest"] == []
+        assert model["metrics"]["metrics"] == {
+            "counters": [], "gauges": [], "histograms": []}
+        text = render_text(model)
+        page = render_html(model)
+        assert _text_tables(text) == [] and "+-" not in text
+        assert "<table>" not in page and '<div class="wf">' not in page
 
 
 class TestRenderText:
@@ -205,11 +260,33 @@ class TestRenderHtml:
         assert "<script>alert(1)</script>" not in page
         assert "&lt;script&gt;" in page
 
+    def test_every_panel_escapes_its_cells(self):
+        hostile = "<script>alert('x')</script>"
+        registry = MetricsRegistry(enabled=True)
+        registry.gauge("store.balance", scheme=hostile).set(1.0)
+        model = build_dashboard(
+            registry=registry, checks={hostile: False},
+            drift_statuses=[{"scheme": hostile, "balance": 9.0,
+                             "balance_max": 1.5, "concentration": 9.0,
+                             "concentration_max": 2.0, "ok": False}],
+            alerts=[{"slo": "serve-p99-latency", "window": "fast",
+                     "severity": "page", "burn_rate": 20.0,
+                     "threshold": 14.4, "message": hostile}],
+            flight=[_trace(0, 2e-3, stage=hostile).as_dict()])
+        model["bench"] = {hostile: {"current": 1.0, "direction": "higher",
+                                    "history": [1.0, 2.0]}}
+        page = render_html(model)
+        assert hostile not in page and "<script" not in page
+        escaped = html.escape(hostile)
+        # check, label value, drift scheme, alert message, bench
+        # metric, and the stage in the flight table and its waterfall
+        assert page.count(escaped) >= 7
+
     def test_drift_and_checks_verdicts_rendered(self, tmp_path):
         page = render_html(seeded_sources(tmp_path))
         assert '<span class="bad">DRIFT</span>' in page
         assert '<span class="ok">ok</span>' in page
-        assert "Bench trajectory" in page
+        assert "bench trajectory" in page
 
 
 class TestSpark:
@@ -242,6 +319,24 @@ class TestWriteAndCli:
                    "--out", str(out)])
         assert "dashboard written to" in capsys.readouterr().out
         assert "cli.smoke" in out.read_text()
+
+    def test_cli_draws_a_dumped_flight_recorder(self, tmp_path, capsys):
+        recorder = FlightRecorder()
+        for i, wall_s in enumerate((1e-3, 4e-3, 2e-3)):
+            recorder.record(_trace(i, wall_s, stage=f"stage{i}"))
+        recorder.record(_trace(3, 3e-3, status="error"))
+        dump = tmp_path / "flight.jsonl"
+        recorder.dump(dump, reason="test")
+        out = tmp_path / "dash.html"
+        dash_main(["--flight", str(dump), "--out", str(out)])
+        capsys.readouterr()
+        page = out.read_text()
+        # Slowest first, one waterfall per dumped trace, with its stages.
+        assert re.findall(r"<h3>(t\d+) — op=get", page) == [
+            "t0001", "t0003", "t0002", "t0000"]
+        assert recorder.slowest()[0].trace_id == "t0001"
+        assert ">stage1</span>" in page
+        assert "4 retained, 4 recorded, 1 errors" in page
 
     def test_cli_defaults_to_terminal_rendering(self, tmp_path, capsys):
         snapshot_path = tmp_path / "metrics.json"

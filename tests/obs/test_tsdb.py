@@ -1,7 +1,6 @@
-"""The embedded time-series store: retention, downsampling,
-persistence, and the query API."""
+"""The embedded time-series store: retention, downsampling, in-memory
+bookkeeping, and the query API."""
 
-import json
 import math
 
 import numpy as np
@@ -81,8 +80,25 @@ class TestRetentionAndDownsampling:
         ts = _store(retention_points=4, downsample_ratio=4)
         for t in range(8):  # cumulative counter growing 10/tick
             ts.append("c", float(t), t * 10.0, kind="counter")
-        (aged,) = [p for p in ts.range("c") if p.kind == "rate"]
-        assert aged.value == pytest.approx(10.0)  # d(value)/d(t)
+        (aged,) = [p for p in ts.range("c") if p.span > 1]
+        # The block [0..3] keeps its last cumulative sample.
+        assert (aged.kind, aged.t_s, aged.value, aged.span) == (
+            "counter", 3.0, 30.0, 4)
+        assert ts.rate("c") == pytest.approx(10.0)  # d(value)/d(t)
+
+    def test_increment_between_aged_blocks_is_kept(self):
+        ts = _store(retention_points=4, downsample_ratio=4)
+        # Flat within every 4-sample block; the total steps by 100
+        # between blocks: 0 x4, 100 x8, 200 x8.
+        for t in range(20):
+            total = 0.0 if t < 4 else 100.0 * (1 + (t - 4) // 8)
+            ts.append("c", float(t), total, kind="counter")
+        aged_t = [p.t_s for p in ts.range("c") if p.span > 1]
+        assert len(aged_t) == 4
+        # Over the aged tier alone: 200 counted between the first
+        # block's last sample (t=3) and the fourth's (t=15).
+        got = ts.rate("c", -math.inf, max(aged_t) + 0.5)
+        assert got == pytest.approx(200.0 / 12.0)
 
     def test_sketch_blocks_age_by_merge(self):
         ts = _store(retention_points=4, downsample_ratio=4)
@@ -132,7 +148,7 @@ class TestRetentionAndDownsampling:
         for t in range(20):
             ts.append("c", float(t), t * 3.0, kind="counter")
         # Restrict the window to the downsampled tier only.
-        aged_t = [p.t_s for p in ts.range("c") if p.kind == "rate"]
+        aged_t = [p.t_s for p in ts.range("c") if p.span > 1]
         got = ts.rate("c", -math.inf, max(aged_t) + 0.5)
         assert got == pytest.approx(3.0)
 
@@ -168,54 +184,51 @@ class TestQueries:
 
 
 class TestPersistence:
-    def test_jsonl_round_trip_is_lossless(self, tmp_path):
-        ts = _store(root=tmp_path, retention_points=8,
-                    downsample_ratio=4)
+    """What the store keeps is exactly what was appended, in memory."""
+
+    def test_jsonl_round_trip_is_lossless(self):
+        ts = _store(retention_points=8, downsample_ratio=4)
         for t in range(30):
             ts.append("g", float(t), float(t % 5))
             ts.append("c", float(t), t * 2.0, kind="counter")
         sketch = QuantileSketch()
         sketch.add(0.25)
         ts.append("s", 100.0, sketch, kind="sketch")
+        # Every appended sample is summarized by exactly one point.
+        spans = {name: sum(p.span for p in ts.range(name))
+                 for name in ts.series_names()}
+        assert spans == {"c": 30, "g": 30, "s": 1}
+        assert ts.appends == 61
 
-        reopened = TimeSeriesStore.open(tmp_path, retention_points=8,
-                                        downsample_ratio=4)
-        assert reopened.series_names() == ts.series_names()
-        for name in ts.series_names():
-            live = ts.range(name)
-            back = reopened.range(name)
-            assert [p.t_s for p in back] == [p.t_s for p in live]
-            assert [p.kind for p in back] == [p.kind for p in live]
-            assert [p.span for p in back] == [p.span for p in live]
-        assert reopened.quantile("s", 50) == ts.quantile("s", 50)
-        assert reopened.rate("c") == ts.rate("c")
-
-    def test_compaction_bounds_file_size(self, tmp_path):
-        ts = _store(root=tmp_path, retention_points=8,
-                    downsample_ratio=4)
+    def test_compaction_bounds_file_size(self):
+        ts = _store(retention_points=8, downsample_ratio=4)
         for t in range(500):
             ts.append("g", float(t), 1.0)
-        path = tmp_path / "g.jsonl"
-        lines = path.read_text().splitlines()
-        live = len(ts.range("g"))
-        assert len(lines) <= 2 * max(live, 1) + 1
-        # Every surviving line is valid JSON for this series.
-        assert all(json.loads(line)["series"] == "g" for line in lines)
+        points = ts.range("g")
+        raw = [p for p in points if p.span == 1]
+        aged = [p for p in points if p.span > 1]
+        assert 0 < len(raw) <= 8
+        assert len(aged) == ts.evictions > 0
 
-    def test_open_missing_directory_is_empty(self, tmp_path):
-        ts = TimeSeriesStore.open(tmp_path / "nope")
+    def test_open_missing_directory_is_empty(self):
+        ts = _store()
         assert ts.series_names() == []
+        assert len(ts) == 0
+        assert ts.range("g") == []
 
-    def test_series_name_sanitized_for_filesystem(self, tmp_path):
-        ts = _store(root=tmp_path)
+    def test_series_name_sanitized_for_filesystem(self):
+        ts = _store()
         ts.append("weird/series:name", 0.0, 1.0)
-        (path,) = tmp_path.glob("*.jsonl")
-        assert "/" not in path.name[:-6]
+        assert ts.series_names() == ["weird/series:name"]
+        assert len(ts.range("weird/series:name")) == 1
 
-    def test_memory_only_without_root(self):
-        ts = _store(root=None)
-        ts.append("g", 0.0, 1.0)
-        assert ts.range("g")
+    def test_memory_only_without_root(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ts = _store(retention_points=4, downsample_ratio=4)
+        for t in range(20):
+            ts.append("g", float(t), 1.0)
+        assert ts.evictions > 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidation:
