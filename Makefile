@@ -16,6 +16,9 @@ test:
 # The tier-1 gate: full suite, stop at first failure, quiet output —
 # then every drill's contract through the experiment CLI's --check
 # (store_sharding's Figure 5 ordering on served traffic included),
+# then the serving gate (tests/serve under asyncio debug mode, which
+# reports never-awaited coroutines and never-retrieved task
+# exceptions, plus the smoke load) and the tracing gate,
 # then the bench-regression gate over the recorded BENCH_* trajectory
 # (check-only: `make bench-check` is the target that appends history),
 # then an import check of the bench harness, which tier-1 never loads.
@@ -26,6 +29,7 @@ verify:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --check
 	PYTHONPATH=src $(PYTHON) -m repro.experiments adversary --check
 	PYTHONPATH=src $(PYTHON) -m repro.experiments federation --check
+	$(MAKE) serve-check
 	$(MAKE) trace-check
 	PYTHONPATH=src $(PYTHON) -m repro.obs.benchguard --no-update
 	PYTHONPATH=src $(PYTHON) -m pytest --collect-only -q benchmarks

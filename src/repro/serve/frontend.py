@@ -19,7 +19,9 @@ queue is ever unbounded*.  The pieces:
 * :class:`~repro.serve.batcher.Batcher` coalesces admitted requests
   per destination shard (keys route through the store's prime-indexed
   :class:`~repro.store.selector.ShardSelector`, so shard balance — the
-  paper's Eq. 1 — directly shapes queue depths and tail latency);
+  paper's Eq. 1 — directly shapes queue depths and tail latency); its
+  one drain task runs each store batch inside its own step, so only a
+  batch that an injected fault makes wait becomes a task;
 * :class:`~repro.serve.faults.FaultPolicy` bounds how long any attempt
   may wait and how often it may retry — one deadline sweep per frontend
   expires overdue attempts; an optional
@@ -57,7 +59,8 @@ import asyncio
 from collections import deque
 from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 from repro.obs import (
     MetricsRegistry,
@@ -120,9 +123,9 @@ class SimulateRequest:
         return f"{self.workload}:{self.scheme}"
 
 
-@dataclass(frozen=True)
-class Response:
-    """The explicit outcome of one submitted request.
+class Response(NamedTuple):
+    """The explicit outcome of one submitted request: an immutable
+    tuple, built positionally on the request path.
 
     ``latency_s`` is wall-clock (scheduler-dependent); ``service_time_s``
     is the deterministic virtual-clock batch-drain time (batch position
@@ -313,9 +316,10 @@ class Frontend:
         op = request.op
         key = getattr(request, "key", None)
         self.counts["requests"] += 1
-        counter = self._req_counters.get(op)
-        if counter is not None:
-            counter.inc()
+        if self._observed:
+            counter = self._req_counters.get(op)
+            if counter is not None:
+                counter.inc()
         ctx = self._maybe_trace(op, key)
         reason = self.admission.admit(self._pending)
         if reason is not None:
@@ -326,8 +330,8 @@ class Frontend:
             if ctx is not None:
                 ctx.stage_since("admit", start, reason=reason)
             return self._finish(Response(
-                op=op, key=key, status="rejected", reason=reason,
-                latency_s=perf_counter() - start), ctx)
+                op, key, "rejected", None, reason, 0,
+                perf_counter() - start), ctx)
         if op == "simulate":
             if self._simulate_fn is None:
                 self.counts["errors"] += 1
@@ -335,14 +339,14 @@ class Frontend:
                 if ctx is not None:
                     ctx.stage_since("admit", start)
                 return self._finish(Response(
-                    op=op, key=key, status="error",
-                    reason="no simulator configured",
-                    latency_s=perf_counter() - start), ctx)
+                    op, key, "error", None, "no simulator configured", 0,
+                    perf_counter() - start), ctx)
             sim = True
         else:
             sim = False
         if ctx is not None:
             ctx.stage_since("admit", start)
+        loop = asyncio.get_running_loop()
         retries = 0
         while True:
             # Routing is re-resolved every attempt: a reshard may have
@@ -352,7 +356,9 @@ class Frontend:
                 batcher, queue_id = self._sim_batcher, 0
             else:
                 batcher, queue_id = self._route(key)
-            item = WorkItem.make(request, trace=ctx)
+            # The enqueue time is read only by a traced request's stages.
+            item = WorkItem(request, loop.create_future(),
+                            0.0 if ctx is None else perf_counter(), ctx)
             self._pending += 1
             if self._pending > self.peak_queue_depth:
                 self.peak_queue_depth = self._pending
@@ -376,9 +382,8 @@ class Frontend:
                 get_journal().emit("serve.dropped", op=op,
                                    retries=retries)
                 return self._finish(Response(
-                    op=op, key=key, status="dropped", reason=str(exc),
-                    retries=retries, latency_s=perf_counter() - start,
-                    service_time_s=item.service_s), ctx)
+                    op, key, "dropped", None, str(exc), retries,
+                    perf_counter() - start, item.service_s), ctx)
             except Exception as exc:
                 failure = "error"
                 detail = f"{type(exc).__name__}: {exc}"
@@ -392,10 +397,11 @@ class Frontend:
                     settled = ctx.marks.get("op_end")
                     if settled is not None:
                         ctx.stage_since("settle", settled, attempt=retries)
-                return self._finish(Response(
-                    op=op, key=key, status="ok", value=value,
-                    retries=retries, latency_s=perf_counter() - start,
-                    service_time_s=item.service_s), ctx)
+                response = Response(op, key, "ok", value, None, retries,
+                                    perf_counter() - start, item.service_s)
+                if ctx is None and not self._observed:
+                    return response
+                return self._finish(response, ctx)
             if retries >= self.policy.max_retries:
                 if failure == "timeout":
                     self.counts["timeouts"] += 1
@@ -410,9 +416,8 @@ class Frontend:
                     get_journal().emit("serve.retry_exhausted", op=op,
                                        retries=retries, detail=detail)
                 return self._finish(Response(
-                    op=op, key=key, status=failure, reason=detail,
-                    retries=retries, latency_s=perf_counter() - start,
-                    service_time_s=item.service_s), ctx)
+                    op, key, failure, None, detail, retries,
+                    perf_counter() - start, item.service_s), ctx)
             retries += 1
             self.counts["retries"] += 1
             self._retry_counter.inc()
@@ -524,47 +529,49 @@ class Frontend:
 
     # -- batch executors (Batcher callbacks) ---------------------------
 
-    async def _pickup(self, queue_id: int,
-                      items: List[WorkItem]) -> List[WorkItem]:
+    def _pickup(self, queue_id: int,
+                items: List[WorkItem]) -> List[WorkItem]:
         """The items of a picked-up batch still worth executing.
 
-        Skips items whose attempt already settled (expired or failed),
-        records their queue stage, and applies any injected fault: an
-        injected error fails every live item and leaves none to run.
+        Skips items whose attempt already settled (expired or failed)
+        and records the queue stage of the live ones.
         """
         live = [item for item in items if not item.future.done()]
         if self._observed:
             self._batch_counter.inc()
             self._batch_size.observe(len(live))
             self._queue_gauge.set(self._pending)
-        if not live:
-            return live
         traced = [item for item in live if item.trace is not None]
         if traced:
             pickup = perf_counter()
             for item in traced:
                 item.trace.stage("queue", item.enqueued_s,
                                  pickup - item.enqueued_s, shard=queue_id)
-        if self.injector is not None:
-            fault_from = perf_counter()
-            try:
-                await self.injector.before_batch(queue_id)
-            except InjectedFault as exc:
-                failed = perf_counter()
-                for item in live:
-                    ctx = item.trace
-                    if ctx is not None:
-                        ctx.stage("fault", fault_from, failed - fault_from,
-                                  shard=queue_id, injected="error")
-                        ctx.mark("op_end", failed)
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                return []
-            if traced:
-                cleared = perf_counter()
-                for item in traced:
-                    item.trace.stage("fault", fault_from,
-                                     cleared - fault_from, shard=queue_id)
+        return live
+
+    async def _inject(self, queue_id: int,
+                      live: List[WorkItem]) -> List[WorkItem]:
+        """Apply any injected fault ahead of a batch: an injected error
+        fails every live item and leaves none to run."""
+        fault_from = perf_counter()
+        try:
+            await self.injector.before_batch(queue_id)
+        except InjectedFault as exc:
+            failed = perf_counter()
+            for item in live:
+                ctx = item.trace
+                if ctx is not None:
+                    ctx.stage("fault", fault_from, failed - fault_from,
+                              shard=queue_id, injected="error")
+                    ctx.mark("op_end", failed)
+                if not item.future.done():
+                    item.future.set_exception(exc)
+            return []
+        cleared = perf_counter()
+        for item in live:
+            if item.trace is not None:
+                item.trace.stage("fault", fault_from, cleared - fault_from,
+                                 shard=queue_id)
         return live
 
     async def _run_store_batch(self, shard_id: int,
@@ -572,53 +579,64 @@ class Frontend:
         # A batch counts as in flight until it has executed, so a batch
         # sleeping in a shard stall still holds its admission slots.
         try:
-            live = await self._pickup(shard_id, items)
+            live = self._pickup(shard_id, items)
+            if live and self.injector is not None:
+                live = await self._inject(shard_id, live)
             if not live:
                 return
-            with trace_span("serve.batch", shard=shard_id, size=len(live)):
-                store = self.store
-                batch_from = perf_counter()
-                for position, item in enumerate(live):
-                    item.service_s = (position + 1) * VIRTUAL_TICK_S
-                    request = item.request
-                    ctx = item.trace
-                    op_from = perf_counter()
-                    if ctx is not None:
-                        # head-of-line wait: earlier items' ops in this
-                        # batch
-                        ctx.stage("serialize", batch_from,
-                                  op_from - batch_from, shard=shard_id)
-                    try:
-                        if request.op == "get":
-                            value = store.get(request.key)
-                        elif request.op == "put":
-                            value = store.put(request.key, request.value)
-                        elif request.op == "delete":
-                            value = store.delete(request.key)
-                        else:
-                            raise ValueError(
-                                f"unknown request op {request.op!r}")
-                    except Exception as exc:
-                        if ctx is not None:
-                            done = ctx.mark("op_end")
-                            ctx.stage("store", op_from, done - op_from,
-                                      op=request.op, shard=shard_id)
-                        if not item.future.done():
-                            item.future.set_exception(exc)
-                    else:
-                        if ctx is not None:
-                            done = ctx.mark("op_end")
-                            ctx.stage("store", op_from, done - op_from,
-                                      op=request.op, shard=shard_id)
-                        if not item.future.done():
-                            item.future.set_result(value)
+            if get_collector().enabled:
+                with trace_span("serve.batch", shard=shard_id,
+                                size=len(live)):
+                    self._serve_store_batch(shard_id, live)
+            else:
+                self._serve_store_batch(shard_id, live)
         finally:
             self._pending -= len(items)
+
+    def _serve_store_batch(self, shard_id: int,
+                           live: List[WorkItem]) -> None:
+        store = self.store
+        batch_from = perf_counter()
+        for position, item in enumerate(live, 1):
+            item.service_s = position * VIRTUAL_TICK_S
+            request = item.request
+            op = request.op
+            ctx = item.trace
+            if ctx is not None:
+                # head-of-line wait: earlier items' ops in this batch
+                op_from = perf_counter()
+                ctx.stage("serialize", batch_from, op_from - batch_from,
+                          shard=shard_id)
+            try:
+                if op == "get":
+                    value = store.get(request.key)
+                elif op == "put":
+                    value = store.put(request.key, request.value)
+                elif op == "delete":
+                    value = store.delete(request.key)
+                else:
+                    raise ValueError(f"unknown request op {op!r}")
+            except Exception as exc:
+                if ctx is not None:
+                    done = ctx.mark("op_end")
+                    ctx.stage("store", op_from, done - op_from, op=op,
+                              shard=shard_id)
+                if not item.future.done():
+                    item.future.set_exception(exc)
+            else:
+                if ctx is not None:
+                    done = ctx.mark("op_end")
+                    ctx.stage("store", op_from, done - op_from, op=op,
+                              shard=shard_id)
+                if not item.future.done():
+                    item.future.set_result(value)
 
     async def _run_sim_batch(self, _qid: int,
                              items: List[WorkItem]) -> None:
         try:
-            live = await self._pickup(SIM_QUEUE, items)
+            live = self._pickup(SIM_QUEUE, items)
+            if live and self.injector is not None:
+                live = await self._inject(SIM_QUEUE, live)
             # Dedupe identical cells: one simulation serves every waiter.
             groups: Dict[Any, List[WorkItem]] = {}
             for position, item in enumerate(live):

@@ -27,7 +27,7 @@ batching summary.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -68,7 +68,6 @@ class LoadReport:
     peak_queue_depth: int
     concurrency: Optional[int] = None  #: closed-loop client count
     arrival: Optional[str] = None  #: open-loop arrival process
-    statuses_extra: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> int:

@@ -20,8 +20,7 @@ extracts the key array for vectorized, store-free analysis through a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,9 +28,9 @@ import numpy as np
 OPS = ("get", "put", "delete")
 
 
-@dataclass(frozen=True)
-class Request:
-    """One store request: ``op`` applied to ``key`` (value for puts)."""
+class Request(NamedTuple):
+    """One store request: ``op`` applied to ``key`` (value for puts),
+    as an immutable tuple."""
 
     op: str
     key: int

@@ -1,6 +1,7 @@
 """Batcher: coalescing bounds, the batch window, shutdown draining."""
 
 import asyncio
+import contextvars
 from time import perf_counter
 
 import pytest
@@ -270,3 +271,120 @@ class TestFailureAndShutdown:
             assert not batcher.started
 
         run(scenario())
+
+
+class TestDrain:
+    """One drain task serves every queue; a batch that suspends holds
+    its own queue only."""
+
+    def test_one_task_for_all_queues(self):
+        async def scenario():
+            before = len(asyncio.all_tasks())
+            batcher = Batcher(32, Recorder())
+            await batcher.start()
+            added = len(asyncio.all_tasks()) - before
+            await batcher.stop()
+            return added
+
+        assert run(scenario()) == 1
+
+    def test_waiting_batch_holds_only_its_queue(self):
+        async def scenario():
+            release = asyncio.Event()
+            log = []
+
+            async def execute(queue_id, items):
+                log.append(("start", queue_id, [i.request for i in items]))
+                if items[0].request == "q0-first":
+                    await release.wait()
+                for item in items:
+                    item.future.set_result(item.request)
+                log.append(("end", queue_id, [i.request for i in items]))
+
+            batcher = Batcher(2, execute,
+                              BatchConfig(max_batch_size=8, max_wait_s=5.0))
+            await batcher.start()
+            first = WorkItem.make("q0-first")
+            batcher.submit(0, first)
+            await asyncio.sleep(0.01)  # the first batch is waiting now
+            second = WorkItem.make("q0-second")
+            batcher.submit(0, second)
+            other = WorkItem.make("q1")
+            batcher.submit(1, other)
+            assert await asyncio.wait_for(other.future, 1.0) == "q1"
+            await asyncio.sleep(0.01)
+            assert not first.future.done() and not second.future.done()
+            release.set()
+            await asyncio.wait_for(second.future, 1.0)
+            await batcher.stop()
+            return log
+
+        log = run(scenario())
+        assert log == [
+            ("start", 0, ["q0-first"]),
+            ("start", 1, ["q1"]),
+            ("end", 1, ["q1"]),
+            ("end", 0, ["q0-first"]),
+            ("start", 0, ["q0-second"]),
+            ("end", 0, ["q0-second"]),
+        ]
+
+    def test_executor_raising_after_suspending_fails_only_its_batch(self):
+        async def scenario():
+            async def execute(queue_id, items):
+                await asyncio.sleep(0)
+                if items[0].request == "bad":
+                    raise RuntimeError("executor blew up")
+                for item in items:
+                    item.future.set_result(item.request)
+
+            batcher = Batcher(2, execute,
+                              BatchConfig(max_batch_size=4, max_wait_s=0.01))
+            await batcher.start()
+            bad, neighbour = WorkItem.make("bad"), WorkItem.make("other")
+            batcher.submit(0, bad)
+            batcher.submit(1, neighbour)
+            with pytest.raises(RuntimeError, match="executor blew up"):
+                await asyncio.wait_for(bad.future, 1.0)
+            assert await asyncio.wait_for(neighbour.future, 1.0) == "other"
+            after = WorkItem.make("after")
+            batcher.submit(0, after)
+            served = await asyncio.wait_for(after.future, 1.0)
+            await batcher.stop()
+            return served
+
+        assert run(scenario()) == "after"
+
+    def test_each_batch_runs_in_its_own_context(self):
+        var = contextvars.ContextVar("batch", default="unset")
+
+        async def scenario():
+            go_on = asyncio.Event()
+            seen = {}
+
+            async def execute(queue_id, items):
+                if queue_id == 0:
+                    var.set("queue-0")
+                    await go_on.wait()
+                    seen[0] = var.get()
+                else:
+                    seen[1] = var.get()
+                    go_on.set()
+                for item in items:
+                    item.future.set_result(None)
+
+            batcher = Batcher(2, execute,
+                              BatchConfig(max_batch_size=4, max_wait_s=0.01))
+            await batcher.start()
+            items = [WorkItem.make(0), WorkItem.make(1)]
+            batcher.submit(0, items[0])
+            await asyncio.sleep(0.01)  # queue 0's executor has suspended
+            batcher.submit(1, items[1])
+            await asyncio.wait_for(
+                asyncio.gather(*(i.future for i in items)), 1.0)
+            await batcher.stop()
+            return seen, var.get()
+
+        seen, outside = run(scenario())
+        assert seen == {0: "queue-0", 1: "unset"}
+        assert outside == "unset"
