@@ -50,10 +50,16 @@ class LRUPolicy(ReplacementPolicy):
 
     def on_hit(self, set_index: int, way: int) -> None:
         order = self._order[set_index]
+        if order[-1] != way:  # already the most recent: nothing moves
+            order.remove(way)
+            order.append(way)
+
+    def on_fill(self, set_index: int, way: int) -> None:
+        # A fill lands in the victim or an empty way, which is seldom
+        # the most recent, so the check above would only cost here.
+        order = self._order[set_index]
         order.remove(way)
         order.append(way)
-
-    on_fill = on_hit
 
     def victim(self, set_index: int) -> int:
         return self._order[set_index][0]

@@ -41,7 +41,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from repro.obs import (
     get_journal,
     get_registry,
 )
+from repro.obs.attrib import Stage
 from repro.cluster.faults import InjectedNodeFault, NodeFaultInjector
 from repro.cluster.interconnect import (
     FRONTEND,
@@ -243,6 +244,10 @@ class Cluster:
             self.nodes.append(StoreNode(i, store, registry=node_registry))
         self.router = ClusterRouter(
             node_table, [node.store.routing for node in self.nodes])
+        #: The stack label, outer+inner (``"pmod+pmod"``); quarantine
+        #: derives routers over the same two schemes, so it is fixed.
+        self.scheme = (f"{self.router.node_scheme}+"
+                       f"{self.router.shard_scheme}")
         self.replication = replication or ReplicationConfig()
         if self.replication.replicas > self.n_nodes:
             raise ValueError(
@@ -272,17 +277,21 @@ class Cluster:
         self._observed = self._registry.enabled
         self._hitters = (HeavyHitterTracker(k=HOT_KEYS)
                          if self._observed else None)
-        #: per-op sample counters for :meth:`_maybe_trace` (a single
-        #: global index would alias with alternating op patterns and
-        #: starve one op type of traces entirely).
-        self._trace_seen: Dict[str, int] = {}
+        #: per-op countdowns to the next sampled op for
+        #: :meth:`_maybe_trace` (a single global index would alias with
+        #: alternating op patterns and starve one op type of traces
+        #: entirely); 1 = the next op of that kind is sampled.
+        self._trace_left: Dict[str, int] = {"get": 1, "put": 1,
+                                            "delete": 1}
         self._bind_instruments()
 
     def _bind_instruments(self) -> None:
         registry = self._registry
         scheme = self.scheme
+        # Keyed by the op's ``counts`` key, which ``_begin_op`` gets.
         self._op_counters = {
-            op: registry.counter("cluster.requests", scheme=scheme, op=op)
+            op + "s": registry.counter("cluster.requests", scheme=scheme,
+                                       op=op)
             for op in ("get", "put", "delete")
         }
         self._quorum_counter = registry.counter("cluster.quorum_misses",
@@ -304,14 +313,14 @@ class Cluster:
         # Per-node request-latency sketches, bound on each node's *own*
         # registry: a node only ever sees the ops it is primary for, so
         # only a federated merge of these sketches yields the true
-        # cluster-wide latency distribution.
+        # cluster-wide latency distribution.  None when no node has a
+        # registry (every node gets one, or none does).
         self._node_sketches = [
             node.registry.histogram("cluster.node.request_latency_s",
                                     sketch=True, scheme=scheme,
                                     node=node.node_id)
-            if node.registry is not None else None
             for node in self.nodes
-        ]
+        ] if self.nodes[0].registry is not None else None
 
     # -- identity (Frontend-compatible surface) -------------------------
 
@@ -324,11 +333,6 @@ class Cluster:
         """Frontend compatibility: the outer routing width is the node
         count — a frontend over a cluster batches per *node*."""
         return self.router.n_nodes
-
-    @property
-    def scheme(self) -> str:
-        """The stack label, outer+inner (``"pmod+pmod"``)."""
-        return f"{self.router.node_scheme}+{self.router.shard_scheme}"
 
     @property
     def epoch(self) -> int:
@@ -353,6 +357,13 @@ class Cluster:
         """The cluster's virtual clock (advances ``tick_s`` per op)."""
         return self._now_s
 
+    @property
+    def last_latency_s(self) -> float:
+        """Simulated latency of the most recent op.  A phase's tail is
+        taken from its own ops this way: the latency window holds only
+        the last :data:`LATENCY_WINDOW` ops."""
+        return self._latencies[-1]
+
     def node(self, node_id: int) -> StoreNode:
         return self.nodes[node_id]
 
@@ -361,28 +372,48 @@ class Cluster:
 
     # -- clock / fault schedule -----------------------------------------
 
-    def _maybe_trace(self, op: str, key: StoreKey):
-        """Begin a wall-clock attribution trace for 1-in-
-        :data:`TRACE_EVERY` ops (None otherwise / when tracing is off).
+    def _maybe_trace(self, op: str) -> Optional[float]:
+        """The wall-clock start of 1-in-:data:`TRACE_EVERY` ops of each
+        kind while the trace collector is enabled (None otherwise).
 
         The cluster's *simulated* latency lives on the virtual clock;
         the trace measures the real wall time the synchronous op path
         spends in routing, replica fan-out, and quorum settling, so
         the critical-path analyzer can decompose the stack's own cost.
+        The op crosses no thread or task boundary, so it times its
+        stages itself and hands the finished trace over once
+        (:meth:`_keep_trace`).
         """
-        collector = get_collector()
-        if not collector.enabled:
+        if not get_collector().enabled:
             return None
-        seen = self._trace_seen.get(op, 0)
-        self._trace_seen[op] = seen + 1
-        if seen % TRACE_EVERY != 0:
+        left = self._trace_left[op]
+        if left > 1:
+            self._trace_left[op] = left - 1
             return None
-        return collector.begin(op, scheme=self.scheme, key=str(key),
-                               epoch=self.epoch)
+        self._trace_left[op] = TRACE_EVERY
+        return perf_counter()
 
-    def _begin_op(self, op: str) -> float:
+    def _keep_trace(self, op: str, key: StoreKey, start_s: float,
+                    fan_from: float, settle_from: float, status: str,
+                    replicas: int, contact: Dict[str, Any],
+                    latency: float) -> None:
+        """Record a sampled op's trace: route, contact and settle
+        stages, back to back from ``start_s`` to now."""
+        end = perf_counter()
+        get_collector().record(
+            op, self.scheme, status, start_s, end - start_s,
+            (Stage("route", 0.0, fan_from - start_s,
+                   {"replicas": replicas}),
+             Stage("contact", fan_from - start_s, settle_from - fan_from,
+                   contact),
+             Stage("settle", settle_from - start_s, end - settle_from,
+                   {"sim_latency_s": latency})),
+            {"key": str(key), "epoch": self.router.node_table.epoch_id})
+
+    def _begin_op(self, tally: str) -> float:
         """Advance the virtual clock, apply due fault-schedule
-        transitions, and count the op; returns its arrival time."""
+        transitions, and count the op under ``tally``, its ``counts``
+        key (``"gets"``); returns its arrival time."""
         if self.injector is not None:
             for action, node_id in self.injector.scheduled(self._op_index):
                 if action == "fail":
@@ -391,34 +422,34 @@ class Cluster:
                     self.recover_node(node_id)
         self._op_index += 1
         now = self._now_s
-        self._now_s += self.tick_s
-        self.counts["ops"] += 1
-        self.counts[op + "s"] += 1
+        self._now_s = now + self.tick_s
+        counts = self.counts
+        counts["ops"] += 1
+        counts[tally] += 1
         if self._observed:
-            self._op_counters[op].inc()
+            self._op_counters[tally].inc()
         return now
 
     def _finish_op(self, now_s: float, completions: List[float],
-                   quorum: int, primary: Optional[int] = None) -> float:
+                   quorum: int, primary: int) -> float:
         """Sim latency of one op: the quorum-th fastest replica
         completion (or the failed-op penalty when nothing responded).
 
         ``primary`` attributes the op to the node owning the key so the
         latency also lands in that node's private sketch (the series
         federation merges into cluster-wide quantiles)."""
-        if completions:
+        reached = len(completions)
+        if reached:
             completions.sort()
-            done = completions[min(quorum, len(completions)) - 1]
-            latency = done - now_s
+            latency = completions[
+                (quorum if quorum < reached else reached) - 1] - now_s
         else:
             latency = FAILED_OP_LATENCY_S
         self._latencies.append(latency)
         if self._observed:
             self._latency_hist.observe(latency)
-        if primary is not None:
-            sketch = self._node_sketches[primary]
-            if sketch is not None:
-                sketch.observe(latency)
+        if self._node_sketches is not None:
+            self._node_sketches[primary].observe(latency)
         return latency
 
     def _replica_error(self) -> None:
@@ -426,31 +457,46 @@ class Cluster:
         if self._observed:
             self._replica_error_counter.inc()
 
-    def _contact(self, node: StoreNode, now_s: float,
-                 request_bytes: int, response_bytes: int) -> Optional[float]:
-        """One replica round trip; None = unreachable this op (injected
-        error or fabric drop).
+    def _fan_out(self, placement: List[int], now_s: float,
+                 request_bytes: int, response_bytes: int
+                 ) -> Tuple[List[StoreNode], List[float]]:
+        """One round trip to each live replica in ``placement``;
+        returns the nodes that answered and their completion times.
 
-        Callers check ``node.live`` / ``node.writable`` first and, once
-        the round trip lands, call ``node.store`` directly: that check
-        is the one the node's own ops would repeat."""
-        node_id = node.node_id
-        if self.injector is not None:
-            try:
-                self.injector.before_replica_op(node_id)
-            except InjectedNodeFault:
-                self._replica_error()
-                return None
-        done = self.fabric.round_trip(
-            FRONTEND, self._endpoints[node_id], request_bytes,
-            response_bytes, now_s, node.service_time())
-        if done is None:
-            self.counts["replica_errors"] += 1
-            if self._observed:
-                self._drop_counter.inc()
-            return None
-        self._node_accesses[node_id] += 1
-        return done
+        A down node serves neither reads nor writes, so one ``live``
+        check serves both.  A replica is unreachable this op on an
+        injected error or a fabric drop.  Callers then call each
+        answering ``node.store`` directly: the liveness check is the
+        one the node's own ops would repeat."""
+        nodes = self.nodes
+        endpoints = self._endpoints
+        accesses = self._node_accesses
+        injector = self.injector
+        fabric = self.fabric
+        reached: List[StoreNode] = []
+        completions: List[float] = []
+        for node_id in placement:
+            node = nodes[node_id]
+            if not node.live:
+                continue
+            if injector is not None:
+                try:
+                    injector.before_replica_op(node_id)
+                except InjectedNodeFault:
+                    self._replica_error()
+                    continue
+            done = fabric.round_trip(
+                FRONTEND, endpoints[node_id], request_bytes,
+                response_bytes, now_s, node.service_now_s)
+            if done is None:
+                self.counts["replica_errors"] += 1
+                if self._observed:
+                    self._drop_counter.inc()
+                continue
+            accesses[node_id] += 1
+            reached.append(node)
+            completions.append(done)
+        return reached, completions
 
     def _quorum_miss(self, op: str, reached: int, needed: int) -> None:
         self.counts["quorum_misses"] += 1
@@ -465,8 +511,8 @@ class Cluster:
     def put(self, key: StoreKey, value: Any) -> int:
         """Replicated write; returns the ack count (< ``write_quorum``
         means a journaled quorum miss, still applied best-effort)."""
-        ctx = self._maybe_trace("put", key)
-        now = self._begin_op("put")
+        traced = self._maybe_trace("put")
+        now = self._begin_op("puts")
         canonical = canonical_key(key)
         self._version += 1
         stamped = (self._version, value)
@@ -474,142 +520,103 @@ class Cluster:
                                          self.replication.replicas)
         if self._hitters is not None:
             self._hitters.offer(str(canonical), placement[0])
-        if ctx is not None:
+        if traced is not None:
             fan_from = perf_counter()
-            ctx.stage("route", ctx.start_s, fan_from - ctx.start_s,
-                      replicas=len(placement))
-        acks = 0
-        completions: List[float] = []
-        for node_id in placement:
-            node = self.nodes[node_id]
-            if not node.writable:
-                continue
-            done = self._contact(node, now, self.payload_bytes,
-                                 CONTROL_BYTES)
-            if done is None:
-                continue
+        reached, completions = self._fan_out(placement, now,
+                                             self.payload_bytes,
+                                             CONTROL_BYTES)
+        for node in reached:
             node.store.put(canonical, stamped)
-            acks += 1
-            completions.append(done)
-        if ctx is not None:
+        acks = len(reached)
+        if traced is not None:
             settle_from = perf_counter()
-            ctx.stage("contact", fan_from, settle_from - fan_from,
-                      acks=acks, replicas=len(placement))
         clean = acks >= self.replication.write_quorum
         if not clean:
             self._quorum_miss("put", acks, self.replication.write_quorum)
         latency = self._finish_op(now, completions,
                                   self.replication.write_quorum,
-                                  primary=placement[0])
-        if ctx is not None:
-            end = perf_counter()
-            ctx.stage("settle", settle_from, end - settle_from,
-                      sim_latency_s=latency)
-            get_collector().finish(
-                ctx, status="ok" if clean else "quorum_miss",
-                wall_s=end - ctx.start_s)
+                                  placement[0])
+        if traced is not None:
+            self._keep_trace(
+                "put", key, traced, fan_from, settle_from,
+                "ok" if clean else "quorum_miss", len(placement),
+                {"acks": acks, "replicas": len(placement)}, latency)
         return acks
 
     def get(self, key: StoreKey, default: Any = None) -> Any:
         """Quorum read with read-repair; returns the freshest value."""
-        ctx = self._maybe_trace("get", key)
-        now = self._begin_op("get")
+        traced = self._maybe_trace("get")
+        now = self._begin_op("gets")
         canonical = canonical_key(key)
         placement = self.router.replicas(canonical,
                                          self.replication.replicas)
         if self._hitters is not None:
             self._hitters.offer(str(canonical), placement[0])
-        if ctx is not None:
+        if traced is not None:
             fan_from = perf_counter()
-            ctx.stage("route", ctx.start_s, fan_from - ctx.start_s,
-                      replicas=len(placement))
-        reached = 0
-        completions: List[float] = []
+        reached, completions = self._fan_out(placement, now, CONTROL_BYTES,
+                                             self.payload_bytes)
         freshest: Optional[tuple] = None
-        holders: Dict[int, Any] = {}
-        for node_id in placement:
-            node = self.nodes[node_id]
-            if not node.live:
-                continue
-            done = self._contact(node, now, CONTROL_BYTES,
-                                 self.payload_bytes)
-            if done is None:
-                continue
-            reached += 1
-            completions.append(done)
+        copies = []
+        for node in reached:
             copy = node.store.get(canonical, _MISS)
-            holders[node_id] = copy
+            copies.append((node, copy))
             if copy is not _MISS and (freshest is None
                                       or copy[0] > freshest[0]):
                 freshest = copy
-        if ctx is not None:
+        if traced is not None:
             settle_from = perf_counter()
-            ctx.stage("contact", fan_from, settle_from - fan_from,
-                      reached=reached, replicas=len(placement))
-        quorate = reached >= self.replication.read_quorum
+        quorate = len(reached) >= self.replication.read_quorum
         if not quorate:
-            self._quorum_miss("get", reached,
+            self._quorum_miss("get", len(reached),
                               self.replication.read_quorum)
-            if reached == 0:
+            if not reached:
                 self.counts["failed_reads"] += 1
         if freshest is not None:
             # Read repair: any reached replica missing the freshest
             # copy converges now, not just at the recovery drain.
-            for node_id, copy in holders.items():
+            for node, copy in copies:
                 if copy is _MISS or copy[0] < freshest[0]:
-                    self.nodes[node_id].store.put(canonical, freshest)
+                    node.store.put(canonical, freshest)
                     self.counts["read_repairs"] += 1
                     if self._observed:
                         self._repair_counter.inc()
         latency = self._finish_op(now, completions,
                                   self.replication.read_quorum,
-                                  primary=placement[0])
-        if ctx is not None:
-            end = perf_counter()
-            ctx.stage("settle", settle_from, end - settle_from,
-                      sim_latency_s=latency)
-            get_collector().finish(
-                ctx, status="ok" if quorate else "quorum_miss",
-                wall_s=end - ctx.start_s)
+                                  placement[0])
+        if traced is not None:
+            self._keep_trace(
+                "get", key, traced, fan_from, settle_from,
+                "ok" if quorate else "quorum_miss", len(placement),
+                {"reached": len(reached), "replicas": len(placement)},
+                latency)
         return default if freshest is None else freshest[1]
 
     def delete(self, key: StoreKey) -> bool:
         """Delete from every writable replica; True if any copy died."""
-        ctx = self._maybe_trace("delete", key)
-        now = self._begin_op("delete")
+        traced = self._maybe_trace("delete")
+        now = self._begin_op("deletes")
         canonical = canonical_key(key)
         placement = self.router.replicas(canonical,
                                          self.replication.replicas)
         if self._hitters is not None:
             self._hitters.offer(str(canonical), placement[0])
-        if ctx is not None:
+        if traced is not None:
             fan_from = perf_counter()
-            ctx.stage("route", ctx.start_s, fan_from - ctx.start_s,
-                      replicas=len(placement))
+        reached, completions = self._fan_out(placement, now, CONTROL_BYTES,
+                                             CONTROL_BYTES)
         deleted = False
-        completions: List[float] = []
-        for node_id in placement:
-            node = self.nodes[node_id]
-            if not node.writable:
-                continue
-            done = self._contact(node, now, CONTROL_BYTES, CONTROL_BYTES)
-            if done is None:
-                continue
-            completions.append(done)
+        for node in reached:
             deleted = node.store.delete(canonical) or deleted
-        if ctx is not None:
+        if traced is not None:
             settle_from = perf_counter()
-            ctx.stage("contact", fan_from, settle_from - fan_from,
-                      replicas=len(placement))
         latency = self._finish_op(now, completions,
                                   self.replication.write_quorum,
-                                  primary=placement[0])
-        if ctx is not None:
-            end = perf_counter()
-            ctx.stage("settle", settle_from, end - settle_from,
-                      sim_latency_s=latency)
-            get_collector().finish(ctx, status="ok",
-                                   wall_s=end - ctx.start_s)
+                                  placement[0])
+        if traced is not None:
+            self._keep_trace("delete", key, traced, fan_from, settle_from,
+                             "ok", len(placement),
+                             {"replicas": len(placement)}, latency)
         return deleted
 
     # -- node lifecycle --------------------------------------------------

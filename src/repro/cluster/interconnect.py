@@ -35,6 +35,11 @@ request, and a re-replication drain's bulk copies start at the cluster
 clock, behind the response legs already priced on the same links.  A
 link stays exact either way (see :meth:`Link.send`).  Everything is
 replayable — same request stream, same delays.
+
+Most sends find their link idle (``busy_until_s <= now_s``): every
+queued departure is at most ``busy_until_s``, so all of them have left
+and the queue is cleared in one call, with no per-entry walk.  Only a
+send onto a busy link pops the departed prefix and checks the depth.
 """
 
 from __future__ import annotations
@@ -96,6 +101,10 @@ class Link:
             would queue deeper is dropped.
     """
 
+    __slots__ = ("name", "bandwidth_bps", "latency_s", "queue_depth",
+                 "busy_until_s", "_departures", "transfers", "drops",
+                 "bytes_moved", "busy_s", "queued_s", "peak_queue")
+
     def __init__(self, name: str,
                  bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
                  latency_s: float = DEFAULT_LATENCY_S,
@@ -137,27 +146,33 @@ class Link:
         the ones gone by ``now_s`` are always a prefix of the queue:
         popping that prefix drops exactly the messages a filter over
         the whole queue would, for any order of ``now_s``, including a
-        ``now_s`` earlier than the previous send's.
+        ``now_s`` earlier than the previous send's.  On an idle link
+        (``busy_until_s <= now_s``) that prefix is the whole queue, so
+        it is cleared in one call; the message queues behind nothing
+        and starts at ``now_s``.
         """
         departures = self._departures
-        while departures and departures[0] <= now_s:
-            departures.popleft()
-        queued = len(departures)
-        if queued > self.peak_queue:
-            self.peak_queue = queued
-        if queued >= self.queue_depth:
-            self.drops += 1
-            return None
+        start_s = self.busy_until_s
+        if start_s <= now_s:
+            departures.clear()
+            start_s = now_s
+        else:
+            while departures and departures[0] <= now_s:
+                departures.popleft()
+            queued = len(departures)
+            if queued > self.peak_queue:
+                self.peak_queue = queued
+            if queued >= self.queue_depth:
+                self.drops += 1
+                return None
+            self.queued_s += start_s - now_s
         serialize_s = n_bytes / self.bandwidth_bps
-        busy_until_s = self.busy_until_s
-        start_s = busy_until_s if busy_until_s > now_s else now_s
         busy_until_s = start_s + serialize_s
         self.busy_until_s = busy_until_s
         departures.append(busy_until_s)
         self.transfers += 1
         self.bytes_moved += n_bytes
         self.busy_s += serialize_s
-        self.queued_s += start_s - now_s
         return busy_until_s + self.latency_s
 
     def stats(self) -> LinkStats:
@@ -227,8 +242,14 @@ class Fabric:
         Both paths are looked up before either leg is sent."""
         if src == dst:
             return now_s + service_s
-        request_path, response_path = (self.path(src, dst),
-                                       self.path(dst, src))
+        paths = self.paths
+        try:
+            request_path = paths[src, dst]
+            response_path = paths[dst, src]
+        except KeyError as exc:
+            a, b = exc.args[0]
+            raise KeyError(f"no path {a!r} -> {b!r} in "
+                           f"{self.topology} fabric") from None
         at_s = now_s
         for link in request_path:
             at_s = link.send(at_s, request_bytes)

@@ -17,7 +17,10 @@ copies and fresh traffic) and serves reads best-effort (a miss during
 recovery falls through to the other replicas at the cluster layer).
 
 State transitions are validated — a node cannot jump from ``down``
-straight to ``up`` — and every entry into ``down``/``up`` is the
+straight to ``up`` — and each one also sets the two plain attributes
+the cluster's op path reads per replica (``live`` and
+``service_now_s``), so they are derived from the state in one place and
+cost no property or method call.  Every entry into ``down``/``up`` is the
 cluster's journal event (``cluster.node_down`` / ``cluster.node_up``),
 emitted by the :class:`~repro.cluster.engine.Cluster` that owns the
 fleet so the event carries cluster context (live counts, epoch).
@@ -79,6 +82,16 @@ class StoreNode:
             member is a separate process in the model, so its metrics
             are private until a federation scrape pulls them.  None
             leaves the node unscrapable (pre-federation behaviour).
+
+    Attributes:
+        live: whether the node can serve any traffic at all, reads and
+            writes alike (everything but down).
+        service_now_s: modeled service time of one op in the current
+            state (``service_s``, plus ``degraded_penalty_s`` while
+            degraded).
+
+    Both are set on every state transition, from the state and the two
+    service times given here.
     """
 
     def __init__(self, node_id: int, store: ShardedStore,
@@ -95,28 +108,26 @@ class StoreNode:
         self.degraded_penalty_s = degraded_penalty_s
         self.registry = registry
         self._snapshot_version = 0
-        self.state = NodeState.UP
+        self._enter(NodeState.UP)
         self.failures = 0
         self.recoveries = 0
 
     # -- state machine --------------------------------------------------
 
-    @property
-    def live(self) -> bool:
-        """Whether the node can serve any traffic at all (not down)."""
-        return self.state is not NodeState.DOWN
-
-    @property
-    def writable(self) -> bool:
-        """Whether writes may land here (everything but down)."""
-        return self.state is not NodeState.DOWN
+    def _enter(self, state: NodeState) -> None:
+        """Set ``state`` and the attributes derived from it."""
+        self.state = state
+        self.live = state is not NodeState.DOWN
+        self.service_now_s = (
+            self.service_s + self.degraded_penalty_s
+            if state is NodeState.DEGRADED else self.service_s)
 
     def _transition(self, target: NodeState) -> None:
         if target not in _TRANSITIONS[self.state]:
             raise ValueError(
                 f"node {self.node_id}: illegal transition "
                 f"{self.state.value} -> {target.value}")
-        self.state = target
+        self._enter(target)
 
     def degrade(self) -> "StoreNode":
         """Mark the node slow (serves, but pays the degraded penalty)."""
@@ -156,12 +167,6 @@ class StoreNode:
         self.store.wipe()
 
     # -- serving --------------------------------------------------------
-
-    def service_time(self) -> float:
-        """Modeled service time for one op in the current state."""
-        if self.state is NodeState.DEGRADED:
-            return self.service_s + self.degraded_penalty_s
-        return self.service_s
 
     def _check_live(self) -> None:
         if self.state is NodeState.DOWN:

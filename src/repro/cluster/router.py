@@ -19,12 +19,16 @@ inherits the schemes' algebra:
 * mixed stacks sit in between, which is the design space the
   ``cluster`` experiment sweeps.
 
-**Replication placement** is successor-walk on the node ring: a key's
-replica set is its primary node plus the next ``r - 1`` distinct
-non-quarantined nodes clockwise.  Placement is a pure function of
-``(key, node table)`` — independent of which nodes are currently down —
-so a recovering node can recompute exactly which keys it owes from its
-peers' contents.
+**Replication placement** is successor placement on the node ring: a
+key's replica set is its primary node plus the next ``r - 1`` distinct
+non-quarantined nodes clockwise.  The router is immutable, so it lays
+the ring out once: the non-quarantined node ids in clockwise order,
+written twice, plus each node's offset into that list.  A replica set
+is then one route and one slice, ``ring[offset[primary]:][:r]``, with
+``r`` capped at the healthy count — O(n) memory for the table, no walk
+per op.  Placement is a pure function of ``(key, node table)`` —
+independent of which nodes are currently down — so a recovering node
+can recompute exactly which keys it owes from its peers' contents.
 
 Node **quarantine** reuses the routing layer's probe semantics: the
 outer table is derived with :meth:`~repro.store.routing.RoutingTable.
@@ -34,7 +38,7 @@ vectorized routing agree on the re-routed assignment.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,6 +99,15 @@ class ClusterRouter:
                 f"nodes, {len(shard_tables)} tables")
         self.node_table = node_table
         self.shard_tables = list(shard_tables)
+        # The placement table: healthy node ids clockwise, doubled so a
+        # replica set never wraps, and each healthy node's offset into
+        # it (a quarantined node is never a primary, so it has none).
+        healthy = node_table.healthy_shards()
+        self._ring = healthy + healthy
+        self._healthy = len(healthy)
+        self._offsets: List[Optional[int]] = [None] * node_table.n_shards
+        for offset, node in enumerate(healthy):
+            self._offsets[node] = offset
 
     # -- identity -------------------------------------------------------
 
@@ -155,26 +168,15 @@ class ClusterRouter:
         Deterministic in ``(key, node table)`` only — node up/down
         state never shifts placement, which is what lets a recovering
         node recompute its owed keys.  ``r`` is capped at the
-        non-quarantined node count.  With nothing quarantined and
-        ``r`` within the ring the walk is the closed form
-        ``primary, primary + 1, ...`` modulo the node count.
+        non-quarantined node count.  One route and one slice of the
+        placement table built in ``__init__``.
         """
         if r < 1:
             raise ValueError("replica count must be >= 1")
-        table = self.node_table
-        primary = table.route(canonical_key(key))
-        n_nodes = table.n_shards
-        if not table.quarantined and r <= n_nodes:
-            return [(primary + i) % n_nodes for i in range(r)]
-        placement: List[int] = []
-        node = primary
-        for _ in range(n_nodes):
-            if node not in table.quarantined:
-                placement.append(node)
-                if len(placement) == r:
-                    break
-            node = (node + 1) % n_nodes
-        return placement
+        if r > self._healthy:
+            r = self._healthy
+        start = self._offsets[self.node_table.route(canonical_key(key))]
+        return self._ring[start:start + r]
 
     # -- analysis / derivation -----------------------------------------
 

@@ -65,8 +65,9 @@ SHARDS_PER_NODE = 16
 MIN_STAGE_COVERAGE = 0.9
 
 
-def _apply(cluster: Cluster, model: Dict[int, int], request) -> None:
-    """Serve one request, mirroring its effect into the expected model.
+def _apply(cluster: Cluster, model: Dict[int, int], request) -> float:
+    """Serve one request, mirroring its effect into the expected model;
+    returns the op's simulated latency.
 
     The model is exact as long as no shard evicts (checked in the
     artifact: the drill sizes capacity so occupancy never evicts), so
@@ -81,6 +82,7 @@ def _apply(cluster: Cluster, model: Dict[int, int], request) -> None:
         model.pop(key, None)
     else:
         cluster.get(request.key)
+    return cluster.last_latency_s
 
 
 def _composed_strided_balance(router: ClusterRouter, n_requests: int,
@@ -132,13 +134,11 @@ def measure(stack: str, n_requests: int, shard_capacity: int = 512,
         victim = int(np.argmax(cluster.node_access_counts()))
         lost_keys = cluster.nodes[victim].occupancy
         failed_before = cluster.counts["failed_reads"]
-        latency_mark = len(cluster._latencies)
         cluster.fail_node(victim)
         started = perf_counter()
-        for request in requests[populate_end:loss_end]:
-            _apply(cluster, model, request)
+        loss_window = [_apply(cluster, model, request)
+                       for request in requests[populate_end:loss_end]]
         loss_elapsed = perf_counter() - started
-        loss_window = list(cluster._latencies)[latency_mark:]
         balance_rebalanced = _composed_strided_balance(
             cluster.router.with_node_quarantined([victim]), n_requests,
             seed, exclude=[victim])

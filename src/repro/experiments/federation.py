@@ -141,10 +141,11 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
 
         requests = make_traffic("zipfian", n_requests, seed=seed)
         cursor = 0
-        latency_mark = 0
         fed_alerts = 0
         node_alerts = [0] * N_NODES
+        latencies: List[float] = []  # every op's, in order
         for size in _burst_sizes(n_requests, sweeps):
+            window: List[float] = []  # this sweep's ops
             for request in requests[cursor:cursor + size]:
                 if request.op == "put":
                     cluster.put(request.key, request.value)
@@ -152,6 +153,8 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
                     cluster.delete(request.key)
                 else:
                     cluster.get(request.key)
+                window.append(cluster.last_latency_s)
+            latencies += window
             cursor += size
             now_s = cluster.virtual_now_s
             merged = fed.collect(now_s)
@@ -168,8 +171,6 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
                     node_alerts[node_id] += status.alerting
             # The TSDB records the sweep: the burst's latency sketch,
             # the cumulative op counter, and the balance gauge.
-            window = list(cluster._latencies)[latency_mark:]
-            latency_mark += len(window)
             sketch = QuantileSketch()
             for value in window:
                 sketch.add(value)
@@ -180,8 +181,7 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
                         cluster.telemetry().node_balance, kind="gauge")
 
         elapsed_s = cluster.virtual_now_s
-        exact = np.asarray(cluster._latencies, dtype=float)
-        exact_p99 = float(np.percentile(exact, 99))
+        exact_p99 = float(np.percentile(np.asarray(latencies), 99))
         fed_p99 = fed.quantile(LATENCY_SERIES, 99)
         pooled = fed.merged_sketch(LATENCY_SERIES)
 

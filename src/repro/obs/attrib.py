@@ -72,7 +72,7 @@ _TRACE_SEQ = itertools.count(1)
 
 
 def _next_trace_id() -> str:
-    return "t" + format(next(_TRACE_SEQ), "08x")
+    return f"t{next(_TRACE_SEQ):08x}"
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,9 @@ class TraceContext:
     one context, so stage appends go through a lock, and
     :meth:`finish` snapshots the stage list exactly once — a late
     append from an abandoned (timed-out) work item lands after the
-    snapshot and is dropped rather than double-counted.
+    snapshot and is dropped rather than double-counted.  A synchronous
+    op that crosses no boundary needs none of this: it can time its
+    stages itself and hand them to :meth:`TraceCollector.record`.
     """
 
     __slots__ = ("trace_id", "op", "scheme", "baggage", "start_s",
@@ -202,10 +204,6 @@ class TraceContext:
                 return False
             self._stages.append(stage)
         return True
-
-    def stage_since(self, name: str, t0: float, **detail: Any) -> bool:
-        """Record a stage running from absolute ``t0`` until now."""
-        return self.stage(name, t0, perf_counter() - t0, **detail)
 
     def finish(self, status: str = "ok",
                wall_s: Optional[float] = None) -> Trace:
@@ -379,15 +377,16 @@ class FlightRecorder:
         self.dumps = 0
 
     def record(self, trace: Trace) -> None:
+        wall_s = trace.wall_s
         with self._lock:
             self.recorded += 1
             if trace.status != "ok":
                 self._errors.append(trace)
-            entry = (trace.wall_s, next(self._seq), trace)
-            if len(self._slow) < self.slow_capacity:
-                heapq.heappush(self._slow, entry)
-            elif entry[0] > self._slow[0][0]:
-                heapq.heapreplace(self._slow, entry)
+            slow = self._slow
+            if len(slow) < self.slow_capacity:
+                heapq.heappush(slow, (wall_s, next(self._seq), trace))
+            elif wall_s > slow[0][0]:
+                heapq.heapreplace(slow, (wall_s, next(self._seq), trace))
 
     def slowest(self) -> List[Trace]:
         """Retained slowest traces, slowest first."""
@@ -551,10 +550,30 @@ class TraceCollector:
             return None
         trace = ctx.finish(status=status, wall_s=wall_s)
         if self.enabled:
-            with self._lock:
-                self._traces.append(trace)
-            self.flight.record(trace)
+            self._keep(trace)
         return trace
+
+    def record(self, op: str, scheme: str, status: str, start_s: float,
+               wall_s: float, stages: Tuple[Stage, ...],
+               baggage: Dict[str, Any]) -> Optional[Trace]:
+        """Keep a request trace timed without a :class:`TraceContext`.
+
+        A synchronous op that crosses no task or thread boundary times
+        its own ``stages`` (in start order, ``start_s`` relative to the
+        trace's absolute ``start_s``) and hands them over once; the
+        trace takes the next trace id.  Nothing is kept while
+        disabled."""
+        if not self.enabled:
+            return None
+        trace = Trace(_next_trace_id(), op, scheme, status, start_s,
+                      wall_s, stages, baggage)
+        self._keep(trace)
+        return trace
+
+    def _keep(self, trace: Trace) -> None:
+        with self._lock:
+            self._traces.append(trace)
+        self.flight.record(trace)
 
     def span(self, name: str, **labels: Any):
         """Context manager timing one region: a root trace when no

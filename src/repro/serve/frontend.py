@@ -311,7 +311,14 @@ class Frontend:
         return collector.begin(op, scheme=self.store.scheme, key=str(key))
 
     async def submit(self, request) -> Response:
-        """Serve one request end to end; always returns a Response."""
+        """Serve one request end to end; always returns a Response.
+
+        A traced request's stages tile its wall time: each boundary is
+        one clock read, shared by the stage that ends there and the one
+        that starts there, and the read that ends the last stage is also
+        the response's ``latency_s`` (the trace's wall time), taken
+        before the retry and timeout bookkeeping.
+        """
         start = perf_counter()
         op = request.op
         key = getattr(request, "key", None)
@@ -323,29 +330,34 @@ class Frontend:
         ctx = self._maybe_trace(op, key)
         reason = self.admission.admit(self._pending)
         if reason is not None:
+            now = perf_counter()
+            if ctx is not None:
+                ctx.stage("admit", start, now - start, reason=reason)
             self.counts["rejected"] += 1
             self._reject_counters[reason].inc()
             get_journal().emit("serve.admission_reject", op=op,
                                reason=reason, pending=self._pending)
-            if ctx is not None:
-                ctx.stage_since("admit", start, reason=reason)
             return self._finish(Response(
-                op, key, "rejected", None, reason, 0,
-                perf_counter() - start), ctx)
+                op, key, "rejected", None, reason, 0, now - start), ctx)
         if op == "simulate":
             if self._simulate_fn is None:
+                now = perf_counter()
+                if ctx is not None:
+                    ctx.stage("admit", start, now - start)
                 self.counts["errors"] += 1
                 self._error_counter.inc()
-                if ctx is not None:
-                    ctx.stage_since("admit", start)
                 return self._finish(Response(
                     op, key, "error", None, "no simulator configured", 0,
-                    perf_counter() - start), ctx)
+                    now - start), ctx)
             sim = True
         else:
             sim = False
+        # The enqueue time is read only by a traced request's stages: the
+        # clock read that ends admission (or a backoff) starts the queue.
+        enqueued = 0.0
         if ctx is not None:
-            ctx.stage_since("admit", start)
+            enqueued = perf_counter()
+            ctx.stage("admit", start, enqueued - start)
         loop = asyncio.get_running_loop()
         retries = 0
         while True:
@@ -356,9 +368,7 @@ class Frontend:
                 batcher, queue_id = self._sim_batcher, 0
             else:
                 batcher, queue_id = self._route(key)
-            # The enqueue time is read only by a traced request's stages.
-            item = WorkItem(request, loop.create_future(),
-                            0.0 if ctx is None else perf_counter(), ctx)
+            item = WorkItem(request, loop.create_future(), enqueued, ctx)
             self._pending += 1
             if self._pending > self.peak_queue_depth:
                 self.peak_queue_depth = self._pending
@@ -372,33 +382,33 @@ class Frontend:
                 # will skip the abandoned item when its batch comes up
                 # (and the finished trace rejects its late stage
                 # appends).
+                now = perf_counter()
                 failure = "timeout"
                 if ctx is not None:
-                    ctx.stage_since("timeout", item.enqueued_s,
-                                    attempt=retries)
+                    ctx.stage("timeout", enqueued, now - enqueued,
+                              attempt=retries)
             except FrontendStopped as exc:
+                now = perf_counter()
                 self.counts["dropped"] += 1
                 self._dropped_counter.inc()
                 get_journal().emit("serve.dropped", op=op,
                                    retries=retries)
                 return self._finish(Response(
                     op, key, "dropped", None, str(exc), retries,
-                    perf_counter() - start, item.service_s), ctx)
+                    now - start, item.service_s), ctx)
             except Exception as exc:
+                now = perf_counter()
                 failure = "error"
                 detail = f"{type(exc).__name__}: {exc}"
                 if ctx is not None:
-                    settled = ctx.marks.get("op_end")
-                    if settled is not None:
-                        ctx.stage_since("settle", settled, attempt=retries)
+                    self._stage_settle(ctx, now, retries)
             else:
+                now = perf_counter()
                 self.counts["ok"] += 1
                 if ctx is not None:
-                    settled = ctx.marks.get("op_end")
-                    if settled is not None:
-                        ctx.stage_since("settle", settled, attempt=retries)
+                    self._stage_settle(ctx, now, retries)
                 response = Response(op, key, "ok", value, None, retries,
-                                    perf_counter() - start, item.service_s)
+                                    now - start, item.service_s)
                 if ctx is None and not self._observed:
                     return response
                 return self._finish(response, ctx)
@@ -417,14 +427,21 @@ class Frontend:
                                        retries=retries, detail=detail)
                 return self._finish(Response(
                     op, key, failure, None, detail, retries,
-                    perf_counter() - start, item.service_s), ctx)
+                    now - start, item.service_s), ctx)
             retries += 1
             self.counts["retries"] += 1
             self._retry_counter.inc()
-            backoff_from = perf_counter()
             await asyncio.sleep(self.policy.backoff_s(retries))
             if ctx is not None:
-                ctx.stage_since("backoff", backoff_from, attempt=retries)
+                enqueued = perf_counter()
+                ctx.stage("backoff", now, enqueued - now, attempt=retries)
+
+    @staticmethod
+    def _stage_settle(ctx, now: float, attempt: int) -> None:
+        """The settle stage: from the store op's end to ``now``."""
+        settled = ctx.marks.get("op_end")
+        if settled is not None:
+            ctx.stage("settle", settled, now - settled, attempt=attempt)
 
     # -- attempt deadlines ---------------------------------------------
 

@@ -260,19 +260,20 @@ class ShardedStore:
                 state.shards[shard_id].occupancy)
 
     # -- operations ----------------------------------------------------
+    #
+    # Each op reads or writes the current epoch's shard inline; only a
+    # miss or a write during a migration reaches the old epoch.
 
-    def _get(self, state: _EpochState, shard_id: int,
-             canonical: int) -> Any:
-        """Dual-epoch read: new epoch first, then the old one with
-        promotion (the hit moves to the new epoch so it is never read
-        from the old fleet again)."""
-        value = state.shards[shard_id].get(canonical, _MISS)
-        if value is _MISS and state.old_shards is not None:
-            old_id = state.old_table.route(canonical)
-            value = state.old_shards[old_id].get(canonical, _MISS)
-            if value is not _MISS:
-                state.shards[shard_id].put(canonical, value)
-                state.old_shards[old_id].delete(canonical)
+    def _promote(self, state: _EpochState, shard_id: int,
+                 canonical: int) -> Any:
+        """A current-epoch miss during migration: read the old epoch
+        and promote a hit into the new one (so it is never read from
+        the old fleet again)."""
+        old_id = state.old_table.route(canonical)
+        value = state.old_shards[old_id].get(canonical, _MISS)
+        if value is not _MISS:
+            state.shards[shard_id].put(canonical, value)
+            state.old_shards[old_id].delete(canonical)
         return value
 
     def get(self, key: StoreKey, default: Any = None) -> Any:
@@ -281,62 +282,58 @@ class ShardedStore:
         shard_id = state.table.route(canonical)
         with self._window_lock:
             self._window.append(shard_id)
-        if not self._observed:
-            value = self._get(state, shard_id, canonical)
-            return default if value is _MISS else value
-        self._hitters.offer(key, shard_id)
-        start = perf_counter()
-        value = self._get(state, shard_id, canonical)
-        self._record(state, shard_id, "get", perf_counter() - start)
+        observed = self._observed
+        if observed:
+            self._hitters.offer(key, shard_id)
+            start = perf_counter()
+        value = state.shards[shard_id].get(canonical, _MISS)
+        if value is _MISS and state.old_shards is not None:
+            value = self._promote(state, shard_id, canonical)
+        if observed:
+            self._record(state, shard_id, "get", perf_counter() - start)
         return default if value is _MISS else value
 
-    def _put(self, state: _EpochState, shard_id: int, canonical: int,
-             value: Any) -> Optional[int]:
-        """Dual-epoch write: the new epoch owns the key from here on;
-        the old copy is erased so it cannot resurrect after a delete."""
-        evicted = state.shards[shard_id].put(canonical, value)
-        if state.old_shards is not None:
-            state.old_shards[state.old_table.route(canonical)].delete(
-                canonical)
-        return evicted
-
     def put(self, key: StoreKey, value: Any) -> Optional[int]:
-        """Store ``value``; returns the evicted (canonical) key, if any."""
+        """Store ``value``; returns the evicted (canonical) key, if any.
+
+        During a migration the new epoch owns the key from here on and
+        the old copy is erased, so it cannot resurrect after a delete.
+        """
         state = self._state
         canonical = canonical_key(key)
         shard_id = state.table.route(canonical)
         with self._window_lock:
             self._window.append(shard_id)
-        if not self._observed:
-            return self._put(state, shard_id, canonical, value)
-        self._hitters.offer(key, shard_id)
-        start = perf_counter()
-        evicted = self._put(state, shard_id, canonical, value)
-        self._record(state, shard_id, "put", perf_counter() - start)
+        observed = self._observed
+        if observed:
+            self._hitters.offer(key, shard_id)
+            start = perf_counter()
+        evicted = state.shards[shard_id].put(canonical, value)
+        if state.old_shards is not None:
+            state.old_shards[state.old_table.route(canonical)].delete(
+                canonical)
+        if observed:
+            self._record(state, shard_id, "put", perf_counter() - start)
         return evicted
 
-    def _delete(self, state: _EpochState, shard_id: int,
-                canonical: int) -> bool:
-        """Dual-epoch delete: both generations must forget the key."""
+    def delete(self, key: StoreKey) -> bool:
+        """Forget ``key``; during a migration both epochs forget it."""
+        state = self._state
+        canonical = canonical_key(key)
+        shard_id = state.table.route(canonical)
+        with self._window_lock:
+            self._window.append(shard_id)
+        observed = self._observed
+        if observed:
+            self._hitters.offer(key, shard_id)
+            start = perf_counter()
         deleted = state.shards[shard_id].delete(canonical)
         if state.old_shards is not None:
             old_deleted = state.old_shards[
                 state.old_table.route(canonical)].delete(canonical)
             deleted = deleted or old_deleted
-        return deleted
-
-    def delete(self, key: StoreKey) -> bool:
-        state = self._state
-        canonical = canonical_key(key)
-        shard_id = state.table.route(canonical)
-        with self._window_lock:
-            self._window.append(shard_id)
-        if not self._observed:
-            return self._delete(state, shard_id, canonical)
-        self._hitters.offer(key, shard_id)
-        start = perf_counter()
-        deleted = self._delete(state, shard_id, canonical)
-        self._record(state, shard_id, "delete", perf_counter() - start)
+        if observed:
+            self._record(state, shard_id, "delete", perf_counter() - start)
         return deleted
 
     def contains(self, key: StoreKey) -> bool:

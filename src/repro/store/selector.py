@@ -56,8 +56,11 @@ def canonical_key(key: StoreKey) -> int:
 
     Integers pass through (masked to 64 bits, so negative keys are
     well-defined); str/bytes are digested with blake2b, which is stable
-    across processes — unlike the builtin ``hash``.
+    across processes — unlike the builtin ``hash``.  A plain ``int``,
+    the key every layer below the first passes on, is tested first.
     """
+    if type(key) is int:
+        return key & _KEY_MASK
     if isinstance(key, bool):  # bool is an int subclass; reject explicitly
         raise TypeError("bool is not a valid store key")
     if isinstance(key, int):

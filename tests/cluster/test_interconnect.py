@@ -143,6 +143,110 @@ class TestLinkAgainstListModel:
                 assert getattr(link, name) == getattr(model, name), name
 
 
+class ListFabric:
+    """The reference fabric: one :class:`ListLink` per link of a real
+    fabric, strung along the same paths, with the hop loops spelled
+    out."""
+
+    def __init__(self, fabric):
+        self.links = {name: ListLink(link.bandwidth_bps, link.latency_s,
+                                     link.queue_depth)
+                      for name, link in fabric.links.items()}
+        self.paths = {pair: [self.links[link.name] for link in hops]
+                      for pair, hops in fabric.paths.items()}
+        self.topology = fabric.topology
+        self.transfers = self.drops = 0
+
+    def leg(self, src, dst, n_bytes, at_s):
+        for link in self.paths[src, dst]:
+            at_s = link.send(at_s, n_bytes)
+            if at_s is None:
+                self.drops += 1
+                return None
+        self.transfers += 1
+        return at_s
+
+    def transfer(self, src, dst, n_bytes, now_s):
+        return now_s if src == dst else self.leg(src, dst, n_bytes, now_s)
+
+    def round_trip(self, src, dst, request_bytes, response_bytes, now_s,
+                   service_s):
+        if src == dst:
+            return now_s + service_s
+        at_s = self.leg(src, dst, request_bytes, now_s)
+        if at_s is None:
+            return None
+        return self.leg(dst, src, response_bytes, at_s + service_s)
+
+    def stats(self, elapsed_s):
+        rows = []
+        for name, link in self.links.items():
+            row = {"name": name, "transfers": link.transfers,
+                   "drops": link.drops, "bytes_moved": link.bytes_moved,
+                   "busy_s": link.busy_s, "queued_s": link.queued_s,
+                   "peak_queue": link.peak_queue}
+            if elapsed_s and elapsed_s > 0:
+                row["utilization"] = min(1.0, link.busy_s / elapsed_s)
+            rows.append(row)
+        return {"topology": self.topology, "transfers": self.transfers,
+                "drops": self.drops, "links": rows}
+
+
+#: One fabric call: a one-way transfer, or a round trip with a far-end
+#: service time, between two drawn endpoints (``None`` = the frontend).
+FABRIC_CALLS = st.tuples(
+    CLOCK_MOVES,
+    st.sampled_from(["transfer", "round_trip"]),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    st.integers(min_value=0, max_value=4096),
+    st.integers(min_value=0, max_value=4096),
+    st.sampled_from([0.0, 5e-6, 1e-3]))
+
+
+class TestFabricAgainstListModel:
+    @settings(max_examples=300, deadline=None)
+    @given(topology=st.sampled_from(["star", "fat-tree"]),
+           n_nodes=st.integers(min_value=1, max_value=6),
+           leaf_width=st.integers(min_value=1, max_value=4),
+           bandwidth=st.sampled_from([10.0, 997.0, 4e6, 1e8]),
+           latency=st.sampled_from([0.0, 1e-6, 20e-6, 0.5]),
+           depth=st.integers(min_value=1, max_value=4),
+           calls=st.lists(FABRIC_CALLS, max_size=60))
+    def test_same_arrivals_and_stats(self, topology, n_nodes, leaf_width,
+                                     bandwidth, latency, depth, calls):
+        """Multi-hop transfers and round trips over star and fat-tree
+        fabrics give the per-link list model's arrival times (or drop)
+        and its ``stats()`` exactly, for clocks that step back as well
+        as forward."""
+        kw = dict(bandwidth_bps=bandwidth, latency_s=latency,
+                  queue_depth=depth)
+        fabric = (star_fabric(n_nodes, **kw) if topology == "star"
+                  else fat_tree_fabric(n_nodes, leaf_width=leaf_width,
+                                       **kw))
+        model = ListFabric(fabric)
+        now_s = 0.0
+        for move, call, a, b, out_bytes, back_bytes, service_s in calls:
+            if isinstance(move, float):
+                now_s += move
+            else:  # a departure the model still queues somewhere
+                queued = [t for link in model.links.values()
+                          for t in link.departures]
+                if len(queued) >= move:
+                    now_s = sorted(queued)[-move]
+            src = FRONTEND if a is None else node_endpoint(a % n_nodes)
+            dst = FRONTEND if b is None else node_endpoint(b % n_nodes)
+            if call == "transfer":
+                assert fabric.transfer(src, dst, out_bytes, now_s) == \
+                    model.transfer(src, dst, out_bytes, now_s)
+            else:
+                assert fabric.round_trip(
+                    src, dst, out_bytes, back_bytes, now_s, service_s) == \
+                    model.round_trip(src, dst, out_bytes, back_bytes,
+                                     now_s, service_s)
+        assert fabric.stats(now_s) == model.stats(now_s)
+
+
 class TestStarFabric:
     def test_every_pair_routes_through_the_switch(self):
         fabric = star_fabric(4)

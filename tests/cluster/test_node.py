@@ -83,17 +83,17 @@ class TestServing:
         node.begin_recovery()
         node.put("k", 9)
         assert node.get("k") == 9
-        assert node.writable and node.live
+        assert node.live
 
     def test_degraded_pays_the_penalty(self):
         node = StoreNode(0, ShardedStore(
             routing=RoutingTable.create("pmod", 8), shard_capacity=64),
             service_s=1e-6, degraded_penalty_s=5e-4)
-        assert node.service_time() == pytest.approx(1e-6)
+        assert node.service_now_s == pytest.approx(1e-6)
         node.degrade()
-        assert node.service_time() == pytest.approx(1e-6 + 5e-4)
+        assert node.service_now_s == pytest.approx(1e-6 + 5e-4)
         node.restore()
-        assert node.service_time() == pytest.approx(1e-6)
+        assert node.service_now_s == pytest.approx(1e-6)
 
     def test_describe_is_json_friendly(self):
         import json

@@ -166,6 +166,13 @@ RINGS = [("traditional", 2), ("pmod", 3), ("pmod", 4), ("pmod", 5),
          ("keyed", 13), ("pmod", 31), ("xor", 32)]
 
 
+#: pMod node-table sizes: exact primes (the ladder's rungs) and powers
+#: of two (pMod over the largest prime below).
+PMOD_NODE_COUNTS = st.one_of(
+    st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 61, 67]),
+    st.sampled_from([4, 8, 16, 32, 64]))
+
+
 class TestReplicasAgainstWalk:
     @pytest.mark.parametrize("node_scheme,n_nodes", RINGS)
     def test_closed_form_matches_the_walk(self, node_scheme, n_nodes):
@@ -180,13 +187,16 @@ class TestReplicasAgainstWalk:
                 assert router.replicas(key, r) == successor_walk(
                     router.node_table, key, r)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_quarantined_placement_matches_the_walk(self, data):
-        """Over rings, quarantine sets up to all but one node and every
-        ``r`` from 1 to the ring plus two."""
-        node_scheme, n_nodes = data.draw(st.sampled_from(RINGS),
-                                         label="ring")
+        """Over rings (the fixed ones, and drawn prime and power-of-two
+        pMod tables), quarantine sets up to all but one node and every
+        ``r`` from 1 to the ring plus two; int (negative, wider than 64
+        bits), str and bytes keys."""
+        node_scheme, n_nodes = data.draw(st.one_of(
+            st.sampled_from(RINGS),
+            PMOD_NODE_COUNTS.map(lambda n: ("pmod", n))), label="ring")
         router = make_router(node_scheme=node_scheme, n_nodes=n_nodes,
                              shards_per_node=5)
         usable = router.n_nodes
@@ -203,6 +213,17 @@ class TestReplicasAgainstWalk:
 
 
 class TestDerivation:
+    def test_quarantine_derives_a_new_placement_table(self):
+        """The placement table belongs to one router: quarantining and
+        healing build new ones, and the original keeps its placement."""
+        router = make_router(n_nodes=7)
+        before = [router.replicas(k, 3) for k in range(50)]
+        quarantined = router.with_node_quarantined([3])
+        assert all(3 not in quarantined.replicas(k, 3) for k in range(50))
+        assert [router.replicas(k, 3) for k in range(50)] == before
+        healed = quarantined.without_node_quarantined()
+        assert [healed.replicas(k, 3) for k in range(50)] == before
+
     def test_quarantine_bumps_epoch(self):
         router = make_router()
         assert router.epoch == 0

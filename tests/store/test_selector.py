@@ -1,7 +1,10 @@
 """ShardSelector: scheme registry, key folding, routing, analysis duck-typing."""
 
+from enum import IntEnum
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hashing import balance, strided_addresses
 from repro.mathutil import largest_prime_below
@@ -56,12 +59,29 @@ class TestCanonicalKey:
         assert canonical_key("x") == canonical_key("x")
 
     def test_bool_rejected(self):
-        with pytest.raises(TypeError, match="bool"):
-            canonical_key(True)
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="bool"):
+                canonical_key(flag)
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError, match="unsupported"):
             canonical_key(3.14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.integers(min_value=-(1 << 70), max_value=1 << 70))
+    def test_int_subclasses_fold_like_their_value(self, value):
+        """An ``IntEnum`` member (or any int subclass) misses the plain
+        ``int`` test and folds through the general path, to the same
+        plain int as its value."""
+        member = IntEnum("Key", [("K", value)]).K
+
+        class Wide(int):
+            pass
+
+        for key in (member, Wide(value)):
+            folded = canonical_key(key)
+            assert type(folded) is int
+            assert folded == canonical_key(value) == value & (2**64 - 1)
 
 
 class TestRouting:
