@@ -10,11 +10,11 @@ Two gates, one file:
   calls at all) in the same process, so the comparison is machine- and
   load-independent, and asserts the overhead stays under 2%.
 * **Tracing-enabled path** — with observability on, turning request
-  *tracing* on (1-in-16 sampled stage timelines + heavy-hitter
-  tracking on the cluster op path) must cost under 5% over the same
+  *tracing* on (the per-op sampling check and 1-in-16 sampled stage
+  timelines on the cluster op path) must cost under 5% over the same
   metrics-on stream with the trace collector off.  Paired on one
-  cluster instance so both sides pay identical metric/journal costs
-  and the delta isolates tracing itself.
+  cluster instance so both sides pay identical metric, heavy-hitter
+  and journal costs and the delta isolates tracing itself.
 
 Both tests merge their rows into ``BENCH_obs.json`` at the repo root;
 they run under plain pytest (``make obs-check``) — no benchmark-only
@@ -169,11 +169,11 @@ def test_tracing_enabled_overhead():
     """Tracing on top of metrics-on serving must cost < TRACING_BUDGET.
 
     Both sides run the identical op stream on the *same* cluster with
-    the registry enabled (so metric recording costs cancel); only the
-    trace collector's enabled flag differs.  The traced side pays the
-    per-op sampling check, a 1-in-16 full stage timeline (three
-    wall-clock stages + flight-recorder insert), and heavy-hitter
-    updates.
+    the registry enabled (so metric recording and the heavy-hitter
+    updates that ride it cancel); only the trace collector's enabled
+    flag differs.  The traced side pays the per-op sampling check and
+    a 1-in-16 full stage timeline (three wall-clock stages +
+    flight-recorder insert).
     """
     from repro.cluster import Cluster, ReplicationConfig
     from repro.obs import (

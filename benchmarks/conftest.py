@@ -1,15 +1,14 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared settings and fixtures for the benchmark harness.
 
-The simulation benches share one SimulationEngine per scale so that
-e.g. the Figure 7 and Figure 9 benches do not re-simulate the Base
-runs.  Each bench prints the rendered paper table/figure (visible with
-``-s``) and asserts the paper's qualitative shape, so the harness
-doubles as a regression gate for the reproduction.
+The paper's tables and figures are asserted in tier-1
+(``tests/experiments/``), not here.  These benches time the ablations
+and the store/serve/cluster stack; most print their result (visible
+with ``-s``), and the stack benches write the root ``BENCH_*.json``
+files.
 """
 
 import pytest
 
-from repro.engine import RunConfig, SimulationEngine
 from repro.obs import (
     Journal,
     disable_observability,
@@ -18,16 +17,10 @@ from repro.obs import (
     set_journal,
 )
 
-#: Trace scale used by the simulation benches; small enough that the
-#: whole harness finishes in minutes, large enough that the cyclic /
-#: resident working sets complete multiple reuse passes (the skewed
-#: cache's retention advantage on cg/mst needs several passes).
+#: Trace scale used by the simulation ablations; small enough that the
+#: harness finishes in minutes, large enough that the cyclic /
+#: resident working sets complete multiple reuse passes.
 BENCH_SCALE = 0.4
-
-
-@pytest.fixture(scope="session")
-def store():
-    return SimulationEngine(RunConfig(scale=BENCH_SCALE, seed=0))
 
 
 @pytest.fixture(autouse=True)

@@ -1,39 +1,22 @@
-"""``python -m repro`` — list the reproducible tables and figures."""
+"""``python -m repro`` — list the registered experiments."""
 
-INDEX = """repro — 'Using Prime Numbers for Cache Indexing to Eliminate
+from repro.experiments.__main__ import list_experiments
+
+HEADER = """repro — 'Using Prime Numbers for Cache Indexing to Eliminate
 Conflict Misses' (HPCA 2004) reproduction.
 
-Every experiment is registered in the declarative registry and runs
-through the unified simulation engine (content-addressed results,
-persistent caching, shared traces, parallel grids):
+  python -m repro.experiments <name> [--scale S] [--seed N] [--jobs J]
+      [--cache-dir DIR] [--param KEY=VALUE ...] [--artifact PATH] [--check]
+  python examples/paper_evaluation.py      every paper table and figure
+  make figures                             artifacts/<name>.json
 
-  python -m repro.experiments list                all experiments
-  python -m repro.experiments <name>              run one of them
-      [--scale S] [--seed N] [--skew-replacement P]
-      [--jobs J] [--cache-dir DIR]
-      [--param KEY=VALUE ...] [--artifact PATH]
-
-The paper's tables and figures (each also has a bench under
-benchmarks/):
-
-  python -m repro.experiments fragmentation       Table 1
-  python -m repro.experiments qualitative         Table 2
-  python -m repro.experiments machine             Table 3
-  python -m repro.experiments summary             Table 4
-  python -m repro.experiments stride_sweep        Figures 5-6
-  python -m repro.experiments single_hash         Figures 7-8
-  python -m repro.experiments multi_hash          Figures 9-10
-  python -m repro.experiments miss_reduction      Figures 11-12
-  python -m repro.experiments miss_distribution   Figure 13
-  python -m repro.experiments uniformity_table    Section 4
-
-  python examples/paper_evaluation.py             everything above
-  make figures                                    artifacts/<name>.json
-
-Extensions/ablations: design_space, sensitivity, page_allocation,
-shared_cache, seeds, l1_hashing, l3_hashing.  See README.md, DESIGN.md
-and docs/architecture.md for details.
+Registered experiments:
 """
 
+
+def main() -> None:
+    print(HEADER + list_experiments())
+
+
 if __name__ == "__main__":
-    print(INDEX)
+    main()

@@ -3,11 +3,7 @@ write-back hierarchy that chains them (two levels in the paper's
 Table 3).
 """
 
-from repro.cache.fastsim import (
-    FastSimResult,
-    simulate_fully_associative_misses,
-    simulate_misses,
-)
+from repro.cache.fastsim import FastSimResult, simulate_misses
 from repro.cache.fully import FullyAssociativeCache
 from repro.cache.hierarchy import CacheHierarchy, HierarchyOutcome
 from repro.cache.replacement import (
@@ -51,6 +47,5 @@ __all__ = [
     "TreePLRUPolicy",
     "VictimCache",
     "make_replacement",
-    "simulate_fully_associative_misses",
     "simulate_misses",
 ]

@@ -332,31 +332,3 @@ def simulate_misses_reference(
         set_misses=set_misses,
     )
 
-
-class _SingleSetIndexing(IndexingFunction):
-    """Maps every block to set 0 (fully associative as one LRU set)."""
-
-    name = "single-set"
-
-    def __init__(self):
-        super().__init__(1)
-
-    def index(self, block_address: int) -> int:
-        return 0
-
-    def index_array(self, block_addresses: np.ndarray) -> np.ndarray:
-        return np.zeros(len(block_addresses), dtype=np.int64)
-
-
-def simulate_fully_associative_misses(
-    block_addresses: np.ndarray, n_blocks: int
-) -> FastSimResult:
-    """LRU fully associative miss counts (single-"set" counters).
-
-    A fully associative LRU cache of ``n_blocks`` frames is exactly one
-    LRU set with associativity ``n_blocks``, so this reuses the
-    vectorized stack-distance path.
-    """
-    if n_blocks < 1:
-        raise ValueError("capacity must be positive")
-    return simulate_misses(_SingleSetIndexing(), block_addresses, n_blocks)

@@ -266,36 +266,6 @@ class Fabric:
         self.transfers += 1
         return at_s
 
-    def round_trip_breakdown(self, src: str, dst: str, request_bytes: int,
-                             response_bytes: int,
-                             service_s: float = 0.0) -> Dict[str, float]:
-        """Ideal (queue-free) cost decomposition of one round trip.
-
-        Splits the floor price of ``src -> dst -> src`` into request /
-        response serialization, propagation, and far-end service time
-        — the attribution baseline a *measured* round trip is compared
-        against: measured minus this total is pure queuing delay.
-        Reads only static link parameters; never mutates fabric state.
-        """
-        def leg(a: str, b: str, n_bytes: int) -> Tuple[float, float]:
-            if a == b:
-                return 0.0, 0.0
-            hops = self.path(a, b)
-            return (sum(link.serialization_s(n_bytes) for link in hops),
-                    sum(link.latency_s for link in hops))
-
-        req_ser, req_prop = leg(src, dst, request_bytes)
-        resp_ser, resp_prop = leg(dst, src, response_bytes)
-        breakdown = {
-            "request_serialize_s": req_ser,
-            "request_propagate_s": req_prop,
-            "service_s": service_s,
-            "response_serialize_s": resp_ser,
-            "response_propagate_s": resp_prop,
-        }
-        breakdown["total_s"] = sum(breakdown.values())
-        return breakdown
-
     def stats(self, elapsed_s: Optional[float] = None) -> Dict[str, object]:
         """Per-link accounting plus utilization when ``elapsed_s`` (the
         virtual timespan observed) is given."""

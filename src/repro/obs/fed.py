@@ -44,7 +44,6 @@ Merge semantics worth knowing:
 
 from __future__ import annotations
 
-import json
 import math
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -65,11 +64,23 @@ __all__ = [
     "GAUGE_POLICIES",
     "ScrapeResult",
     "Scraper",
+    "SCRAPE_BUCKET_BYTES",
     "SCRAPE_REQUEST_BYTES",
+    "SCRAPE_SERIES_BYTES",
 ]
 
 #: Wire size of a scrape request (a GET to the metrics endpoint).
 SCRAPE_REQUEST_BYTES = 64
+
+#: Wire size charged per series row of a scrape response, and per
+#: bucket of a sketch a histogram row carries: the mean JSON size of a
+#: cluster node's rows (~124 B over its counters, gauges and
+#: histograms) and of one bucket entry (~12 B).  A response is priced
+#: from the snapshot's shape, not its text, so wall-clock values (the
+#: snapshot's timestamp, wall-time latency histograms) never move the
+#: fabric's queues and a drill repeats exactly from its seed.
+SCRAPE_SERIES_BYTES = 124
+SCRAPE_BUCKET_BYTES = 12
 
 #: Gauge merge policy by series name; unlisted names default to
 #: ``"last"`` (the freshest node's value wins).  Worst-case-wins for
@@ -92,6 +103,16 @@ _LabelKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
 
 def _identity(row: Mapping[str, Any]) -> _LabelKey:
     return row["name"], tuple(sorted(row.get("labels", {}).items()))
+
+
+def _response_bytes(doc: Mapping[str, Any]) -> int:
+    """Wire size charged for the scrape response ``doc``."""
+    metrics = doc["metrics"]
+    series = sum(len(metrics[kind])
+                 for kind in ("counters", "gauges", "histograms"))
+    buckets = sum(len(row["sketch"]["buckets"])
+                  for row in metrics["histograms"] if "sketch" in row)
+    return series * SCRAPE_SERIES_BYTES + buckets * SCRAPE_BUCKET_BYTES
 
 
 class ScrapeResult:
@@ -196,15 +217,15 @@ class Scraper:
                 results.append(self._miss(endpoint, type(exc).__name__,
                                           now_s))
                 continue
-            response_bytes = len(json.dumps(doc, default=str))
             arrival = now_s
             if self.fabric is not None:
+                n_bytes = _response_bytes(doc)
                 self._charge(self.source_endpoint, endpoint,
                              self.request_bytes)
-                self._charge(endpoint, self.source_endpoint, response_bytes)
+                self._charge(endpoint, self.source_endpoint, n_bytes)
                 arrival = self.fabric.round_trip(
                     self.source_endpoint, endpoint, self.request_bytes,
-                    response_bytes, now_s)
+                    n_bytes, now_s)
                 if arrival is None:
                     results.append(self._miss(endpoint, "drop", now_s))
                     continue

@@ -1,8 +1,12 @@
 """One-shot markdown report over a complete evaluation.
 
-``full_report`` renders every simulation-backed table and figure from a
-:class:`~repro.engine.SimulationEngine` into a single markdown
-document — the machine-generated counterpart of EXPERIMENTS.md:
+``full_report`` renders every paper table and figure into a single
+markdown document — the machine-generated counterpart of
+EXPERIMENTS.md.  Each section is a registered experiment's artifact,
+built with :func:`~repro.engine.run_experiment` on one shared
+:class:`~repro.engine.SimulationEngine` and rendered with
+:func:`~repro.engine.render_artifact`, the same path as
+``python -m repro.experiments <name>``:
 
     python -m repro.reporting.report --scale 0.5 --jobs 4 \
         --cache-dir .repro-cache > report.md
@@ -10,78 +14,59 @@ document — the machine-generated counterpart of EXPERIMENTS.md:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List, Tuple
 
-from repro.engine import SimulationEngine
-from repro.experiments import (
-    fragmentation,
-    machine,
-    miss_reduction,
-    multi_hash,
-    qualitative,
-    single_hash,
-    summary,
+from repro.engine import (
+    ExperimentContext,
+    SimulationEngine,
+    render_artifact,
+    run_experiment,
 )
 from repro.experiments.common import context_from_args, standard_argparser
-from repro.workloads import NONUNIFORM_APPS, UNIFORM_APPS
+
+#: The registered experiments behind the paper's Tables 1-4 and
+#: Figures 5-13, in the paper's order, each with its ``--param``s.
+#: An odd stride step samples both parities (an even step would only
+#: ever hit odd strides and hide traditional indexing's failures).
+PAPER_EXPERIMENTS = (
+    ("fragmentation", {}),
+    ("qualitative", {}),
+    ("machine", {}),
+    ("stride_sweep", {"stride_step": 3}),
+    ("single_hash", {}),
+    ("multi_hash", {}),
+    ("miss_reduction", {}),
+    ("miss_distribution", {}),
+    ("summary", {}),
+)
 
 
-def _code_block(text: str) -> str:
-    return "```\n" + text + "\n```"
+def paper_sections(engine: SimulationEngine) -> Iterator[Tuple[str, str]]:
+    """``(title, rendering)`` of each :data:`PAPER_EXPERIMENTS` artifact,
+    every simulation shared through ``engine``."""
+    for name, params in PAPER_EXPERIMENTS:
+        artifact = run_experiment(name, ExperimentContext(engine,
+                                                          dict(params)))
+        yield artifact["title"], render_artifact(artifact)
 
 
-def full_report(store: SimulationEngine) -> str:
-    """Markdown report of Tables 1-4 and the Figure 7-12 summaries."""
-    config = store.config
+def full_report(engine: SimulationEngine) -> str:
+    """Markdown report of Tables 1-4 and Figures 5-13."""
+    config = engine.config
     sections: List[str] = [
         "# Prime-number cache indexing — evaluation report",
         f"Trace scale {config.scale}, seed {config.seed}, "
         f"skewed replacement `{config.skew_replacement}`.",
-        "## Table 1 — fragmentation",
-        _code_block(fragmentation.render(fragmentation.run())),
-        "## Table 2 — hashing-function properties (measured)",
-        _code_block(qualitative.render(qualitative.run())),
-        "## Table 3 — machine parameters",
-        _code_block(machine.render()),
     ]
-
-    fig7 = single_hash.build_figure(
-        "Figure 7 (non-uniform apps)", NONUNIFORM_APPS,
-        single_hash.SINGLE_HASH_SCHEMES, store)
-    fig8 = single_hash.build_figure(
-        "Figure 8 (uniform apps)", UNIFORM_APPS,
-        single_hash.SINGLE_HASH_SCHEMES, store)
-    fig9 = single_hash.build_figure(
-        "Figure 9 (non-uniform apps)", NONUNIFORM_APPS,
-        multi_hash.MULTI_HASH_SCHEMES, store)
-    fig10 = single_hash.build_figure(
-        "Figure 10 (uniform apps)", UNIFORM_APPS,
-        multi_hash.MULTI_HASH_SCHEMES, store)
-    for figure in (fig7, fig8, fig9, fig10):
-        sections.append(f"## {figure.title}")
-        sections.append(_code_block(single_hash.render(figure)))
-
-    fig11 = miss_reduction.build_figure(
-        "Figure 11 (non-uniform apps)", NONUNIFORM_APPS, store)
-    fig12 = miss_reduction.build_figure(
-        "Figure 12 (uniform apps)", UNIFORM_APPS, store)
-    for figure in (fig11, fig12):
-        sections.append(f"## {figure.title}")
-        sections.append(_code_block(miss_reduction.render(figure)))
-
-    sections.append("## Table 4 — summary")
-    sections.append(_code_block(summary.render(summary.run(config, store))))
+    for title, text in paper_sections(engine):
+        sections.append(f"## {title}")
+        sections.append("```\n" + text + "\n```")
     return "\n\n".join(sections) + "\n"
 
 
 def main() -> None:
     args = standard_argparser(__doc__).parse_args()
-    engine = context_from_args(args).engine
-    schemes = set(single_hash.SINGLE_HASH_SCHEMES)
-    schemes |= set(multi_hash.MULTI_HASH_SCHEMES)
-    schemes |= set(miss_reduction.MISS_SCHEMES)
-    engine.run_grid((*NONUNIFORM_APPS, *UNIFORM_APPS), sorted(schemes))
-    print(full_report(engine))
+    print(full_report(context_from_args(args).engine))
 
 
 if __name__ == "__main__":

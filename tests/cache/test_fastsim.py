@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import FullyAssociativeCache, SetAssociativeCache
-from repro.cache.fastsim import (
-    simulate_fully_associative_misses,
-    simulate_misses,
-    simulate_misses_reference,
-)
+from repro.cache import SetAssociativeCache
+from repro.cache.fastsim import simulate_misses, simulate_misses_reference
 from repro.hashing import (
     PrimeModuloIndexing,
     TraditionalIndexing,
@@ -40,17 +36,6 @@ class TestEquivalence:
         assert fast.misses == ref.misses
         assert np.array_equal(fast.set_accesses, ref.set_accesses)
         assert np.array_equal(fast.set_misses, ref.set_misses)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(0, 2047), min_size=1, max_size=300),
-           st.sampled_from([2, 8, 32]))
-    def test_fa_matches_reference(self, blocks, capacity):
-        blocks = np.asarray(blocks, dtype=np.uint64)
-        fast = simulate_fully_associative_misses(blocks, capacity)
-        ref = FullyAssociativeCache(capacity)
-        for b in blocks:
-            ref.access(int(b))
-        assert fast.misses == ref.stats.misses
 
     def test_workload_scale_equivalence(self):
         """A real workload trace at modest scale: both paths agree."""
@@ -112,8 +97,6 @@ class TestInterface:
             simulate_misses(idx, np.zeros(4, dtype=np.uint64), 0)
         with pytest.raises(ValueError):
             simulate_misses(idx, np.zeros((2, 2), dtype=np.uint64), 2)
-        with pytest.raises(ValueError):
-            simulate_fully_associative_misses(np.zeros(4, dtype=np.uint64), 0)
 
     def test_counters_optional(self):
         idx = XorIndexing(16)

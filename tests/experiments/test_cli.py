@@ -47,6 +47,14 @@ class TestMain:
         for name in all_experiment_names():
             assert name in out
 
+    def test_package_main_lists_the_registry(self, capsys):
+        from repro.__main__ import main as package_main
+        package_main()
+        out = capsys.readouterr().out
+        listing = out.split("Registered experiments:\n", 1)[1]
+        listed = {line.split()[0] for line in listing.splitlines()}
+        assert set(all_experiment_names()) <= listed
+
     def test_run_and_render(self, capsys):
         main(["fragmentation"])
         assert "Table 1" in capsys.readouterr().out

@@ -57,6 +57,15 @@ class TestContract:
     def test_payload_is_json_serializable(self, cells):
         assert json.loads(json.dumps(cells)) == cells
 
+    def test_same_seed_repeats_exactly(self, cells):
+        """Scrapes are priced from each snapshot's shape, so no
+        wall-clock value reaches the fabric: a second run from the same
+        seed reads the same tails and the same scrape cost."""
+        again = federation.run(n_requests=3000, seed=0)
+        for arm, cell in cells.items():
+            for field in ("exact_p99_s", "fed_p99_s", "scrape_utilization"):
+                assert again[arm][field] == cell[field], (arm, field)
+
 
 class TestChecksLogic:
     def test_a_quantile_miss_flips_its_check(self, cells):

@@ -1,38 +1,29 @@
 """Integration tests for the execution-time / miss figures and Table 4.
 
-One shared SimulationEngine at a moderate trace scale feeds every
-figure, so the full 23-app x 8-scheme sweep is simulated exactly once
-per test session.  Assertions target the paper's *shapes* (who wins,
-roughly by how much, where the pathologies are), not absolute numbers.
+The shared ``paper_engine`` (scale 0.4, seed 0) feeds every figure, so
+the full 23-app x 8-scheme sweep is simulated exactly once per test
+session.  Assertions target the paper's *shapes* (who wins, roughly by
+how much, where the pathologies are), not absolute numbers.
 """
 
 import pytest
 
-from repro.engine import RunConfig, SimulationEngine
 from repro.experiments import miss_reduction, multi_hash, single_hash, summary
-from repro.workloads import NONUNIFORM_APPS
-
-SCALE = 0.4
 
 
 @pytest.fixture(scope="module")
-def store():
-    return SimulationEngine(RunConfig(scale=SCALE, seed=0))
+def single(paper_engine):
+    return single_hash.run(paper_engine.config, paper_engine)
 
 
 @pytest.fixture(scope="module")
-def single(store):
-    return single_hash.run(store.config, store)
+def multi(paper_engine):
+    return multi_hash.run(paper_engine.config, paper_engine)
 
 
 @pytest.fixture(scope="module")
-def multi(store):
-    return multi_hash.run(store.config, store)
-
-
-@pytest.fixture(scope="module")
-def misses(store):
-    return miss_reduction.run(store.config, store)
+def misses(paper_engine):
+    return miss_reduction.run(paper_engine.config, paper_engine)
 
 
 class TestFigure7:
@@ -50,6 +41,7 @@ class TestFigure7:
         xor = fig7.average_speedup("xor")
         eight = fig7.average_speedup("8way")
         assert 1.15 < pmod < 1.45
+        assert pdisp > 1.15
         assert pdisp == pytest.approx(pmod, rel=0.05)
         assert xor < pmod
         assert eight < 1.05
@@ -112,6 +104,10 @@ class TestFigures9And10:
         worst = min(fig10.speedup(a, "skw") for a in fig10.apps)
         assert 0.85 < worst < 0.995
 
+    def test_pmod_stays_safe_on_uniform_apps(self, multi):
+        _, fig10 = multi
+        assert min(fig10.speedup(a, "pmod") for a in fig10.apps) > 0.95
+
     def test_skw_pdisp_fewer_or_equal_pathologies(self, multi):
         _, fig10 = multi
         assert len(multi_hash.pathological_cases(fig10, "skw+pdisp")) <= \
@@ -128,7 +124,7 @@ class TestFigures11And12:
 
     def test_tree_misses_nearly_eliminated(self, misses):
         fig11, _ = misses
-        assert fig11.normalized["tree"]["pmod"] < 0.6
+        assert fig11.normalized["tree"]["pmod"] < 0.5
 
     def test_skw_pdisp_beats_fa_on_cg(self, misses):
         """Paper: 'skw+pDisp is able to remove more cache misses than a
@@ -152,8 +148,9 @@ class TestFigures11And12:
 
 class TestTable4:
     @pytest.fixture(scope="class")
-    def rows(self, store):
-        return {s.scheme: s for s in summary.run(store.config, store)}
+    def rows(self, paper_engine):
+        return {s.scheme: s
+                for s in summary.run(paper_engine.config, paper_engine)}
 
     def test_paper_row_order_present(self, rows):
         assert set(rows) == {"xor", "pmod", "pdisp", "skw", "skw+pdisp"}
@@ -161,6 +158,7 @@ class TestTable4:
     def test_nonuniform_averages(self, rows):
         assert rows["pmod"].nonuniform_avg > rows["xor"].nonuniform_avg
         assert 1.1 < rows["pmod"].nonuniform_avg < 1.5
+        assert rows["pdisp"].nonuniform_avg > 1.1
 
     def test_uniform_averages_near_one(self, rows):
         for scheme, row in rows.items():

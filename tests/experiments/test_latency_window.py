@@ -7,8 +7,6 @@ not depend on that bound: shrunk far below the run's op count, they
 read what the default window does.
 """
 
-import pytest
-
 from repro.cluster import engine
 from repro.experiments import cluster, federation
 
@@ -21,10 +19,5 @@ def test_drill_tails_ignore_the_latency_window(monkeypatch):
         "pmod+pmod", 4000)["during_loss"]["sim_p99_s"]
     small_fed = federation.measure("healthy", 2000)
     assert small_loss_p99 == loss_p99 > 0.0
-    # The federation drill's scrapes are sized by wall-clock metrics, so
-    # its simulated latencies move by ~0.1% from run to run; slicing the
-    # window by position moved the TSDB's p99 by a third.
-    assert small_fed["tsdb"]["p99_s"] == pytest.approx(
-        fed["tsdb"]["p99_s"], rel=0.02)
-    assert small_fed["exact_p99_s"] == pytest.approx(fed["exact_p99_s"],
-                                                     rel=0.01)
+    assert small_fed["tsdb"]["p99_s"] == fed["tsdb"]["p99_s"] > 0.0
+    assert small_fed["exact_p99_s"] == fed["exact_p99_s"] > 0.0

@@ -7,8 +7,8 @@ from repro.experiments.common import RunConfig
 
 
 @pytest.fixture(scope="module")
-def results():
-    return miss_distribution.run(RunConfig(scale=0.25))
+def results(paper_engine):
+    return miss_distribution.run(paper_engine.config)
 
 
 class TestFigure13:

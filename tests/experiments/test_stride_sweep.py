@@ -77,6 +77,46 @@ class TestFigure6Concentration:
         )
 
 
+@pytest.fixture(scope="module")
+def full_range():
+    """Figure 5's sweep over the paper's whole stride range: strides
+    1, 3, ..., 2047 (step 2), 4096 addresses each."""
+    return stride_sweep.run(max_stride=2047, n_addresses=4096,
+                            stride_step=2)
+
+
+class TestFullStrideRange:
+    def test_figure5_balance(self, full_range):
+        trad = full_range["Traditional"]
+        odd = trad.strides % 2 == 1
+        assert np.all(trad.balance[odd] <= 1.1)
+        # pMod's one failure in range is stride 2039 = n_set.
+        assert full_range["pMod"].ideal_balance_fraction() > 0.999
+        assert full_range["pDisp"].ideal_balance_fraction() > 0.85
+        assert full_range["XOR"].ideal_balance_fraction() > 0.85
+
+    def test_figure6_concentration(self, full_range):
+        """Figure 6's sweep steps by 4: every other stride of Figure
+        5's, each measured on the same 4096 addresses."""
+        sweeps = {
+            name: stride_sweep.StrideSweep(name, s.strides[::2],
+                                           s.balance[::2],
+                                           s.concentration[::2])
+            for name, s in full_range.items()
+        }
+        trad = sweeps["Traditional"]
+        assert np.array_equal(trad.strides, np.arange(1, 2048, 4))
+        odd = trad.strides % 2 == 1
+        assert np.all(trad.concentration[odd] == 0.0)
+        # Sequence invariant -> ideal on (almost) every stride.
+        assert sweeps["pMod"].ideal_concentration_fraction() > 0.99
+        # Never sequence invariant -> rarely ideal.
+        assert sweeps["XOR"].ideal_concentration_fraction() < 0.2
+        # Partial invariance puts pDisp between XOR and pMod.
+        assert (sweeps["pDisp"].concentration.mean()
+                < sweeps["XOR"].concentration.mean())
+
+
 class TestPmodBadStride:
     def test_stride_equal_prime_is_the_one_failure(self):
         """pMod fails only when the stride is a multiple of n_set."""

@@ -18,6 +18,10 @@ class TestTable1:
             assert row.n_sets == prime
             assert row.fragmentation * 100 == pytest.approx(frag_pct, abs=0.005)
 
+    def test_under_one_percent_from_512_sets(self):
+        assert all(row.fragmentation < 0.01 for row in fragmentation.run()
+                   if row.n_sets_physical >= 512)
+
     def test_custom_counts(self):
         rows = fragmentation.run(set_counts=(64,))
         assert rows[0].n_sets == 61
@@ -61,6 +65,16 @@ class TestTable2:
     def test_render(self, profiles):
         out = qualitative.render(list(profiles.values()))
         assert "Partial" in out and "s odd" in out
+
+    def test_paper_geometry(self):
+        """The same rows on the paper's 2048-set L2, strides to 128."""
+        profiles = {p.name: p for p in qualitative.run(
+            n_sets_physical=2048, n_addresses=4096, stride_limit=128)}
+        assert profiles["Traditional"].ideal_balance_condition == "s odd"
+        assert profiles["pMod"].sequence_invariant
+        assert profiles["pDisp"].partially_invariant
+        assert not profiles["XOR"].sequence_invariant
+        assert profiles["Skewed"].replacement_restricted
 
 
 class TestTable3:

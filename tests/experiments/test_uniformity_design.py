@@ -8,8 +8,9 @@ from repro.experiments.common import RunConfig
 
 class TestUniformityTable:
     @pytest.fixture(scope="class")
-    def rows(self):
-        return uniformity_table.run(RunConfig(scale=0.35))
+    def rows(self, paper_engine):
+        return uniformity_table.run(paper_engine.config,
+                                    traces=paper_engine.traces)
 
     def test_covers_all_23(self, rows):
         assert len(rows) == 23

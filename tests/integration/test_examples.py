@@ -48,6 +48,12 @@ class TestExamples:
         assert "Predicted quality score" in out
         assert "Simulated execution" in out
 
+    def test_paper_evaluation(self):
+        out = run_example("paper_evaluation.py", "--scale", "0.01")
+        for heading in (*(f"Table {n}:" for n in range(1, 5)),
+                        *(f"Figure {n}:" for n in range(5, 14))):
+            assert heading in out, heading
+
     def test_hashing_analysis_single_stride_only(self):
         # Full sweep is slow; the single-stride analysis is the fast path
         # exercised here via a tiny custom driver.
