@@ -4,7 +4,7 @@ One layer every figure, table, ablation and benchmark flows through:
 
 * :class:`SimulationKey` — content-addresses a run by (workload, scale,
   seed, scheme, skew replacement, machine fingerprint, schema version).
-* :class:`ResultCache` — persistent JSON + npz store under a
+* :class:`ResultCache` — persistent JSON store under a
   configurable ``.repro-cache/`` directory with hash-based
   invalidation.
 * :class:`TraceMaterializer` — each workload trace is generated once

@@ -6,7 +6,6 @@ Layout (all under a configurable cache directory, default
     .repro-cache/
       v1/                                   # RESULT_SCHEMA_VERSION
         tree--pmod--<hash16>.json           # one ExecutionResult
-        tree--pmod--<hash16>.npz            # optional array sidecar
 
 Each JSON entry stores the full :class:`~repro.engine.key.SimulationKey`
 next to the result; on load the stored key is compared field-by-field
@@ -19,15 +18,16 @@ older entry at once; config changes (scale, seed, machine parameters,
 Writes go through a temp file + :meth:`~pathlib.Path.replace` so
 concurrent processes never observe a half-written entry.  Reads are
 hardened the same way: a truncated or hand-corrupted entry — invalid
-JSON, a payload of the wrong shape, a damaged npz — counts as a cache
-miss and the broken file is discarded, so corruption can cost a re-run
-but never an exception out of :class:`~repro.engine.runner.
-SimulationEngine`.
+JSON or a payload of the wrong shape — counts as a cache miss and the
+broken file is discarded, so corruption can cost a re-run but never an
+exception out of :class:`~repro.engine.runner.SimulationEngine`.
 
 Besides :class:`~repro.cpu.simulator.ExecutionResult` entries, the
 cache stores free-form JSON payloads (``get_payload``/``put_payload``)
-under the same content addressing; the ``store_sharding`` experiment
-persists its per-(scheme, traffic) measurements through that surface.
+under the same content addressing; every experiment cell cached outside
+an ExecutionResult (Figure 13's per-set counts, the store_sharding
+measurements, the drills' cells) goes through that surface, by way of
+:meth:`~repro.engine.registry.ExperimentContext.cached`.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ import os
 import warnings
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from repro.cpu.simulator import ExecutionResult
 from repro.engine.key import RESULT_SCHEMA_VERSION, SimulationKey
@@ -50,7 +48,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 class ResultCache:
-    """Content-addressed JSON + npz store for simulation outputs."""
+    """Content-addressed JSON store for simulation outputs."""
 
     def __init__(self, cache_dir: Union[str, os.PathLike] = DEFAULT_CACHE_DIR):
         self.root = Path(cache_dir) / f"v{RESULT_SCHEMA_VERSION}"
@@ -190,41 +188,6 @@ class ResultCache:
         def write(tmp: Path) -> None:
             with open(tmp, "w") as stream:
                 json.dump(entry, stream, indent=1)
-
-        self._publish(path, write)
-        return path
-
-    # -- npz array sidecars -------------------------------------------
-
-    def get_arrays(self, key: SimulationKey) -> Optional[Dict[str, np.ndarray]]:
-        """Arrays stored next to ``key``'s entry, or None.
-
-        A missing sidecar is a plain miss; a truncated or corrupted
-        archive is a miss that also discards the broken file.
-        """
-        path = self._path(key, ".npz")
-        try:
-            with np.load(path) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except FileNotFoundError:
-            self._miss()
-            return None
-        except Exception:  # zipfile/pickle raise a zoo of types here
-            self._miss()
-            self._discard(path)
-            return None
-        self._hit()
-        return arrays
-
-    def put_arrays(self, key: SimulationKey, **arrays: np.ndarray) -> Path:
-        """Persist named arrays as ``<stem>.npz``."""
-        path = self._path(key, ".npz")
-
-        def write(tmp: Path) -> None:
-            # np.savez appends .npz when missing; write to the exact tmp
-            # path by handing it an open file object instead.
-            with open(tmp, "wb") as stream:
-                np.savez(stream, **arrays)
 
         self._publish(path, write)
         return path

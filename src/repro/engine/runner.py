@@ -120,11 +120,6 @@ class SimulationEngine:
             return 1.0
         return self.result(workload, scheme).l2_misses / base
 
-    def preload(self, results: Dict[Tuple[str, str], ExecutionResult]) -> None:
-        """Adopt externally computed results (and persist them)."""
-        for cell, result in results.items():
-            self._store(cell, result)
-
     def _simulate(self, workload: str, scheme: str) -> ExecutionResult:
         trace = self.traces.get(workload)
         self.sim_count += 1

@@ -1,4 +1,4 @@
-"""One runnable module per paper table/figure.
+"""One registered experiment per paper table/figure.
 
 ========================== ======================================
 module                      reproduces
@@ -34,8 +34,7 @@ them::
     python -m repro.experiments <name> --scale S --seed N \
         --jobs J --cache-dir DIR [--artifact PATH] [--check]
 
-``python -m repro.experiments.<name> ARGS`` hands ARGS to the same
-CLI, ``--check`` gates an experiment's ``checks`` block, and
+``--check`` gates an experiment's ``checks`` block, and
 ``python -m repro.experiments list`` enumerates the registry.
 """
 

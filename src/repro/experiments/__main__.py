@@ -12,8 +12,6 @@
 Every registered experiment runs through the same path: build an
 artifact (the JSON document described in :mod:`repro.engine.registry`),
 optionally write it to ``--artifact``, then render it to the terminal.
-``python -m repro.experiments.<name> ARGS`` is the same command: each
-module hands its arguments to :func:`main`.
 ``--param`` forwards experiment-specific knobs (e.g.
 ``--param workload=bt`` for the sweep experiments); values parse as
 JSON when possible, otherwise as strings.

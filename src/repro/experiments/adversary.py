@@ -31,7 +31,6 @@ Eq. 1 / Eq. 2 green bands with zero key loss.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -399,8 +398,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["adversary", *sys.argv[1:]])

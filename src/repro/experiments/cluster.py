@@ -36,7 +36,6 @@ nonzero unless every check holds (the ``make cluster-check`` gate).
 
 from __future__ import annotations
 
-import sys
 from functools import partial
 from time import perf_counter
 from typing import Dict, Iterable, List, Mapping
@@ -360,8 +359,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["cluster", *sys.argv[1:]])

@@ -3,8 +3,7 @@
 Every experiment module follows the same shape: a ``run(...)`` function
 returning a result dataclass and a ``render(result)`` returning the
 terminal report.  One CLI, ``python -m repro.experiments <name>``
-(:mod:`repro.experiments.__main__`), regenerates every figure/table;
-``python -m repro.experiments.<name>`` hands its arguments to it.
+(:mod:`repro.experiments.__main__`), regenerates every figure/table.
 
 Simulation runs flow through :mod:`repro.engine`: the
 :class:`~repro.engine.SimulationEngine` content-addresses every run,

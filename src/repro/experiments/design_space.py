@@ -10,7 +10,6 @@ ways.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
@@ -111,8 +110,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["design_space", *sys.argv[1:]])

@@ -43,7 +43,6 @@ With ``--check`` the CLI exits nonzero unless every check holds (the
 
 from __future__ import annotations
 
-import sys
 from functools import partial
 from typing import Dict, List, Mapping, Optional
 
@@ -365,8 +364,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["federation", *sys.argv[1:]])

@@ -7,7 +7,6 @@ hashing leaves unused.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
@@ -81,8 +80,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["fragmentation", *sys.argv[1:]])

@@ -37,7 +37,6 @@ health-check`` target) exits nonzero unless every check holds.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -431,8 +430,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["health", *sys.argv[1:]])

@@ -17,7 +17,6 @@ Two parts:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
@@ -160,8 +159,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["l1_hashing", *sys.argv[1:]])

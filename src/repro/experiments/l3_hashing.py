@@ -13,7 +13,6 @@ down.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
@@ -110,8 +109,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["l3_hashing", *sys.argv[1:]])

@@ -6,7 +6,6 @@ simulator encodes, for comparison against the paper's table.
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Mapping
 
 from repro.cpu import MachineConfig
@@ -57,8 +56,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["machine", *sys.argv[1:]])

@@ -9,14 +9,18 @@ misses themselves.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.cpu import build_hierarchy
-from repro.engine import ExperimentContext, ExperimentSpec, register
+from repro.cpu import MachineConfig, build_hierarchy
+from repro.engine import (
+    ExperimentContext,
+    ExperimentSpec,
+    machine_fingerprint,
+    register,
+)
 from repro.experiments.common import RunConfig
 from repro.reporting import format_table, sparkline_series
 from repro.trace.records import Trace
@@ -47,13 +51,13 @@ class MissDistribution:
         return float(self.set_misses.std() / mean) if mean else 0.0
 
 
-def _measure(trace: Trace,
-             schemes: Sequence[str]) -> Dict[str, MissDistribution]:
-    """Drive ``trace`` through each scheme's hierarchy, keeping the
-    per-set L2 miss counters."""
+def _measure(trace: Trace, schemes: Sequence[str],
+             machine: MachineConfig = None) -> Dict[str, MissDistribution]:
+    """Drive ``trace`` through each scheme's hierarchy on ``machine``
+    (default: paper Table 3), keeping the per-set L2 miss counters."""
     results = {}
     for scheme in schemes:
-        hierarchy = build_hierarchy(scheme)
+        hierarchy = build_hierarchy(scheme, machine)
         for address, is_write in zip(trace.addresses, trace.is_write):
             hierarchy.access(int(address), bool(is_write))
         results[scheme] = MissDistribution(
@@ -95,35 +99,23 @@ def render(results: Dict[str, MissDistribution],
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    """Per-set miss arrays, cached as npz sidecars when the engine has
-    a cache directory (the arrays are not part of ExecutionResult, so
-    they get their own content-addressed entries)."""
+    """Per-set miss counts on the engine's machine, cached as one cell
+    (the counts are not part of ExecutionResult)."""
     engine = ctx.engine
     workload = ctx.param("workload", "tree")
     schemes = tuple(ctx.param("schemes", ("base", "pmod")))
-    results: Dict[str, MissDistribution] = {}
-    todo = []
-    for scheme in schemes:
-        if engine.cache is not None:
-            arrays = engine.cache.get_arrays(engine.key(workload, scheme))
-            if arrays is not None and "set_misses" in arrays:
-                results[scheme] = MissDistribution(scheme,
-                                                   arrays["set_misses"])
-                continue
-        todo.append(scheme)
-    if todo:
-        fresh = _measure(engine.traces.get(workload), todo)
-        for scheme, dist in fresh.items():
-            results[scheme] = dist
-            if engine.cache is not None:
-                engine.cache.put_arrays(engine.key(workload, scheme),
-                                        set_misses=dist.set_misses)
+
+    def compute() -> Dict:
+        measured = _measure(engine.traces.get(workload), schemes,
+                            engine.machine)
+        return {scheme: dist.set_misses.astype(int).tolist()
+                for scheme, dist in measured.items()}
+
+    params = {"schemes": list(schemes),
+              "machine": machine_fingerprint(engine.machine)}
     return {
         "workload": workload,
-        "distributions": {
-            scheme: results[scheme].set_misses.astype(int).tolist()
-            for scheme in schemes
-        },
+        "distributions": ctx.cached(workload, "set_misses", params, compute),
     }
 
 
@@ -142,8 +134,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["miss_distribution", *sys.argv[1:]])

@@ -11,7 +11,6 @@ the uniform applications, while skw+pDisp inflates several by up to
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
@@ -119,8 +118,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["miss_reduction", *sys.argv[1:]])

@@ -9,7 +9,6 @@ ones (Section 5.3).
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Mapping
 
 from repro.engine import (
@@ -79,8 +78,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["multi_hash", *sys.argv[1:]])

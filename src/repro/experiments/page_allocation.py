@@ -23,7 +23,6 @@ mapping the raw traces use corresponds to the color-preserving case.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
@@ -132,8 +131,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["page_allocation", *sys.argv[1:]])

@@ -11,7 +11,6 @@ constraints respectively.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping
 
@@ -168,8 +167,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["qualitative", *sys.argv[1:]])

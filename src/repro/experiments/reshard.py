@@ -27,7 +27,6 @@ unless every contract check holds (the ``make reshard-check`` gate).
 
 from __future__ import annotations
 
-import sys
 from functools import partial
 from time import perf_counter
 from typing import Dict, List, Mapping
@@ -261,8 +260,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["reshard", *sys.argv[1:]])

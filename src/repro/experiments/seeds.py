@@ -8,7 +8,6 @@ each scheme's speedup.  The reproduction's claims should hold for
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -122,8 +121,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["seeds", *sys.argv[1:]])

@@ -29,7 +29,6 @@ they carry the per-stage attribution its checks grade.
 
 from __future__ import annotations
 
-import sys
 from functools import partial
 from typing import Dict, Mapping, Optional
 
@@ -246,8 +245,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["serving", *sys.argv[1:]])

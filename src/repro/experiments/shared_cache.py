@@ -12,7 +12,6 @@ disjoint address spaces) and compares schemes.  Two questions:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -114,8 +113,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["shared_cache", *sys.argv[1:]])

@@ -8,7 +8,6 @@ Busy / Other Stalls / Memory Stall, exactly as in the paper.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
@@ -148,8 +147,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["single_hash", *sys.argv[1:]])

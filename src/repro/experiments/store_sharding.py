@@ -23,7 +23,6 @@ and reused across runs; ``--check`` gates the four ordering checks.
 
 from __future__ import annotations
 
-import sys
 from functools import partial
 from typing import Dict, List, Mapping
 
@@ -169,8 +168,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["store_sharding", *sys.argv[1:]])

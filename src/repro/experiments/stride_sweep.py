@@ -14,7 +14,6 @@ functions.  The paper's reference observations (Section 5.1):
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
@@ -146,8 +145,3 @@ register(ExperimentSpec(
     render=_render_artifact,
     uses_simulation=False,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["stride_sweep", *sys.argv[1:]])

@@ -7,7 +7,6 @@ A pathological case is a slowdown of more than 1% relative to Base
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
@@ -116,8 +115,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["summary", *sys.argv[1:]])

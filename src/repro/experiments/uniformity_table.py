@@ -13,11 +13,10 @@ classification next to the paper's.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional
 
-from repro.cpu import build_hierarchy
+from repro.cpu import MachineConfig, build_hierarchy
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
@@ -45,8 +44,10 @@ class UniformityRow:
 
 
 def run(config: RunConfig = RunConfig(),
-        traces: Optional[TraceMaterializer] = None) -> List[UniformityRow]:
-    """Classify all 23 applications under Base indexing.
+        traces: Optional[TraceMaterializer] = None,
+        machine: MachineConfig = None) -> List[UniformityRow]:
+    """Classify all 23 applications under Base indexing on ``machine``
+    (default: paper Table 3).
 
     ``traces`` shares an engine's materialized workload traces instead
     of regenerating them here.
@@ -58,7 +59,7 @@ def run(config: RunConfig = RunConfig(),
             trace = traces.get(name)
         else:
             trace = workload.trace(scale=config.scale, seed=config.seed)
-        hierarchy = build_hierarchy("base")
+        hierarchy = build_hierarchy("base", machine)
         for address, is_write in zip(trace.addresses, trace.is_write):
             hierarchy.access(int(address), bool(is_write))
         report = uniformity(hierarchy.l2.stats.set_accesses)
@@ -94,7 +95,8 @@ def render(rows: List[UniformityRow]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    rows = run(ctx.config, traces=ctx.engine.traces)
+    rows = run(ctx.config, traces=ctx.engine.traces,
+               machine=ctx.engine.machine)
     return {"rows": [asdict(row) for row in rows]}
 
 
@@ -108,8 +110,3 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
 ))
-
-
-if __name__ == "__main__":
-    from repro.experiments.__main__ import main
-    main(["uniformity_table", *sys.argv[1:]])

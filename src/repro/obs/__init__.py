@@ -7,8 +7,8 @@ labeled series), one :class:`TraceCollector`
 (sampled request traces and nested wall-time spans, one trace model:
 :mod:`repro.obs.attrib`), one append-only event
 :class:`~repro.obs.journal.Journal` (JSONL, monotonic sequence
-numbers), and pluggable sinks (JSON snapshot, Prometheus text
-exposition, human-readable tables).  The engine (:mod:`repro.engine`),
+numbers), and sinks (JSON snapshot and human-readable
+tables).  The engine (:mod:`repro.engine`),
 the sharded store (:mod:`repro.store`) and the serving frontend
 (:mod:`repro.serve`) report into all three; the health layer
 (:mod:`repro.obs.health`) closes the loop — SLO burn-rate alerting and
@@ -62,7 +62,6 @@ from repro.obs.sinks import (
     SNAPSHOT_SCHEMA_VERSION,
     metrics_snapshot,
     metrics_table,
-    to_prometheus,
     validate_snapshot,
     write_snapshot,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "set_collector",
     "set_journal",
     "set_registry",
-    "to_prometheus",
     "trace_span",
     "validate_event",
     "validate_snapshot",

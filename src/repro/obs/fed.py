@@ -144,8 +144,8 @@ class Scraper:
             traffic; None models an out-of-band telemetry network
             (scrapes always arrive, cost nothing).
         targets: ``(endpoint_name, source)`` pairs where ``source``
-            exposes ``metrics_snapshot()`` (StoreNode, Frontend, or
-            anything duck-typing them).
+            exposes ``metrics_snapshot()`` (a StoreNode, or anything
+            duck-typing it).
         source_endpoint: fabric endpoint the scraper sits at.
         registry: where the scraper's own ``fed.*`` telemetry lands
             (default: the process-wide registry).

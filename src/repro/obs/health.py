@@ -396,7 +396,7 @@ def default_slos(p99_target_s: float = 0.05,
     * ``serve-reject-rate`` — admission rejects within budget;
     * ``engine-cache-hit-ratio`` — result-cache misses within budget
       (a collapsed hit ratio means the content-addressed cache stopped
-      doing its job — every simulate request pays full price).
+      doing its job — every cell is simulated again).
     """
     return [
         SloSpec.latency(

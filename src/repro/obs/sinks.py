@@ -1,14 +1,11 @@
 """Export sinks for the metrics registry and trace collector.
 
-Three formats, one source of truth:
+Two formats, one source of truth:
 
 * :func:`metrics_snapshot` / :func:`write_snapshot` — the JSON
   document written by ``--metrics-out`` (schema below, versioned by
   :data:`SNAPSHOT_SCHEMA_VERSION`, checked by
   :func:`validate_snapshot`);
-* :func:`to_prometheus` — Prometheus text exposition format (v0.0.4:
-  ``# TYPE`` headers, label sets, histogram summaries as quantile
-  series) for scraping or pushing;
 * :func:`metrics_table` — the human-readable tables, rendered through
   :mod:`repro.reporting` like every other report in the repo; their
   rows come from :func:`metric_tables`, which the dashboard's metrics
@@ -37,9 +34,7 @@ order.
 ``exemplars`` is additive within schema version 1 (readers of v1
 ignore unknown fields): a list of ``{"value", "trace_id"}`` pairs
 linking a histogram's tail to concrete recorded traces; validated when
-present.  :func:`to_prometheus` renders the same pairs as
-OpenMetrics-style exemplar suffixes (``... # {trace_id="..."} value``)
-on the quantile lines.
+present.
 
 NaNs (an empty histogram's percentiles, an idle store's balance) are
 serialized as ``null`` so the file is strict JSON.
@@ -62,7 +57,6 @@ __all__ = [
     "metric_tables",
     "metrics_snapshot",
     "metrics_table",
-    "to_prometheus",
     "validate_snapshot",
     "write_snapshot",
 ]
@@ -156,108 +150,6 @@ def validate_snapshot(snapshot: Mapping) -> None:
         for field in ("name", "start_s", "depth", "parent"):
             if field not in span:
                 raise ValueError(f"span entry missing {field!r}: {span}")
-
-
-# -- Prometheus text exposition ---------------------------------------
-
-
-def _prom_name(name: str, suffix: str = "") -> str:
-    """Metric name in Prometheus charset (dots/dashes → underscores)."""
-    cleaned = "".join(
-        c if c.isalnum() or c == "_" else "_" for c in name
-    )
-    if cleaned and cleaned[0].isdigit():
-        cleaned = "_" + cleaned
-    return cleaned + suffix
-
-
-def _prom_label_value(value: Any) -> str:
-    """A label value escaped per the exposition format: backslash,
-    double quote, and newline must be escaped inside the quotes."""
-    return (str(value)
-            .replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _prom_labels(labels: Dict[str, Any], extra: Dict[str, Any] = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    body = ",".join(
-        f'{_prom_name(str(k))}="{_prom_label_value(v)}"'
-        for k, v in sorted(merged.items())
-    )
-    return "{" + body + "}"
-
-
-def _prom_value(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "NaN"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _nearest_exemplar(exemplars: List[Dict[str, Any]],
-                      quantile_value: Any) -> Optional[Dict[str, Any]]:
-    """The retained exemplar closest in value to a quantile — the
-    concrete trace a scraper should follow for that bucket."""
-    if not exemplars:
-        return None
-    if not isinstance(quantile_value, (int, float)) \
-            or not math.isfinite(quantile_value):
-        return exemplars[0]
-    return min(exemplars, key=lambda ex: abs(ex["value"] - quantile_value))
-
-
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Registry contents in Prometheus text exposition format.
-
-    Counters and gauges map directly; histograms are exposed as
-    summaries (``quantile`` series from the window plus lifetime
-    ``_sum`` / ``_count``), which is the faithful rendering of a
-    windowed-percentile instrument.
-    """
-    lines: List[str] = []
-    typed: set = set()
-
-    def header(name: str, kind: str) -> None:
-        if name not in typed:
-            lines.append(f"# TYPE {name} {kind}")
-            typed.add(name)
-
-    for counter in registry.counters():
-        name = _prom_name(counter.name, "_total")
-        header(name, "counter")
-        lines.append(f"{name}{_prom_labels(counter.labels)} "
-                     f"{_prom_value(counter.value)}")
-    for gauge in registry.gauges():
-        name = _prom_name(gauge.name)
-        header(name, "gauge")
-        lines.append(f"{name}{_prom_labels(gauge.labels)} "
-                     f"{_prom_value(gauge.value)}")
-    for histogram in registry.histograms():
-        name = _prom_name(histogram.name)
-        header(name, "summary")
-        summary = histogram.summary()
-        exemplars = histogram.exemplars()
-        for q, field in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
-            line = (
-                f"{name}{_prom_labels(histogram.labels, {'quantile': q})} "
-                f"{_prom_value(summary[field])}"
-            )
-            exemplar = _nearest_exemplar(exemplars, summary[field])
-            if exemplar is not None:
-                line += (f' # {{trace_id="'
-                         f'{_prom_label_value(exemplar["trace_id"])}"}} '
-                         f'{_prom_value(exemplar["value"])}')
-            lines.append(line)
-        lines.append(f"{name}_sum{_prom_labels(histogram.labels)} "
-                     f"{_prom_value(summary['sum'])}")
-        lines.append(f"{name}_count{_prom_labels(histogram.labels)} "
-                     f"{_prom_value(summary['count'])}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- human-readable tables --------------------------------------------

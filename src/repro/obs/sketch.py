@@ -112,16 +112,6 @@ class QuantileSketch:
         """Histogram-compatible spelling: ``p`` in [0, 100]."""
         return self.quantile(p / 100.0)
 
-    def count_above(self, threshold: float) -> int:
-        """Observations strictly above ``threshold`` (within the
-        sketch's relative accuracy at the boundary bucket)."""
-        if threshold < 0.0:
-            return self.count
-        if threshold == 0.0:
-            return self.count - self._zero_count
-        cut = self._key(threshold)
-        return sum(c for key, c in self._buckets.items() if key > cut)
-
     def reconstruct(self, max_values: int = 1 << 17) -> List[float]:
         """Representative values, one per recorded observation (each
         within ``relative_accuracy`` of an original), sorted ascending.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.journal import Journal, get_journal
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -213,20 +213,6 @@ class TimeSeriesStore:
         on top of an approximation."""
         sketches = [p.value for p in self.range(series, t0_s, t1_s)
                     if isinstance(p.value, QuantileSketch)]
-        if not sketches:
-            return math.nan
-        return QuantileSketch.merged(sketches).percentile(q)
-
-    def merge_quantile(self, series_names: Iterable[str], q: float,
-                       t0_s: float = -math.inf,
-                       t1_s: float = math.inf) -> float:
-        """Cross-series pooled percentile — e.g. one per-node sketch
-        series per cluster member, pooled into the cluster-wide
-        quantile over a time window."""
-        sketches: List[QuantileSketch] = []
-        for series in series_names:
-            sketches.extend(p.value for p in self.range(series, t0_s, t1_s)
-                            if isinstance(p.value, QuantileSketch))
         if not sketches:
             return math.nan
         return QuantileSketch.merged(sketches).percentile(q)

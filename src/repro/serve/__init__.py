@@ -7,9 +7,8 @@ production (cf. Sandy Bridge's sliced LLC, where a hash spreads the
 request stream over slices behind a real interconnect):
 
 * :class:`Frontend` — asyncio entry point accepting get / put /
-  delete / simulate requests, returning an explicit
-  :class:`Response` for every one (ok, rejected, timeout, error —
-  never a silent drop).
+  delete requests, returning an explicit :class:`Response` for every
+  one (ok, rejected, timeout, error — never a silent drop).
 * :class:`Batcher` / :class:`BatchConfig` — per-shard request
   coalescing with max-batch-size and max-wait deadlines.
 * :class:`AdmissionController` / :class:`AdmissionConfig` —
@@ -41,9 +40,7 @@ from repro.serve.frontend import (
     Frontend,
     FrontendStopped,
     Response,
-    SimulateRequest,
     VIRTUAL_TICK_S,
-    engine_simulate_fn,
 )
 from repro.serve.loadgen import (
     ARRIVALS,
@@ -70,12 +67,10 @@ __all__ = [
     "REASON_QUEUE",
     "REASON_RATE",
     "Response",
-    "SimulateRequest",
     "VIRTUAL_TICK_S",
     "WorkItem",
     "arrival_gaps",
     "closed_loop",
-    "engine_simulate_fn",
     "open_loop",
     "run_closed_loop",
     "run_open_loop",

@@ -1,8 +1,8 @@
 """Per-queue request coalescing with size and deadline bounds.
 
 The :class:`Batcher` is the middle of the serving pipeline: admitted
-requests land on one FIFO deque per backend shard (plus one for
-simulation work), and one drain task collects them into *batches*.
+requests land on one FIFO deque per backend shard, and one drain task
+collects them into *batches*.
 Each loop step the drain takes what arrived on every queue that is
 filling a batch, and a batch closes as soon as the first of these
 happens:

@@ -28,13 +28,6 @@ queue is ever unbounded*.  The pieces:
   :class:`~repro.serve.faults.FaultInjector` makes batches slow, fail,
   or stall per shard for chaos testing.
 
-``simulate`` requests (cache-simulation-as-a-service) bypass the shard
-queues and flow through a dedicated single-queue batcher that dedupes
-identical ``(workload, scheme)`` cells per batch and runs them on the
-default executor; wire :func:`engine_simulate_fn` to serve them from a
-:class:`~repro.engine.SimulationEngine`'s content-addressed result
-cache.
-
 Instrumentation (all through :mod:`repro.obs`, free when disabled):
 ``serve.requests``/``serve.rejected``/``serve.retries``/
 ``serve.timeouts``/``serve.errors``/``serve.dropped`` counters,
@@ -57,10 +50,8 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import (Any, Callable, Deque, Dict, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import (
     MetricsRegistry,
@@ -84,17 +75,11 @@ __all__ = [
     "Frontend",
     "FrontendStopped",
     "Response",
-    "SimulateRequest",
     "VIRTUAL_TICK_S",
-    "engine_simulate_fn",
 ]
 
 #: Response statuses a submit can resolve to.
 STATUSES = ("ok", "rejected", "timeout", "error", "dropped")
-
-#: Queue id of the simulation batcher's single queue (distinct from any
-#: shard id so targeted shard stalls never hit simulation batches).
-SIM_QUEUE = -1
 
 #: Virtual-clock tick charged per batch position: the k-th live item of
 #: a dispatched batch gets ``service_time_s = k × tick``, modeling the
@@ -107,20 +92,6 @@ VIRTUAL_TICK_S = 1e-6
 
 class FrontendStopped(RuntimeError):
     """Set on futures still queued when the frontend shuts down."""
-
-
-@dataclass(frozen=True)
-class SimulateRequest:
-    """One cache-simulation-as-a-service request."""
-
-    workload: str
-    scheme: str
-
-    op: str = "simulate"
-
-    @property
-    def key(self) -> str:
-        return f"{self.workload}:{self.scheme}"
 
 
 class Response(NamedTuple):
@@ -153,20 +124,8 @@ class Response(NamedTuple):
                 "service_time_s": self.service_time_s}
 
 
-def engine_simulate_fn(engine) -> Callable[[str, str], Dict[str, Any]]:
-    """Serve ``simulate`` requests from a
-    :class:`~repro.engine.SimulationEngine`: repeats of a cell are
-    content-addressed cache hits, so only the first request per
-    (workload, scheme) pays for a simulation."""
-
-    def simulate(workload: str, scheme: str) -> Dict[str, Any]:
-        return asdict(engine.result(workload, scheme))
-
-    return simulate
-
-
 class Frontend:
-    """Async get/put/delete/simulate serving over one sharded store.
+    """Async get/put/delete serving over one sharded store.
 
     Args:
         store: the backend :class:`ShardedStore`.
@@ -175,9 +134,6 @@ class Frontend:
         policy: per-attempt timeout (enforced by the deadline sweep) +
             bounded-retry schedule.
         injector: optional chaos-testing fault source.
-        simulate_fn: ``(workload, scheme) -> payload`` backing
-            ``simulate`` requests (see :func:`engine_simulate_fn`);
-            without one, simulate requests get an explicit error.
         registry: metrics registry override (defaults to the global).
         span_every: trace one request per this many submitted
             while tracing is enabled (0 disables; sampling bounds
@@ -189,19 +145,15 @@ class Frontend:
                  admission: AdmissionConfig = None,
                  policy: FaultPolicy = None,
                  injector: FaultInjector = None,
-                 simulate_fn: Callable[[str, str], Any] = None,
                  registry: Optional[MetricsRegistry] = None,
                  span_every: int = 64):
         self.store = store
         self.policy = policy or FaultPolicy()
         self.injector = injector
         self.admission = AdmissionController(admission or AdmissionConfig())
-        self._simulate_fn = simulate_fn
         self._batch_config = batch or BatchConfig()
         self._store_batcher = Batcher(store.n_shards, self._run_store_batch,
                                       self._batch_config)
-        self._sim_batcher = Batcher(1, self._run_sim_batch,
-                                    self._batch_config)
         self._bound_epoch = store.epoch
         self._rebind_task: Optional[asyncio.Task] = None
         self.rebinds = 0
@@ -222,11 +174,11 @@ class Frontend:
         scheme = store.scheme
         self._req_counters = {
             op: registry.counter("serve.requests", scheme=scheme, op=op)
-            for op in ("get", "put", "delete", "simulate")
+            for op in ("get", "put", "delete")
         }
         self._latency = {
             op: registry.histogram("serve.latency_s", scheme=scheme, op=op)
-            for op in ("get", "put", "delete", "simulate")
+            for op in ("get", "put", "delete")
         }
         self._reject_counters = {
             reason: registry.counter("serve.rejected", scheme=scheme,
@@ -252,16 +204,13 @@ class Frontend:
 
     async def start(self) -> "Frontend":
         await self._store_batcher.start()
-        await self._sim_batcher.start()
         return self
 
     async def stop(self) -> None:
-        """Stop the batchers; still-queued requests resolve as dropped."""
+        """Stop the batcher; still-queued requests resolve as dropped."""
         if self._rebind_task is not None and not self._rebind_task.done():
             await self._rebind_task
-        dropped = (await self._store_batcher.stop()
-                   + await self._sim_batcher.stop())
-        for item in dropped:
+        for item in await self._store_batcher.stop():
             self._pending -= 1
             if not item.future.done():
                 item.future.set_exception(FrontendStopped("frontend stopped"))
@@ -289,9 +238,6 @@ class Frontend:
 
     async def delete(self, key) -> Response:
         return await self.submit(Request("delete", key))
-
-    async def simulate(self, workload: str, scheme: str) -> Response:
-        return await self.submit(SimulateRequest(workload, scheme))
 
     @property
     def queue_depth(self) -> int:
@@ -339,19 +285,6 @@ class Frontend:
                                reason=reason, pending=self._pending)
             return self._finish(Response(
                 op, key, "rejected", None, reason, 0, now - start), ctx)
-        if op == "simulate":
-            if self._simulate_fn is None:
-                now = perf_counter()
-                if ctx is not None:
-                    ctx.stage("admit", start, now - start)
-                self.counts["errors"] += 1
-                self._error_counter.inc()
-                return self._finish(Response(
-                    op, key, "error", None, "no simulator configured", 0,
-                    now - start), ctx)
-            sim = True
-        else:
-            sim = False
         # The enqueue time is read only by a traced request's stages: the
         # clock read that ends admission (or a backoff) starts the queue.
         enqueued = 0.0
@@ -364,10 +297,7 @@ class Frontend:
             # Routing is re-resolved every attempt: a reshard may have
             # swapped the store's epoch (and a rebind the batcher)
             # while this request slept in backoff.
-            if sim:
-                batcher, queue_id = self._sim_batcher, 0
-            else:
-                batcher, queue_id = self._route(key)
+            batcher, queue_id = self._route(key)
             item = WorkItem(request, loop.create_future(), enqueued, ctx)
             self._pending += 1
             if self._pending > self.peak_queue_depth:
@@ -648,46 +578,6 @@ class Frontend:
                 if not item.future.done():
                     item.future.set_result(value)
 
-    async def _run_sim_batch(self, _qid: int,
-                             items: List[WorkItem]) -> None:
-        try:
-            live = self._pickup(SIM_QUEUE, items)
-            if live and self.injector is not None:
-                live = await self._inject(SIM_QUEUE, live)
-            # Dedupe identical cells: one simulation serves every waiter.
-            groups: Dict[Any, List[WorkItem]] = {}
-            for position, item in enumerate(live):
-                item.service_s = (position + 1) * VIRTUAL_TICK_S
-                request = item.request
-                groups.setdefault((request.workload, request.scheme),
-                                  []).append(item)
-            loop = asyncio.get_running_loop()
-            for (workload, scheme), waiters in groups.items():
-                op_from = perf_counter()
-                try:
-                    value = await loop.run_in_executor(
-                        None, self._simulate_fn, workload, scheme)
-                except Exception as exc:
-                    self._stage_sim_op(waiters, op_from)
-                    for item in waiters:
-                        if not item.future.done():
-                            item.future.set_exception(exc)
-                else:
-                    self._stage_sim_op(waiters, op_from)
-                    for item in waiters:
-                        if not item.future.done():
-                            item.future.set_result(value)
-        finally:
-            self._pending -= len(items)
-
-    @staticmethod
-    def _stage_sim_op(waiters: List[WorkItem], op_from: float) -> None:
-        for item in waiters:
-            ctx = item.trace
-            if ctx is not None:
-                done = ctx.mark("op_end")
-                ctx.stage("store", op_from, done - op_from, op="simulate")
-
     # -- accounting ----------------------------------------------------
 
     def _finish(self, response: Response, ctx=None) -> Response:
@@ -703,26 +593,10 @@ class Frontend:
                                    wall_s=response.latency_s)
         return response
 
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """Scrape endpoint duck-typing the cluster node's: a versioned
-        metrics snapshot of this frontend's registry, so a federation
-        :class:`~repro.obs.fed.Scraper` can pull a serving tier and a
-        store tier through one interface."""
-        from repro.obs.sinks import metrics_snapshot
-        self._snapshot_version = getattr(self, "_snapshot_version", 0) + 1
-        doc = metrics_snapshot(self._registry)
-        doc["fed"] = {
-            "node": f"frontend:{self.store.scheme}",
-            "version": self._snapshot_version,
-            "state": "up" if self.started else "down",
-        }
-        return doc
-
     def stats(self) -> Dict[str, Any]:
         """Serving counters + batching/admission/fault summaries."""
-        batches = self._store_batcher.batches + self._sim_batcher.batches
-        batched = (self._store_batcher.batched_items
-                   + self._sim_batcher.batched_items)
+        batches = self._store_batcher.batches
+        batched = self._store_batcher.batched_items
         return {
             **self.counts,
             "batches": batches,

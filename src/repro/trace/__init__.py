@@ -10,10 +10,6 @@ from repro.trace.io import (
 from repro.trace.multiprogram import interleave_traces
 from repro.trace.records import Trace, TraceMetadata
 from repro.trace.synthetic import (
-    blocked_sweep,
-    gather_scatter,
-    hot_cold_mix,
-    interleaved_streams,
     pointer_chase,
     strided_stream,
     write_mask,
@@ -22,15 +18,11 @@ from repro.trace.synthetic import (
 __all__ = [
     "Trace",
     "TraceMetadata",
-    "blocked_sweep",
     "load_trace_npz",
     "read_dinero",
     "save_trace_npz",
     "write_dinero",
-    "gather_scatter",
-    "hot_cold_mix",
     "interleave_traces",
-    "interleaved_streams",
     "pointer_chase",
     "strided_stream",
     "write_mask",

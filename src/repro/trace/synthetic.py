@@ -8,8 +8,6 @@ addresses, so traces are reproducible run to run.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
 
@@ -21,21 +19,6 @@ def strided_stream(
         raise ValueError("count and repeats must be positive")
     sweep = np.uint64(base) + np.arange(count, dtype=np.uint64) * np.uint64(stride_bytes)
     return np.tile(sweep, repeats)
-
-
-def interleaved_streams(streams: Sequence[np.ndarray]) -> np.ndarray:
-    """Round-robin interleave equal-length streams (A1 B1 C1 A2 B2 ...).
-
-    Models loop bodies touching several arrays per iteration; unequal
-    lengths are truncated to the shortest.
-    """
-    if not streams:
-        raise ValueError("need at least one stream")
-    n = min(len(s) for s in streams)
-    if n == 0:
-        raise ValueError("streams must be non-empty")
-    stacked = np.stack([np.asarray(s[:n], dtype=np.uint64) for s in streams], axis=1)
-    return stacked.reshape(-1)
 
 
 def pointer_chase(
@@ -61,79 +44,6 @@ def pointer_chase(
     pool = max(1, int(n_nodes * (1.0 - region_skew)))
     nodes = rng.integers(0, pool, size=count, dtype=np.uint64)
     return np.uint64(base) + nodes * np.uint64(node_bytes)
-
-
-def gather_scatter(
-    table_base: int,
-    table_entries: int,
-    entry_bytes: int,
-    index_stream: np.ndarray,
-) -> np.ndarray:
-    """Indexed accesses ``table[index[i]]`` (sparse matrix / hash table)."""
-    idx = np.asarray(index_stream, dtype=np.uint64)
-    if table_entries <= 0:
-        raise ValueError("table must have entries")
-    return np.uint64(table_base) + (idx % np.uint64(table_entries)) * np.uint64(entry_bytes)
-
-
-def blocked_sweep(
-    base: int,
-    rows: int,
-    cols: int,
-    element_bytes: int,
-    tile: int,
-    row_major: bool = True,
-) -> np.ndarray:
-    """A tiled 2-D array walk (blocked linear algebra kernels).
-
-    Walking a power-of-two-pitched matrix column-wise produces the
-    power-of-two strides that thrash a traditionally indexed cache.
-    """
-    if rows <= 0 or cols <= 0 or tile <= 0:
-        raise ValueError("rows, cols and tile must be positive")
-    addresses: List[int] = []
-    pitch = cols * element_bytes
-    for tile_r in range(0, rows, tile):
-        for tile_c in range(0, cols, tile):
-            r_range = range(tile_r, min(tile_r + tile, rows))
-            c_range = range(tile_c, min(tile_c + tile, cols))
-            if row_major:
-                addresses.extend(
-                    base + r * pitch + c * element_bytes
-                    for r in r_range for c in c_range
-                )
-            else:
-                addresses.extend(
-                    base + r * pitch + c * element_bytes
-                    for c in c_range for r in r_range
-                )
-    return np.asarray(addresses, dtype=np.uint64)
-
-
-def hot_cold_mix(
-    hot: np.ndarray, cold: np.ndarray, hot_fraction: float, seed: int
-) -> np.ndarray:
-    """Blend a hot working set with cold background traffic.
-
-    Each output element draws from ``hot`` with probability
-    ``hot_fraction`` (sequentially consumed) else from ``cold``; output
-    length is ``len(hot) + len(cold)`` with both streams fully consumed
-    in order, modeling temporal reuse against streaming traffic.
-    """
-    if not 0.0 < hot_fraction < 1.0:
-        raise ValueError("hot_fraction must be strictly between 0 and 1")
-    hot = np.asarray(hot, dtype=np.uint64)
-    cold = np.asarray(cold, dtype=np.uint64)
-    rng = np.random.default_rng(seed)
-    total = len(hot) + len(cold)
-    take_hot = np.zeros(total, dtype=bool)
-    # Choose positions for hot elements without replacement, in order.
-    hot_positions = rng.choice(total, size=len(hot), replace=False)
-    take_hot[hot_positions] = True
-    out = np.empty(total, dtype=np.uint64)
-    out[take_hot] = hot
-    out[~take_hot] = cold
-    return out
 
 
 def write_mask(n: int, write_fraction: float, seed: int) -> np.ndarray:

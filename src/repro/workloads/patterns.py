@@ -254,22 +254,3 @@ def chunked_interleave(streams, chunk: int = 256) -> np.ndarray:
             offsets[i] = end
             remaining -= end - start
     return np.concatenate(pieces)
-
-
-def poisson_hot_set(
-    n_blocks: int, count: int, seed: int, base: int = 0
-) -> np.ndarray:
-    """Uniform random reuse over an unaligned hot footprint.
-
-    A random footprint loads traditional sets Poisson-uniformly: no
-    single-hash function can rebalance it (the histogram is already
-    flat) but its Poisson tail still overflows 4-way sets.  Skewed
-    caches and full associativity remove those conflicts — the charmm /
-    euler / cg residue the paper attributes to "misses that the strided
-    access patterns cannot account for" (Section 5.3).
-    """
-    rng = np.random.default_rng(seed)
-    # Unaligned: spread blocks over a region 16x the footprint.
-    blocks = rng.choice(n_blocks * 16, size=n_blocks, replace=False).astype(np.uint64)
-    picks = rng.integers(0, n_blocks, size=count, dtype=np.int64)
-    return np.uint64(base) + blocks[picks] * np.uint64(L2_BLOCK)

@@ -1,9 +1,7 @@
-"""ResultCache: persistence, verification, npz sidecars."""
+"""ResultCache: persistence, verification, payload entries."""
 
 import dataclasses
 import json
-
-import numpy as np
 
 from repro.cpu import ExecutionResult
 from repro.engine import (
@@ -154,37 +152,3 @@ class TestPayloadEntries:
         path.write_text(json.dumps(payload))
         assert ResultCache(tmp_path).get_payload(KEY) is None
 
-
-class TestArraySidecars:
-    def test_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        counts = np.arange(2048, dtype=np.int64)
-        cache.put_arrays(KEY, set_misses=counts)
-        loaded = ResultCache(tmp_path).get_arrays(KEY)
-        assert np.array_equal(loaded["set_misses"], counts)
-
-    def test_absent_is_none(self, tmp_path):
-        assert ResultCache(tmp_path).get_arrays(KEY) is None
-
-    def test_truncated_npz_is_miss_and_discarded(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.put_arrays(KEY, set_misses=np.arange(64))
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        fresh = ResultCache(tmp_path)
-        assert fresh.get_arrays(KEY) is None
-        assert fresh.misses == 1
-        assert not path.exists()
-
-    def test_garbage_npz_is_miss_and_discarded(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.put_arrays(KEY, set_misses=np.arange(64))
-        path.write_bytes(b"definitely not a zip archive")
-        assert ResultCache(tmp_path).get_arrays(KEY) is None
-        assert not path.exists()
-
-    def test_shares_stem_with_json_entry(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        json_path = cache.put(KEY, make_result())
-        npz_path = cache.put_arrays(KEY, set_misses=np.zeros(4))
-        assert json_path.stem == npz_path.stem

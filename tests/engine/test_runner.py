@@ -93,15 +93,6 @@ class TestPersistence:
         other.result("lu", "base")
         assert other.sim_count == 1  # different key -> fresh simulation
 
-    def test_preload_persists(self, tmp_path):
-        source = SimulationEngine(CONFIG)
-        results = source.run_grid(["lu"], ["base"])
-        sink = SimulationEngine(CONFIG, cache_dir=tmp_path)
-        sink.preload(results)
-        fresh = SimulationEngine(CONFIG, cache_dir=tmp_path)
-        assert fresh.result("lu", "base") == results[("lu", "base")]
-        assert fresh.sim_count == 0
-
 
 class TestTraceSharing:
     def test_each_trace_generated_once(self):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cpu import MachineConfig
+from repro.engine import ExperimentContext, SimulationEngine, run_experiment
 from repro.experiments import miss_distribution
 from repro.experiments.common import RunConfig
 
@@ -37,3 +39,23 @@ class TestCustomWorkload:
     def test_uniform_app_shows_no_concentration(self):
         results = miss_distribution.run(RunConfig(scale=0.1), workload="lu")
         assert results["base"].top_fraction_share(0.1) < 0.4
+
+
+class TestEngineMachine:
+    def test_distributions_follow_the_engine_l2(self, tmp_path):
+        """A 256 KB L2 has 1024 sets (pMod uses the prime 1021 of
+        them); one cache directory keeps both machines' cells apart."""
+        def distributions(machine):
+            engine = SimulationEngine(RunConfig(scale=0.05), machine=machine,
+                                      cache_dir=tmp_path)
+            artifact = run_experiment("miss_distribution",
+                                      ExperimentContext(engine))
+            return artifact["data"]["distributions"]
+
+        default = distributions(None)
+        small = distributions(MachineConfig(l2_bytes=256 * 1024))
+        assert {scheme: len(counts) for scheme, counts in default.items()} \
+            == {"base": 2048, "pmod": 2039}
+        assert {scheme: len(counts) for scheme, counts in small.items()} \
+            == {"base": 1024, "pmod": 1021}
+        assert distributions(None) == default

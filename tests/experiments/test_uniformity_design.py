@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cpu import MachineConfig
+from repro.engine import ExperimentContext, SimulationEngine, run_experiment
 from repro.experiments import design_space, uniformity_table
 from repro.experiments.common import RunConfig
 
@@ -26,6 +28,16 @@ class TestUniformityTable:
         out = uniformity_table.render(rows)
         assert "7/23" in out or "non-uniform" in out
         assert "tree" in out
+
+    def test_ratios_follow_the_engine_l2(self):
+        def ratios(machine):
+            engine = SimulationEngine(RunConfig(scale=0.05), machine=machine)
+            artifact = run_experiment("uniformity_table",
+                                      ExperimentContext(engine))
+            return {row["app"]: row["ratio"]
+                    for row in artifact["data"]["rows"]}
+
+        assert ratios(MachineConfig(l2_bytes=256 * 1024)) != ratios(None)
 
 
 class TestDesignSpace:

@@ -28,16 +28,6 @@ class TestResultCacheCounters:
         assert counters["engine.cache.corrupt"] == 1
         assert counters["engine.cache.misses"] == 1
 
-    def test_corrupt_npz_counts(self, tmp_path):
-        enable_observability()
-        cache = ResultCache(tmp_path)
-        path = cache._path(_key(), ".npz")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"PK\x03\x04 truncated")
-        with pytest.warns(RuntimeWarning, match="corrupt entry"):
-            assert cache.get_arrays(_key()) is None
-        assert cache.corrupt == 1
-
     def test_hit_miss_write_mirrored_to_registry(self, tmp_path):
         enable_observability()
         cache = ResultCache(tmp_path)

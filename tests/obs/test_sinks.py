@@ -1,4 +1,4 @@
-"""Sink round-trips: JSON snapshot, Prometheus text, rendered tables."""
+"""Sink round-trips: JSON snapshot and rendered tables."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.obs import (
     TraceCollector,
     metrics_snapshot,
     metrics_table,
-    to_prometheus,
     validate_snapshot,
     write_snapshot,
 )
@@ -76,29 +75,6 @@ class TestJsonSnapshot:
         del snapshot["metrics"]["histograms"][0]["p95"]
         with pytest.raises(ValueError, match="missing fields"):
             validate_snapshot(snapshot)
-
-
-class TestPrometheus:
-    def test_exposition_format(self):
-        registry, _ = _populated()
-        text = to_prometheus(registry)
-        assert "# TYPE engine_cache_hits_total counter" in text
-        assert "engine_cache_hits_total 7" in text
-        assert 'store_requests_total{scheme="pmod"} 100' in text
-        assert "# TYPE store_balance gauge" in text
-        assert "# TYPE store_op_latency_s summary" in text
-        assert 'store_op_latency_s{op="get",quantile="0.5"} 0.002' in text
-        assert 'store_op_latency_s_count{op="get"} 3' in text
-        assert text.endswith("\n")
-
-    def test_names_sanitized_to_prometheus_charset(self):
-        registry = MetricsRegistry()
-        registry.counter("weird-name.with.dots").inc()
-        text = to_prometheus(registry)
-        assert "weird_name_with_dots_total 1" in text
-
-    def test_empty_registry(self):
-        assert to_prometheus(MetricsRegistry()) == ""
 
 
 class TestTables:

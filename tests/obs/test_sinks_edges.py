@@ -1,9 +1,9 @@
-"""Sink edge cases: empty exposition, label escaping, window eviction."""
+"""Sink edge cases: empty snapshot, label escaping, window eviction."""
 
-import math
+import json
 
 from repro.obs import MetricsRegistry
-from repro.obs.sinks import metrics_snapshot, to_prometheus, validate_snapshot
+from repro.obs.sinks import metrics_snapshot, validate_snapshot, write_snapshot
 
 
 def make_registry():
@@ -11,9 +11,6 @@ def make_registry():
 
 
 class TestEmptyRegistry:
-    def test_prometheus_of_empty_registry_is_empty_string(self):
-        assert to_prometheus(make_registry()) == ""
-
     def test_snapshot_of_empty_registry_still_validates(self):
         snapshot = metrics_snapshot(make_registry())
         validate_snapshot(snapshot)
@@ -22,24 +19,20 @@ class TestEmptyRegistry:
 
 
 class TestLabelEscaping:
-    def test_quote_backslash_and_newline_are_escaped(self):
+    def test_quote_backslash_and_newline_are_escaped(self, tmp_path):
         registry = make_registry()
-        registry.counter("odd", path='C:\\tmp\\"x"\nnext').inc()
-        (line,) = [l for l in to_prometheus(registry).splitlines()
-                   if not l.startswith("#")]
-        assert line == ('odd_total{path="C:\\\\tmp\\\\\\"x\\"\\nnext"} 1')
+        odd = 'C:\\tmp\\"x"\nnext'
+        registry.counter("odd", path=odd).inc()
+        text = write_snapshot(tmp_path / "snap.json", registry).read_text()
+        assert '"path": "C:\\\\tmp\\\\\\"x\\"\\nnext"' in text
+        (row,) = json.loads(text)["metrics"]["counters"]
+        assert row["labels"] == {"path": odd}
 
-    def test_escaped_exposition_stays_single_line_per_sample(self):
-        registry = make_registry()
-        registry.gauge("g", note="a\nb\nc").set(1.0)
-        body = to_prometheus(registry)
-        assert len(body.strip().splitlines()) == 2  # TYPE header + sample
-        assert '\\n' in body
-
-    def test_plain_labels_are_untouched(self):
+    def test_plain_labels_are_untouched(self, tmp_path):
         registry = make_registry()
         registry.counter("serve.requests", scheme="pmod").inc(3)
-        assert 'scheme="pmod"' in to_prometheus(registry)
+        text = write_snapshot(tmp_path / "snap.json", registry).read_text()
+        assert '"scheme": "pmod"' in text
 
 
 class TestHistogramWindowEviction:
@@ -65,16 +58,6 @@ class TestHistogramWindowEviction:
         # Percentiles are windowed: the outlier no longer skews them.
         assert histogram.percentile(99) == 1.0
 
-    def test_prometheus_summary_reflects_window_and_lifetime(self):
-        registry = make_registry()
-        histogram = registry.histogram("lat", window=2)
-        for value in (5.0, 0.1, 0.2):
-            histogram.observe(value)
-        body = to_prometheus(registry)
-        assert 'lat{quantile=0.99} 0.2' in body.replace('"', "")
-        assert "lat_count 3" in body
-        assert "lat_sum 5.3" in body
-
     def test_empty_histogram_serializes_nan_free(self):
         registry = make_registry()
         registry.histogram("empty")
@@ -83,5 +66,3 @@ class TestHistogramWindowEviction:
         assert row["count"] == 0
         assert row["mean"] is None  # NaN became null-safe None
         validate_snapshot(snapshot)
-        body = to_prometheus(registry)
-        assert "NaN" in body  # exposition format spells it out instead

@@ -154,27 +154,11 @@ class TestRetentionAndDownsampling:
 
 
 class TestQueries:
-    def test_merge_quantile_pools_series(self):
-        ts = _store(retention_points=32)
-        rng = np.random.default_rng(2)
-        pooled = []
-        for node in range(3):
-            sketch = QuantileSketch()
-            chunk = rng.lognormal(-9 + node * 0.2, 0.4, 500)
-            pooled.extend(chunk)
-            for v in chunk:
-                sketch.add(v)
-            ts.append(f"node{node}.lat", 0.0, sketch, kind="sketch")
-        exact = float(np.percentile(np.asarray(pooled), 99))
-        got = ts.merge_quantile([f"node{n}.lat" for n in range(3)], 99)
-        assert abs(got - exact) / exact <= 0.02
-
     def test_empty_queries(self):
         ts = _store()
         assert ts.range("nothing") == []
         assert ts.rate("nothing") == 0.0
         assert math.isnan(ts.quantile("nothing", 99))
-        assert math.isnan(ts.merge_quantile(["a", "b"], 50))
 
     def test_series_names_sorted(self):
         ts = _store()

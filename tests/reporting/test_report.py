@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.engine import RunConfig, SimulationEngine
 from repro.reporting.report import full_report
 
 
 @pytest.fixture(scope="module")
-def report():
-    return full_report(SimulationEngine(RunConfig(scale=0.1)))
+def report(paper_engine):
+    return full_report(paper_engine)
 
 
 class TestFullReport:
@@ -18,8 +17,8 @@ class TestFullReport:
                         "Figure 11", "Figure 12"):
             assert heading in report, heading
 
-    def test_mentions_config(self, report):
-        assert "Trace scale 0.1" in report
+    def test_mentions_config(self, report, paper_engine):
+        assert f"Trace scale {paper_engine.config.scale}" in report
 
     def test_is_markdown(self, report):
         assert report.startswith("# ")

@@ -1,4 +1,4 @@
-"""Frontend: request lifecycle, accounting, simulate path, metrics."""
+"""Frontend: request lifecycle, accounting, metrics."""
 
 import asyncio
 
@@ -11,7 +11,6 @@ from repro.serve import (
     FaultPolicy,
     Frontend,
     Response,
-    SimulateRequest,
 )
 from repro.store import ShardedStore, make_traffic
 
@@ -123,42 +122,6 @@ class TestAdmission:
         assert all(r.reason == "rate_limited" for r in rejected)
 
 
-class TestSimulate:
-    def test_simulate_without_fn_is_explicit_error(self):
-        async def scenario():
-            async with make_frontend() as frontend:
-                return await frontend.simulate("tree", "pmod")
-
-        response = run(scenario())
-        assert response.status == "error"
-        assert "no simulator" in response.reason
-
-    def test_simulate_dedupes_within_batch(self):
-        calls = []
-
-        def fake_simulate(workload, scheme):
-            calls.append((workload, scheme))
-            return {"cell": f"{workload}:{scheme}", "miss_rate": 0.25}
-
-        async def scenario():
-            frontend = make_frontend(
-                simulate_fn=fake_simulate,
-                batch=BatchConfig(max_batch_size=16, max_wait_s=0.01))
-            async with frontend:
-                return await asyncio.gather(
-                    *(frontend.simulate("tree", "pmod") for _ in range(8)))
-
-        responses = run(scenario())
-        assert all(r.ok for r in responses)
-        assert all(r.value["miss_rate"] == 0.25 for r in responses)
-        assert len(calls) < 8  # dedupe collapsed concurrent duplicates
-
-    def test_simulate_requests_route_past_store_shards(self):
-        request = SimulateRequest("tree", "pmod")
-        assert request.key == "tree:pmod"
-        assert request.op == "simulate"
-
-
 class TestMetrics:
     def test_counters_flow_into_registry(self):
         enable_observability()
@@ -200,7 +163,7 @@ class TestLifecycle:
                 policy=FaultPolicy(timeout_s=5.0, max_retries=0),
                 batch=BatchConfig(max_batch_size=1, max_wait_s=0.0))
             await frontend.start()
-            # stop the batchers while a request is mid-queue by racing
+            # stop the batcher while a request is mid-queue by racing
             # a big gather against stop; any request still queued when
             # the workers exit must resolve as dropped, never hang.
             submits = asyncio.gather(
@@ -220,3 +183,11 @@ class TestLifecycle:
                 await frontend.put(1, 1)
 
         run(scenario())
+
+    def test_one_drain_task_per_started_frontend(self):
+        async def scenario():
+            async with make_frontend():
+                return [task for task in asyncio.all_tasks()
+                        if task.get_name() == "batcher-drain"]
+
+        assert len(run(scenario())) == 1

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trace import (
-    blocked_sweep,
-    gather_scatter,
-    hot_cold_mix,
-    interleaved_streams,
-    pointer_chase,
-    strided_stream,
-    write_mask,
-)
+from repro.trace import pointer_chase, strided_stream, write_mask
 
 
 class TestStridedStream:
@@ -28,24 +20,6 @@ class TestStridedStream:
             strided_stream(0, 4, 0)
         with pytest.raises(ValueError):
             strided_stream(0, 4, 4, repeats=0)
-
-
-class TestInterleavedStreams:
-    def test_round_robin(self):
-        a = np.array([1, 2], dtype=np.uint64)
-        b = np.array([10, 20], dtype=np.uint64)
-        assert interleaved_streams([a, b]).tolist() == [1, 10, 2, 20]
-
-    def test_truncates_to_shortest(self):
-        a = np.array([1, 2, 3], dtype=np.uint64)
-        b = np.array([10], dtype=np.uint64)
-        assert interleaved_streams([a, b]).tolist() == [1, 10]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            interleaved_streams([])
-        with pytest.raises(ValueError):
-            interleaved_streams([np.array([], dtype=np.uint64)])
 
 
 class TestPointerChase:
@@ -74,57 +48,6 @@ class TestPointerChase:
             pointer_chase(0, 64, 100, seed=1)
         with pytest.raises(ValueError):
             pointer_chase(10, 64, 100, seed=1, region_skew=1.0)
-
-
-class TestGatherScatter:
-    def test_maps_indices(self):
-        idx = np.array([0, 2, 1], dtype=np.uint64)
-        out = gather_scatter(1000, 10, 8, idx)
-        assert out.tolist() == [1000, 1016, 1008]
-
-    def test_wraps_table(self):
-        idx = np.array([11], dtype=np.uint64)
-        assert gather_scatter(0, 10, 8, idx).tolist() == [8]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gather_scatter(0, 0, 8, np.array([0], dtype=np.uint64))
-
-
-class TestBlockedSweep:
-    def test_covers_all_elements(self):
-        sweep = blocked_sweep(0, rows=4, cols=4, element_bytes=8, tile=2)
-        assert len(sweep) == 16
-        assert set(sweep.tolist()) == {8 * i for i in range(16)}
-
-    def test_column_major_strides_by_pitch(self):
-        sweep = blocked_sweep(0, rows=4, cols=4, element_bytes=8, tile=4,
-                              row_major=False)
-        assert sweep[1] - sweep[0] == 32  # one full row pitch
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            blocked_sweep(0, 0, 4, 8, 2)
-
-
-class TestHotColdMix:
-    def test_preserves_all_elements(self):
-        hot = np.arange(10, dtype=np.uint64)
-        cold = np.arange(100, 130, dtype=np.uint64)
-        mixed = hot_cold_mix(hot, cold, 0.3, seed=5)
-        assert sorted(mixed.tolist()) == sorted(hot.tolist() + cold.tolist())
-
-    def test_streams_stay_ordered(self):
-        hot = np.arange(10, dtype=np.uint64)
-        cold = np.arange(100, 120, dtype=np.uint64)
-        mixed = hot_cold_mix(hot, cold, 0.5, seed=5)
-        hot_out = [x for x in mixed if x < 10]
-        assert hot_out == sorted(hot_out)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hot_cold_mix(np.array([1], dtype=np.uint64),
-                         np.array([2], dtype=np.uint64), 0.0, seed=1)
 
 
 class TestWriteMask:

@@ -13,7 +13,6 @@ from repro.workloads.patterns import (
     conflict_column_walk,
     cyclic_sweep,
     page_resident_nodes,
-    poisson_hot_set,
     shuffled_cycles,
     streaming_arrays,
 )
@@ -170,7 +169,3 @@ class TestNodePatterns:
     def test_aligned_struct_chase_rejects_misaligned(self):
         with pytest.raises(ValueError):
             aligned_struct_chase(100, 100, 10, seed=1)
-
-    def test_poisson_hot_set_footprint(self):
-        out = poisson_hot_set(200, 5000, seed=6)
-        assert len(np.unique(out)) <= 200
