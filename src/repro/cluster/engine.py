@@ -74,6 +74,9 @@ _MISS = object()
 #: Modeled wire cost of a request/ack control message (bytes).
 CONTROL_BYTES = 64
 
+#: Modeled wire size of one stored value (bytes).
+PAYLOAD_BYTES = 512
+
 #: Sim-latency charged to an op that reached no replica at all (the
 #: caller's timeout, in virtual-clock terms).
 FAILED_OP_LATENCY_S = 2e-3
@@ -191,13 +194,12 @@ class Cluster:
         shard_scheme: inner key → shard scheme for every node's store.
         shards_per_node: physical shard count per node (same ladder
             rules as ``n_nodes``).
-        shard_capacity / assoc / replacement: per-shard geometry,
-            passed through to each node's :class:`ShardedStore`.
+        shard_capacity / assoc: per-shard geometry, passed through to
+            each node's :class:`ShardedStore`.
         replication: replica placement and quorum config.
         topology: fabric topology name (``"star"`` / ``"fat-tree"``)
             when no explicit ``fabric`` is given.
         fabric: explicit :class:`Fabric` (overrides ``topology``).
-        payload_bytes: modeled value size on the wire.
         tick_s: virtual-clock advance per submitted op — the offered
             inter-arrival gap; smaller ticks congest the fabric.
         injector: optional seeded node-fault source; its kill/recover
@@ -214,16 +216,13 @@ class Cluster:
     def __init__(self, n_nodes: int = 8, node_scheme: str = "pmod",
                  shard_scheme: str = "pmod", shards_per_node: int = 16,
                  shard_capacity: int = 512, assoc: int = 8,
-                 replacement: str = "lru",
                  replication: Optional[ReplicationConfig] = None,
                  topology: str = "star", fabric: Optional[Fabric] = None,
-                 payload_bytes: int = 512, tick_s: float = 50e-6,
+                 tick_s: float = 50e-6,
                  injector: Optional[NodeFaultInjector] = None,
                  recovery_budget: int = 128,
                  registry: Optional[MetricsRegistry] = None,
                  node_registries: bool = False):
-        if payload_bytes < 1:
-            raise ValueError("payload_bytes must be >= 1")
         if tick_s <= 0:
             raise ValueError("tick_s must be positive")
         if recovery_budget < 1:
@@ -238,7 +237,6 @@ class Cluster:
                 declare_core_metrics(node_registry)
             store = ShardedStore(
                 shard_capacity=shard_capacity, assoc=assoc,
-                replacement=replacement,
                 routing=RoutingTable.create(shard_scheme, shards_per_node),
                 registry=node_registry)
             self.nodes.append(StoreNode(i, store, registry=node_registry))
@@ -257,7 +255,6 @@ class Cluster:
             topology, self.n_nodes)
         #: fabric endpoint name of each node, by node id.
         self._endpoints = [node_endpoint(i) for i in range(self.n_nodes)]
-        self.payload_bytes = payload_bytes
         self.tick_s = tick_s
         self.injector = injector
         self.recovery_budget = recovery_budget
@@ -523,8 +520,7 @@ class Cluster:
         if traced is not None:
             fan_from = perf_counter()
         reached, completions = self._fan_out(placement, now,
-                                             self.payload_bytes,
-                                             CONTROL_BYTES)
+                                             PAYLOAD_BYTES, CONTROL_BYTES)
         for node in reached:
             node.store.put(canonical, stamped)
         acks = len(reached)
@@ -555,7 +551,7 @@ class Cluster:
         if traced is not None:
             fan_from = perf_counter()
         reached, completions = self._fan_out(placement, now, CONTROL_BYTES,
-                                             self.payload_bytes)
+                                             PAYLOAD_BYTES)
         freshest: Optional[tuple] = None
         copies = []
         for node in reached:

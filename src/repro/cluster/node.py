@@ -53,6 +53,13 @@ _TRANSITIONS: Dict[NodeState, FrozenSet[NodeState]] = {
     NodeState.RECOVERING: frozenset({NodeState.UP, NodeState.DOWN}),
 }
 
+#: Modeled per-op service time, charged to the interconnect clock on
+#: top of the fabric hops.
+SERVICE_S = 5e-6
+
+#: Extra service time per op while a node is degraded.
+DEGRADED_PENALTY_S = 250e-6
+
 #: Gauge encoding of each state (``cluster.node.state`` series).
 STATE_CODES = {
     NodeState.UP: 0,
@@ -75,9 +82,6 @@ class StoreNode:
         store: the node's :class:`ShardedStore` (the inner routing
             level).  Build with ``routing=RoutingTable.create(scheme,
             n_shards)`` for exact prime fleets.
-        service_s: modeled per-op service time, charged to the
-            interconnect clock on top of the fabric hops.
-        degraded_penalty_s: extra service time while ``degraded``.
         registry: the node's *own* metrics registry — each cluster
             member is a separate process in the model, so its metrics
             are private until a federation scrape pulls them.  None
@@ -87,25 +91,17 @@ class StoreNode:
         live: whether the node can serve any traffic at all, reads and
             writes alike (everything but down).
         service_now_s: modeled service time of one op in the current
-            state (``service_s``, plus ``degraded_penalty_s`` while
-            degraded).
+            state (:data:`SERVICE_S`, plus :data:`DEGRADED_PENALTY_S`
+            while degraded).
 
-    Both are set on every state transition, from the state and the two
-    service times given here.
+    Both are set on every state transition, from the state.
     """
 
-    def __init__(self, node_id: int, store: ShardedStore,
-                 service_s: float = 5e-6,
-                 degraded_penalty_s: float = 250e-6,
-                 registry=None):
+    def __init__(self, node_id: int, store: ShardedStore, registry=None):
         if node_id < 0:
             raise ValueError("node_id must be >= 0")
-        if service_s < 0 or degraded_penalty_s < 0:
-            raise ValueError("service times must be >= 0")
         self.node_id = node_id
         self.store = store
-        self.service_s = service_s
-        self.degraded_penalty_s = degraded_penalty_s
         self.registry = registry
         self._snapshot_version = 0
         self._enter(NodeState.UP)
@@ -119,8 +115,8 @@ class StoreNode:
         self.state = state
         self.live = state is not NodeState.DOWN
         self.service_now_s = (
-            self.service_s + self.degraded_penalty_s
-            if state is NodeState.DEGRADED else self.service_s)
+            SERVICE_S + DEGRADED_PENALTY_S
+            if state is NodeState.DEGRADED else SERVICE_S)
 
     def _transition(self, target: NodeState) -> None:
         if target not in _TRANSITIONS[self.state]:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.obs import MetricsRegistry, get_journal, get_registry
+from repro.cluster.engine import PAYLOAD_BYTES
 from repro.cluster.interconnect import node_endpoint
 from repro.cluster.node import NodeState
 
@@ -155,8 +156,7 @@ class ReReplicator:
         per_source: Dict[int, int] = {}
         for key, source, stamped in chunk:
             target.put(key, stamped)
-            per_source[source] = (per_source.get(source, 0)
-                                  + cluster.payload_bytes)
+            per_source[source] = per_source.get(source, 0) + PAYLOAD_BYTES
         # Bulk transfers congest the same links serving traffic uses;
         # a tail-drop here is absorbed as (un-modeled) retry, the copy
         # itself already happened above.

@@ -11,10 +11,11 @@ begin_reshard`, :class:`repro.store.Migrator`) to remediate live:
 
 * **quarantine** — a fast-window latency page plus fresh
   ``serve.fault.stall`` journal events names the stalled shards; the
-  controller routes around them without dropping the store;
+  controller routes around them (never more than half the fleet)
+  without dropping the store;
 * **scheme swap** — a :class:`~repro.obs.health.HashQualityDetector`
   drift trip on the store's scheme triggers an online reshard onto the
-  configured target scheme (pMod by default — the paper's fix for
+  controller's target scheme (pMod by default — the paper's fix for
   conflict pile-ups, applied as an operational action);
 * **grow / shrink** — capacity pages walk the shard count along the
   scheme's ladder (:func:`repro.store.ladder_up` — the *prime* ladder
@@ -32,7 +33,6 @@ the loop's behavior is as observable as the symptoms it reacts to.
 
 from repro.control.controller import (
     Action,
-    ControlConfig,
     Observation,
     RemediationController,
 )
@@ -40,7 +40,6 @@ from repro.control.rotation import KeyRotator, key_fingerprint
 
 __all__ = [
     "Action",
-    "ControlConfig",
     "KeyRotator",
     "Observation",
     "RemediationController",

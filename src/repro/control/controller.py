@@ -11,16 +11,13 @@ controller did is reconstructable from the journal.
 
 Decision rules (in priority order):
 
-0. **Down nodes** (clustered deployments only) — fresh
-   ``cluster.node_down`` journal events quarantine the dead node at the
-   cluster router's outer level, shifting its key range to the ring
-   successors.  Blast radius is hierarchical: at most **one node per
-   step**, and never past ``max_quarantine_fraction`` of the ring.
 1. **Stalled shards** — an active fast-window page on the latency SLO
    *and* fresh ``serve.fault.stall`` events since the last step name
-   the shard ids to quarantine.  Both signals are required: stall
-   events without a page mean the fault policy is absorbing the damage
-   (no action needed), a page without stall events has no target.
+   the shard ids to quarantine, never past
+   :data:`MAX_QUARANTINE_FRACTION` of the fleet.  Both signals are
+   required: stall events without a page mean the fault policy is
+   absorbing the damage (no action needed), a page without stall
+   events has no target.
 2. **Adversarial skew** — the detector's
    :meth:`~repro.obs.health.HashQualityDetector.grade_adversary` alarm
    pages on the store's current scheme and a :class:`KeyRotator` is
@@ -30,9 +27,9 @@ Decision rules (in priority order):
    alarm resolves after the rotation, the controller journals
    ``adversary.mitigated`` closing the loop.
 3. **Drift** — the detector holds a trip for the store's *current*
-   scheme: reshard onto ``config.target_scheme`` (or, if the store
-   already runs the target scheme, grow one ladder rung — more shards
-   is the remaining lever).
+   scheme: reshard onto the controller's ``target_scheme`` (or, if the
+   store already runs the target scheme, grow one ladder rung — more
+   shards is the remaining lever).
 4. **Capacity** — an active page on the reject-rate SLO grows the
    shard count one rung up the scheme's ladder.
 
@@ -49,6 +46,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs import Journal, MetricsRegistry, get_journal, get_registry
 from repro.obs.health import (
+    LATENCY_SLO,
+    REJECT_SLO,
     AdversaryStatus,
     Alert,
     DriftStatus,
@@ -59,54 +58,19 @@ from repro.control.rotation import KeyRotator
 from repro.store import Migrator, ShardedStore
 from repro.store.migrate import DEFAULT_MOVE_BUDGET
 
-__all__ = ["Action", "ControlConfig", "Observation", "RemediationController"]
+__all__ = ["Action", "Observation", "RemediationController"]
 
-
-@dataclass(frozen=True)
-class ControlConfig:
-    """Tunables for one controller.
-
-    Attributes:
-        target_scheme: scheme a drift trip reshard lands on (pMod — the
-            paper's prime-modulo fix — unless overridden).
-        latency_slo: SLO name whose fast page gates quarantining.
-        reject_slo: SLO name whose page triggers a capacity grow.
-        migration_budget: per-chunk key budget for controller-run
-            migrations.
-        max_quarantine_fraction: ceiling on the quarantined share of
-            the fleet — the controller must never route around so many
-            shards that the survivors become the hot spot.
-        node_capacity: shards per node in a clustered deployment.  When
-            set, the quarantine blast radius becomes *hierarchical*: no
-            single step may quarantine more than one node's worth of
-            shard capacity, however many shard ids the fault stream
-            names — a correlated burst (one dying node stalling every
-            shard behind it) degrades capacity one node at a time, with
-            a re-observe between steps, instead of in one swing.
-    """
-
-    target_scheme: str = "pmod"
-    latency_slo: str = "serve-p99-latency"
-    reject_slo: str = "serve-reject-rate"
-    migration_budget: int = DEFAULT_MOVE_BUDGET
-    max_quarantine_fraction: float = 0.5
-    node_capacity: Optional[int] = None
-
-    def __post_init__(self):
-        if self.migration_budget < 1:
-            raise ValueError("migration_budget must be positive")
-        if not 0.0 < self.max_quarantine_fraction <= 1.0:
-            raise ValueError(
-                "max_quarantine_fraction must be within (0, 1]")
-        if self.node_capacity is not None and self.node_capacity < 1:
-            raise ValueError("node_capacity must be >= 1 when set")
+#: Ceiling on the quarantined share of the fleet: the controller must
+#: never route around so many shards that the survivors become the hot
+#: spot.
+MAX_QUARANTINE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
 class Action:
     """One decided remediation, before/after application."""
 
-    kind: str  #: "quarantine" | "node_quarantine" | "key_rotation" | "scheme_swap" | "grow" | "shrink"
+    kind: str  #: "quarantine" | "key_rotation" | "scheme_swap" | "grow" | "shrink"
     reason: str
     detail: Dict[str, Any] = field(default_factory=dict)
 
@@ -122,7 +86,6 @@ class Observation:
     alerts: List[Alert]
     tripped: List[DriftStatus]
     stalled_shards: List[int]
-    down_nodes: List[int] = field(default_factory=list)
     adversary: List[AdversaryStatus] = field(default_factory=list)
 
     def paging(self, slo: str) -> bool:
@@ -134,7 +97,6 @@ class Observation:
             "alerts": [a.as_dict() for a in self.alerts],
             "tripped": [t.as_dict() for t in self.tripped],
             "stalled_shards": list(self.stalled_shards),
-            "down_nodes": list(self.down_nodes),
             "adversary": [a.as_dict() for a in self.adversary],
         }
 
@@ -146,42 +108,31 @@ class RemediationController:
         store: the store to remediate.
         slo_engine: burn-rate engine to evaluate each step.
         detector: drift detector to evaluate each step (optional).
-        config: decision tunables.
+        target_scheme: scheme a drift trip reshard lands on (pMod — the
+            paper's prime-modulo fix — unless overridden).
         journal: event stream read (fault events) and written
             (``control.*`` events); process-global by default.
         registry: metrics registry for the ``control.*`` counters.
-        cluster: optional :class:`~repro.cluster.Cluster`; when given,
-            fresh ``cluster.node_down`` journal events become
-            node-granularity quarantine actions (route the whole node's
-            traffic to its ring successors, one node per step).
         rotator: optional :class:`KeyRotator`; when given (keyed
             schemes only), each observe also grades the store's
             telemetry through the detector's adversary mode, and an
             active ``health.adversary`` page on the current scheme
             becomes a ``key_rotation`` action.
-        federation: optional :class:`~repro.obs.fed.Federation`; when
-            given, every observe first collects a fresh cluster-wide
-            merge and rebinds the SLO engine (and detector) onto it,
-            so decisions run on federated quantiles instead of
-            whatever single process the engine was built against.
     """
 
     def __init__(self, store: ShardedStore, slo_engine: SloEngine,
                  detector: Optional[HashQualityDetector] = None,
-                 config: Optional[ControlConfig] = None,
+                 target_scheme: str = "pmod",
                  journal: Optional[Journal] = None,
                  registry: Optional[MetricsRegistry] = None,
-                 cluster=None, rotator: Optional[KeyRotator] = None,
-                 federation=None):
+                 rotator: Optional[KeyRotator] = None):
         self.store = store
         self.slo_engine = slo_engine
         self.detector = detector
-        self.config = config or ControlConfig()
+        self.target_scheme = target_scheme
         self._journal = journal
         self._registry = registry
-        self.cluster = cluster
         self.rotator = rotator
-        self.federation = federation
         #: schemes rotated for an adversary page whose resolution has
         #: not yet been journaled as ``adversary.mitigated``.
         self._awaiting_mitigation: set = set()
@@ -190,8 +141,6 @@ class RemediationController:
         self._just_mitigated: set = set()
         #: journal seq cursor: fault events at or below it are consumed.
         self._fault_cursor = -1
-        #: journal seq cursor for ``cluster.node_down`` events.
-        self._node_cursor = -1
         self.steps = 0
         self.applied: List[Action] = []
 
@@ -207,13 +156,6 @@ class RemediationController:
 
     def observe(self) -> Observation:
         """Evaluate the health layer and drain fresh fault events."""
-        if self.federation is not None:
-            now_s = (self.cluster.virtual_now_s
-                     if self.cluster is not None else 0.0)
-            merged = self.federation.collect(now_s)
-            self.slo_engine.rebind(merged)
-            if self.detector is not None:
-                self.detector.rebind(merged)
         self.slo_engine.evaluate()
         if self.detector is not None:
             if self.rotator is not None:
@@ -237,19 +179,6 @@ class RemediationController:
                 seen.add(queue_id)
                 stalled.append(queue_id)
         self._fault_cursor = cursor
-        down_nodes: List[int] = []
-        if self.cluster is not None:
-            seen_nodes = set()
-            node_cursor = self._node_cursor
-            for event in self.journal.find("cluster.node_down"):
-                if event.seq <= self._node_cursor:
-                    continue
-                node_cursor = max(node_cursor, event.seq)
-                node_id = event.fields.get("node")
-                if isinstance(node_id, int) and node_id not in seen_nodes:
-                    seen_nodes.add(node_id)
-                    down_nodes.append(node_id)
-            self._node_cursor = node_cursor
         tripped = self.detector.tripped() if self.detector is not None else []
         adversary = (self.detector.adversary_tripped()
                      if self.detector is not None else [])
@@ -265,65 +194,32 @@ class RemediationController:
         return Observation(alerts=self.slo_engine.active_alerts(),
                            tripped=list(tripped),
                            stalled_shards=stalled,
-                           down_nodes=down_nodes,
                            adversary=list(adversary))
 
     # -- decide --------------------------------------------------------
 
     def _quarantine_candidates(self, shard_ids: Sequence[int]) -> List[int]:
-        """Valid, novel shard ids that fit under the quarantine caps.
-
-        Two ceilings compose hierarchically: the fleet-wide fraction
-        (``max_quarantine_fraction``, the survivors-stay-viable bound)
-        and, when ``node_capacity`` is set, a per-*step* bound of one
-        node's worth of shards — a correlated fault burst never takes
-        out more than one node of capacity per observe/decide cycle.
-        """
+        """Valid, novel shard ids that fit under the fleet-wide
+        :data:`MAX_QUARANTINE_FRACTION` (the survivors-stay-viable
+        bound)."""
         table = self.store.routing
         candidates = [s for s in shard_ids
                       if 0 <= s < table.n_shards
                       and s not in table.quarantined]
-        cap = int(table.n_shards * self.config.max_quarantine_fraction)
+        cap = int(table.n_shards * MAX_QUARANTINE_FRACTION)
         room = max(0, cap - len(table.quarantined))
-        if self.config.node_capacity is not None:
-            room = min(room, self.config.node_capacity)
         return candidates[:room]
-
-    def _node_quarantine_candidates(self,
-                                    node_ids: Sequence[int]) -> List[int]:
-        """Valid, novel node ids — blast radius one node per step, and
-        never so many that the live ring drops below half."""
-        if self.cluster is None:
-            return []
-        table = self.cluster.router.node_table
-        candidates = [n for n in node_ids
-                      if 0 <= n < table.n_shards
-                      and n not in table.quarantined]
-        cap = int(table.n_shards * self.config.max_quarantine_fraction)
-        room = max(0, cap - len(table.quarantined))
-        return candidates[:min(room, 1)]
 
     def decide(self, observation: Observation) -> List[Action]:
         """Map one observation to remediation actions (may be empty)."""
         actions: List[Action] = []
-        if observation.down_nodes:
-            nodes = self._node_quarantine_candidates(observation.down_nodes)
-            if nodes:
-                actions.append(Action(
-                    kind="node_quarantine",
-                    reason=(f"cluster.node_down events for nodes "
-                            f"{sorted(observation.down_nodes)}; "
-                            f"quarantining {nodes} (one node per step)"),
-                    detail={"nodes": nodes}))
-        if (observation.stalled_shards
-                and observation.paging(self.config.latency_slo)):
+        if observation.stalled_shards and observation.paging(LATENCY_SLO):
             shards = self._quarantine_candidates(observation.stalled_shards)
             if shards:
                 actions.append(Action(
                     kind="quarantine",
-                    reason=(f"fast-window page on "
-                            f"{self.config.latency_slo} with stall "
-                            f"events on shards {shards}"),
+                    reason=(f"fast-window page on {LATENCY_SLO} with "
+                            f"stall events on shards {shards}"),
                     detail={"shards": shards}))
         current_scheme = self.store.scheme
         if self.rotator is not None:
@@ -359,14 +255,14 @@ class RemediationController:
                 # owns this, and skew that *persists* past the grace
                 # step reaches this rule on the next one.
                 continue
-            if current_scheme != self.config.target_scheme:
+            if current_scheme != self.target_scheme:
                 actions.append(Action(
                     kind="scheme_swap",
                     reason=(f"drift trip on {current_scheme} "
                             f"(balance {status.balance:.2f} > "
                             f"{status.balance_max:g})"),
                     detail={"from_scheme": current_scheme,
-                            "to_scheme": self.config.target_scheme}))
+                            "to_scheme": self.target_scheme}))
             else:
                 actions.append(Action(
                     kind="grow",
@@ -376,10 +272,10 @@ class RemediationController:
                     detail={"from_n_shards": self.store.n_shards}))
             break  # one routing change per step
         if (not any(a.kind in ("scheme_swap", "grow") for a in actions)
-                and observation.paging(self.config.reject_slo)):
+                and observation.paging(REJECT_SLO)):
             actions.append(Action(
                 kind="grow",
-                reason=f"fast-window page on {self.config.reject_slo}",
+                reason=f"fast-window page on {REJECT_SLO}",
                 detail={"from_n_shards": self.store.n_shards}))
         return actions
 
@@ -387,7 +283,7 @@ class RemediationController:
 
     def _reshard_to(self, table) -> Dict[str, Any]:
         self.store.begin_reshard(table)
-        report = Migrator(self.store, budget=self.config.migration_budget,
+        report = Migrator(self.store, budget=DEFAULT_MOVE_BUDGET,
                           registry=self.registry).run()
         self.registry.counter("control.reshards").inc()
         return report.as_dict()
@@ -406,15 +302,6 @@ class RemediationController:
                               quarantined=sorted(table.quarantined),
                               reason=action.reason)
             detail["epoch"] = table.epoch_id
-        elif action.kind == "node_quarantine":
-            router = self.cluster.quarantine_node(detail["nodes"])
-            registry.counter("control.node_quarantines").inc()
-            self.journal.emit("control.node_quarantine",
-                              nodes=list(detail["nodes"]),
-                              epoch=router.epoch,
-                              quarantined=sorted(router.quarantined_nodes),
-                              reason=action.reason)
-            detail["epoch"] = router.epoch
         elif action.kind == "key_rotation":
             if self.rotator is None:
                 raise ValueError("key_rotation action without a rotator")

@@ -53,24 +53,18 @@ class KeyRotator:
         seed: seeds the rotator's private secret stream; two rotators
             with the same seed mint the same key sequence, which keeps
             attack/defense drills replayable.
-        migration_budget: per-chunk key budget for the rotation's
-            migration.
         registry: metrics override (defaults to the global registry).
         journal: journal override (defaults to the global journal).
     """
 
     def __init__(self, store: ShardedStore, seed: int = 0,
-                 migration_budget: int = DEFAULT_MOVE_BUDGET,
                  registry: Optional[MetricsRegistry] = None,
                  journal: Optional[Journal] = None):
         if store.routing.selector.key is None:
             raise ValueError(
                 f"scheme {store.scheme!r} is not keyed; only keyed "
                 f"schemes can rotate secrets")
-        if migration_budget < 1:
-            raise ValueError("migration_budget must be positive")
         self.store = store
-        self.migration_budget = migration_budget
         self._registry = registry
         self._journal = journal
         self._rng = random.Random(seed)
@@ -96,7 +90,7 @@ class KeyRotator:
         new_key = self._rng.getrandbits(64) | 1  # never the zero key
         table = self.store.routing.rekeyed(new_key)
         self.store.begin_reshard(table)
-        migration = Migrator(self.store, budget=self.migration_budget,
+        migration = Migrator(self.store, budget=DEFAULT_MOVE_BUDGET,
                              registry=self.registry).run()
         self.rotations += 1
         fingerprint = key_fingerprint(new_key)

@@ -38,7 +38,6 @@ import numpy as np
 from repro.adversary import run_crack, synthesize_hostile_trace
 from repro.adversary.probe import CrackResult
 from repro.control import (
-    ControlConfig,
     KeyRotator,
     RemediationController,
 )
@@ -49,7 +48,7 @@ from repro.obs import (
     enable_observability,
     get_registry,
 )
-from repro.obs.health import HashQualityDetector, SloEngine
+from repro.obs.health import NEAR_IDEAL_BALANCE, HashQualityDetector, SloEngine
 from repro.serve import AdmissionConfig, BatchConfig, FaultPolicy, Frontend
 from repro.store import ShardedStore
 
@@ -154,7 +153,7 @@ def defense_cell(rotate: bool, scheme: str = "keyed_pdisp",
     controller = RemediationController(
         store, SloEngine([], journal=journal),
         detector=detector if rotate else None,
-        config=ControlConfig(target_scheme=scheme), journal=journal,
+        target_scheme=scheme, journal=journal,
         rotator=rotator)
 
     model: Dict[int, int] = {}
@@ -275,7 +274,7 @@ def adversary_checks(data: Mapping[str, Any]) -> Dict[str, bool]:
     checks["post_rotation_green"] = (
         not on["page_active_at_end"]
         and on["scheme"] not in on["drift_tripped_at_end"]
-        and on["final"]["balance"] <= 1.5)
+        and on["final"]["balance"] <= NEAR_IDEAL_BALANCE)
     checks["no_rotation_stays_pinned"] = (
         off["rotations"] == 0 and off["page_after_flood"]
         and off["tail_after_flood"] >= 4.0

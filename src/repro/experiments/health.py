@@ -50,8 +50,9 @@ from repro.obs import (
     get_registry,
     set_journal,
 )
-from repro.control import ControlConfig, RemediationController
+from repro.control import RemediationController
 from repro.obs.health import (
+    LATENCY_SLO,
     HashQualityDetector,
     SloEngine,
     default_slos,
@@ -186,7 +187,7 @@ def health_checks(healthy: Sequence[Mapping], stalled: Sequence[Mapping],
     return {
         "healthy_phase_quiet": not any(s["alerting"] for s in healthy),
         "stall_fires_fast_page": any(
-            a["window"] == "fast" and a["slo"] == "serve-p99-latency"
+            a["window"] == "fast" and a["slo"] == LATENCY_SLO
             for a in alerts),
         "stall_surfaces_explicitly": (
             statuses.get("timeout", 0) + statuses.get("rejected", 0) > 0),
@@ -201,7 +202,7 @@ def health_checks(healthy: Sequence[Mapping], stalled: Sequence[Mapping],
             alert_seq is not None and quarantine_seq is not None
             and alert_seq < quarantine_seq),
         "fast_page_resolved": not any(
-            a["window"] == "fast" and a["slo"] == "serve-p99-latency"
+            a["window"] == "fast" and a["slo"] == LATENCY_SLO
             for a in post_alerts),
         # -- the page leaves evidence: a journaled flight dump whose
         # embedded slowest trace is a complete waterfall ----------------
@@ -266,7 +267,6 @@ def run(scale: float = 1.0, seed: int = 0, n_shards: int = 8,
 
         # -- self-healing: controller remediates, SLO must recover ------
         controller = RemediationController(fault_store, engine,
-                                           config=ControlConfig(),
                                            journal=journal,
                                            registry=get_registry())
         actions = [a.as_dict() for a in controller.step()]

@@ -73,6 +73,7 @@ __all__ = [
     "CORE_COUNTERS",
     "DEFAULT_RELATIVE_ACCURACY",
     "EVENT_SCHEMA_VERSION",
+    "FASTSIM_METRICS",
     "FED_METRICS",
     "HEALTH_METRICS",
     "JOURNAL_METRICS",
@@ -137,13 +138,22 @@ STORE_METRICS = {
     "store.requests": "counter",
     "store.op.latency_s": "histogram",
     "store.shard.latency_s": "histogram",
+    "store.shard.occupancy": "gauge",
     "store.replay.chunk_s": "histogram",
     "store.balance": "gauge",
     "store.concentration": "gauge",
     "store.tail_load": "gauge",
     "store.hit_rate": "gauge",
+    "store.occupancy": "gauge",
+    "store.evictions": "gauge",
     "store.epoch": "gauge",
     "store.migrated_keys": "counter",
+}
+
+#: Miss-only fast-path series (`repro.cache.fastsim`), same contract.
+FASTSIM_METRICS = {
+    "fastsim.calls": "counter",
+    "fastsim.wall_s": "histogram",
 }
 
 #: Serving-layer (`repro.serve`) series, same contract as
@@ -191,7 +201,6 @@ CONTROL_METRICS = {
     "control.quarantines": "counter",
     "control.reshards": "counter",
     "control.scheme_swaps": "counter",
-    "control.node_quarantines": "counter",
     "control.key_rotations": "counter",
 }
 
@@ -261,6 +270,7 @@ _DECLARERS = {
 def declare_core_metrics(registry: MetricsRegistry = None) -> None:
     """Materialize the stable snapshot schema on ``registry``:
     :data:`CORE_COUNTERS` plus the :data:`STORE_METRICS` /
+    :data:`FASTSIM_METRICS` /
     :data:`SERVE_METRICS` / :data:`JOURNAL_METRICS` /
     :data:`HEALTH_METRICS` / :data:`CONTROL_METRICS` /
     :data:`CLUSTER_METRICS` / :data:`ADVERSARY_METRICS` /
@@ -271,19 +281,20 @@ def declare_core_metrics(registry: MetricsRegistry = None) -> None:
         registry = get_registry()
     for name in CORE_COUNTERS:
         registry.counter(name)
-    for metrics in (STORE_METRICS, SERVE_METRICS, JOURNAL_METRICS,
-                    HEALTH_METRICS, CONTROL_METRICS, CLUSTER_METRICS,
-                    ADVERSARY_METRICS, OBS_METRICS, FED_METRICS):
+    for metrics in (STORE_METRICS, FASTSIM_METRICS, SERVE_METRICS,
+                    JOURNAL_METRICS, HEALTH_METRICS, CONTROL_METRICS,
+                    CLUSTER_METRICS, ADVERSARY_METRICS, OBS_METRICS,
+                    FED_METRICS):
         for name, kind in metrics.items():
             _DECLARERS[kind](registry, name)
 
 
-def enable_observability(clear: bool = True):
+def enable_observability():
     """Enable the process-wide registry and trace collector; returns
     (registry, collector).
 
-    ``clear`` resets any series/spans/traces accumulated by a previous
-    enable, so one CLI run snapshots only its own events.  The journal
+    Any series/spans/traces accumulated by a previous enable are
+    cleared, so one CLI run snapshots only its own events.  The journal
     is separate opt-in (:func:`enable_journal` / ``--journal PATH``)
     because it has a durable on-disk sink, but its metric series are
     declared here so snapshots stay schema-stable either way.
@@ -291,9 +302,8 @@ def enable_observability(clear: bool = True):
     registry = get_registry().enable()
     collector = get_collector()
     collector.enabled = True
-    if clear:
-        registry.clear()
-        collector.clear()
+    registry.clear()
+    collector.clear()
     declare_core_metrics(registry)
     return registry, collector
 

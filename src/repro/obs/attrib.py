@@ -70,6 +70,15 @@ __all__ = [
 
 _TRACE_SEQ = itertools.count(1)
 
+#: Finished request traces a :class:`TraceCollector` keeps (oldest
+#: evicted first).
+TRACE_CAPACITY = 1024
+
+#: Traces a :class:`FlightRecorder` keeps: the slowest by wall time,
+#: and the most recent non-ok ones.
+FLIGHT_SLOW_CAPACITY = 32
+FLIGHT_ERROR_CAPACITY = 64
+
 
 def _next_trace_id() -> str:
     return f"t{next(_TRACE_SEQ):08x}"
@@ -354,9 +363,10 @@ class CriticalPathAnalyzer:
 # ---------------------------------------------------------------------------
 
 class FlightRecorder:
-    """Bounded ring buffers of the traces worth keeping: the slowest-N
-    by wall time and every non-ok trace (most recent ``error_capacity``,
-    oldest evicted first).
+    """Bounded ring buffers of the traces worth keeping: the
+    :data:`FLIGHT_SLOW_CAPACITY` slowest by wall time and every non-ok
+    trace (most recent :data:`FLIGHT_ERROR_CAPACITY`, oldest evicted
+    first).
 
     ``dump()`` is the page-time action: it writes the retained traces
     as JSONL (when given a path) and journals an ``obs.flight_dump``
@@ -365,12 +375,9 @@ class FlightRecorder:
     read.
     """
 
-    def __init__(self, slow_capacity: int = 32, error_capacity: int = 64):
-        if slow_capacity < 1 or error_capacity < 1:
-            raise ValueError("flight recorder capacities must be >= 1")
-        self.slow_capacity = slow_capacity
+    def __init__(self):
         self._slow: List[Tuple[float, int, Trace]] = []
-        self._errors: deque = deque(maxlen=error_capacity)
+        self._errors: deque = deque(maxlen=FLIGHT_ERROR_CAPACITY)
         self._seq = itertools.count()
         self._lock = threading.Lock()
         self.recorded = 0
@@ -383,7 +390,7 @@ class FlightRecorder:
             if trace.status != "ok":
                 self._errors.append(trace)
             slow = self._slow
-            if len(slow) < self.slow_capacity:
+            if len(slow) < FLIGHT_SLOW_CAPACITY:
                 heapq.heappush(slow, (wall_s, next(self._seq), trace))
             elif wall_s > slow[0][0]:
                 heapq.heapreplace(slow, (wall_s, next(self._seq), trace))
@@ -529,12 +536,11 @@ class TraceCollector:
     counted against the request traces' capacity.
     """
 
-    def __init__(self, capacity: int = 1024, enabled: bool = True,
-                 flight: Optional[FlightRecorder] = None):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.flight = flight if flight is not None else FlightRecorder()
+        self.flight = FlightRecorder()
         self.epoch = perf_counter()
-        self._traces: deque = deque(maxlen=capacity)
+        self._traces: deque = deque(maxlen=TRACE_CAPACITY)
         self._spans: List[Tuple[Trace, str]] = []
         self._lock = threading.Lock()
 

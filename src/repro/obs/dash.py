@@ -113,8 +113,7 @@ def build_dashboard(registry: Optional[MetricsRegistry] = None,
                     drift_statuses: Sequence[Any] = (),
                     checks: Optional[Mapping[str, bool]] = None,
                     bench_root: Union[str, os.PathLike, None] = None,
-                    flight: Any = None,
-                    tail_rows: int = DEFAULT_TAIL_ROWS) -> Dict[str, Any]:
+                    flight: Any = None) -> Dict[str, Any]:
     """Assemble the dashboard model from whichever sources exist.
 
     Pass either a live ``registry`` (+ optional ``collector``) or an
@@ -169,7 +168,7 @@ def build_dashboard(registry: Optional[MetricsRegistry] = None,
     return {
         "generated_at": _now_iso(),
         "metrics": dict(snapshot) if snapshot is not None else None,
-        "journal_tail": events[-tail_rows:],
+        "journal_tail": events[-DEFAULT_TAIL_ROWS:],
         "journal_events_total": (journal.events if journal is not None
                                  else len(events)),
         "slos": _dictify(slo_statuses),

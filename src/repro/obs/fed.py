@@ -72,6 +72,9 @@ __all__ = [
 #: Wire size of a scrape request (a GET to the metrics endpoint).
 SCRAPE_REQUEST_BYTES = 64
 
+#: Fabric endpoint the scraper sits at.
+SCRAPE_SOURCE = "frontend"
+
 #: Wire size charged per series row of a scrape response, and per
 #: bucket of a sketch a histogram row carries: the mean JSON size of a
 #: cluster node's rows (~124 B over its counters, gauges and
@@ -139,14 +142,13 @@ class Scraper:
 
     Args:
         fabric: the cluster's :class:`~repro.cluster.interconnect.Fabric`
-            — scrapes are fabric round trips from ``source_endpoint``
+            — scrapes are fabric round trips from :data:`SCRAPE_SOURCE`
             and pay serialization, propagation, and queueing like data
             traffic; None models an out-of-band telemetry network
             (scrapes always arrive, cost nothing).
         targets: ``(endpoint_name, source)`` pairs where ``source``
             exposes ``metrics_snapshot()`` (a StoreNode, or anything
             duck-typing it).
-        source_endpoint: fabric endpoint the scraper sits at.
         registry: where the scraper's own ``fed.*`` telemetry lands
             (default: the process-wide registry).
         journal: sink for ``obs.scrape_miss`` events.
@@ -154,16 +156,12 @@ class Scraper:
 
     def __init__(self, targets: Sequence[Tuple[str, Any]],
                  fabric: Optional[Any] = None,
-                 source_endpoint: str = "frontend",
                  registry: Optional[MetricsRegistry] = None,
-                 journal: Optional[Journal] = None,
-                 request_bytes: int = SCRAPE_REQUEST_BYTES):
+                 journal: Optional[Journal] = None):
         self.targets = list(targets)
         self.fabric = fabric
-        self.source_endpoint = source_endpoint
         self._registry = registry
         self._journal = journal
-        self.request_bytes = request_bytes
         #: endpoint -> (doc, arrival_s) of the last successful scrape;
         #: a miss leaves the previous snapshot in place (stale beats
         #: absent — the staleness gauge carries the caveat).
@@ -220,11 +218,10 @@ class Scraper:
             arrival = now_s
             if self.fabric is not None:
                 n_bytes = _response_bytes(doc)
-                self._charge(self.source_endpoint, endpoint,
-                             self.request_bytes)
-                self._charge(endpoint, self.source_endpoint, n_bytes)
+                self._charge(SCRAPE_SOURCE, endpoint, SCRAPE_REQUEST_BYTES)
+                self._charge(endpoint, SCRAPE_SOURCE, n_bytes)
                 arrival = self.fabric.round_trip(
-                    self.source_endpoint, endpoint, self.request_bytes,
+                    SCRAPE_SOURCE, endpoint, SCRAPE_REQUEST_BYTES,
                     n_bytes, now_s)
                 if arrival is None:
                     results.append(self._miss(endpoint, "drop", now_s))
@@ -251,12 +248,8 @@ class Scraper:
 
 
 class Aggregator:
-    """Merges per-node snapshot documents into one registry."""
-
-    def __init__(self, gauge_policies: Optional[Mapping[str, str]] = None):
-        self.gauge_policies = dict(GAUGE_POLICIES)
-        if gauge_policies:
-            self.gauge_policies.update(gauge_policies)
+    """Merges per-node snapshot documents into one registry, gauges
+    by :data:`GAUGE_POLICIES`."""
 
     def merge(self, docs: Sequence[Mapping[str, Any]]) -> MetricsRegistry:
         """One cluster-wide registry from per-node snapshot documents.
@@ -284,7 +277,7 @@ class Aggregator:
                 counter.value += row.get("value", 0)
             for row in metrics.get("gauges", ()):
                 key = _identity(row)
-                policy = self.gauge_policies.get(row["name"], "last")
+                policy = GAUGE_POLICIES.get(row["name"], "last")
                 value = float(row.get("value", 0.0))
                 gauge = gauges.get(key)
                 if gauge is None:
@@ -339,11 +332,10 @@ class Federation:
     """
 
     def __init__(self, scraper: Scraper,
-                 aggregator: Optional[Aggregator] = None,
                  registry: Optional[MetricsRegistry] = None,
                  journal: Optional[Journal] = None):
         self.scraper = scraper
-        self.aggregator = aggregator or Aggregator()
+        self.aggregator = Aggregator()
         self._registry = registry
         self._journal = journal
         self.merged: Optional[MetricsRegistry] = None

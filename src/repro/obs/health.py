@@ -58,6 +58,9 @@ __all__ = [
     "DriftStatus",
     "FAST_BURN_THRESHOLD",
     "HashQualityDetector",
+    "LATENCY_SLO",
+    "NEAR_IDEAL_BALANCE",
+    "REJECT_SLO",
     "SLOW_BURN_THRESHOLD",
     "SloEngine",
     "SloSpec",
@@ -78,6 +81,12 @@ SLOW_BURN_THRESHOLD = 3.0
 #: Fraction of the fast-window error budget each rule consumes before
 #: it may fire, documented on the alert.
 _RULE_BUDGETS = {"fast": 0.05, "slow": 0.01}
+
+#: Names of the serving SLOs :func:`default_slos` defines; the
+#: remediation controller pages on them and the health drill checks
+#: them.
+LATENCY_SLO = "serve-p99-latency"
+REJECT_SLO = "serve-reject-rate"
 
 
 @dataclass(frozen=True)
@@ -226,16 +235,12 @@ class SloEngine:
     def __init__(self, specs: Sequence[SloSpec],
                  registry: Optional[MetricsRegistry] = None,
                  journal: Optional[Journal] = None,
-                 fast_threshold: float = FAST_BURN_THRESHOLD,
-                 slow_threshold: float = SLOW_BURN_THRESHOLD,
                  min_events: int = 0,
                  flight: Optional[Any] = None):
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError("SLO names must be unique")
         self.specs = tuple(specs)
-        self.fast_threshold = fast_threshold
-        self.slow_threshold = slow_threshold
         #: Minimum observations a window must hold before its burn rate
         #: can alert — the standard low-traffic guard (a 2-of-3 bad
         #: sample is not a page).  This is also what makes federation
@@ -330,9 +335,9 @@ class SloEngine:
                 fast_bad=fast_bad, fast_total=fast_total,
                 slow_bad=slow_bad, slow_total=slow_total,
                 fast_burn=fast_burn, slow_burn=slow_burn,
-                fast_alert=(fast_burn >= self.fast_threshold
+                fast_alert=(fast_burn >= FAST_BURN_THRESHOLD
                             and fast_total >= self.min_events),
-                slow_alert=(slow_burn >= self.slow_threshold
+                slow_alert=(slow_burn >= SLOW_BURN_THRESHOLD
                             and slow_total >= self.min_events),
             )
             statuses.append(status)
@@ -341,9 +346,9 @@ class SloEngine:
             registry.gauge("health.burn_rate", slo=spec.name,
                            window="slow").set(slow_burn)
             self._transition(spec, "fast", status.fast_alert, fast_burn,
-                             self.fast_threshold)
+                             FAST_BURN_THRESHOLD)
             self._transition(spec, "slow", status.slow_alert, slow_burn,
-                             self.slow_threshold)
+                             SLOW_BURN_THRESHOLD)
         return statuses
 
     def _transition(self, spec: SloSpec, window: str, alerting: bool,
@@ -384,33 +389,30 @@ class SloEngine:
                 f"evaluations={self.evaluations})")
 
 
-def default_slos(p99_target_s: float = 0.05,
-                 latency_objective: float = 0.99,
-                 reject_objective: float = 0.95,
-                 cache_hit_objective: float = 0.5) -> List[SloSpec]:
+def default_slos(p99_target_s: float = 0.05) -> List[SloSpec]:
     """The serving stack's standing SLOs.
 
-    * ``serve-p99-latency`` — at most ``1 - latency_objective`` of
-      recent requests slower than ``p99_target_s`` (the p99 target as
-      a counted objective, so it burns like an error budget);
-    * ``serve-reject-rate`` — admission rejects within budget;
+    * ``serve-p99-latency`` — at most 1% of recent requests slower
+      than ``p99_target_s`` (the p99 target as a counted objective, so
+      it burns like an error budget);
+    * ``serve-reject-rate`` — admission rejects within budget (5%);
     * ``engine-cache-hit-ratio`` — result-cache misses within budget
       (a collapsed hit ratio means the content-addressed cache stopped
       doing its job — every cell is simulated again).
     """
     return [
         SloSpec.latency(
-            "serve-p99-latency", metric="serve.latency_s",
-            threshold_s=p99_target_s, objective=latency_objective,
+            LATENCY_SLO, metric="serve.latency_s",
+            threshold_s=p99_target_s, objective=0.99,
             description=f"p99 request latency <= {p99_target_s * 1e3:g} ms"),
         SloSpec.ratio(
-            "serve-reject-rate", bad="serve.rejected",
-            total="serve.requests", objective=reject_objective,
+            REJECT_SLO, bad="serve.rejected",
+            total="serve.requests", objective=0.95,
             description="admission rejects within budget"),
         SloSpec.ratio(
             "engine-cache-hit-ratio", bad="engine.cache.misses",
             total=("engine.cache.hits", "engine.cache.misses"),
-            objective=cache_hit_objective,
+            objective=0.5,
             description="result-cache misses within budget"),
     ]
 
@@ -433,6 +435,10 @@ class DriftBand:
     concentration_max: float = math.inf
 
 
+#: The near-ideal Eq. 1 balance ceiling: the paper's Figure 5 shows
+#: pMod and pDisp holding balance near 1.0 on structured streams.
+NEAR_IDEAL_BALANCE = 1.5
+
 #: Per-scheme expected bands.  pMod/pDisp must hold the near-ideal
 #: balance the paper's Figure 5 shows for them on structured streams;
 #: XOR is permitted its known pow2-alignment weakness (Figure 5's
@@ -440,18 +446,24 @@ class DriftBand:
 DEFAULT_DRIFT_BANDS: Dict[str, DriftBand] = {
     "traditional": DriftBand(),
     "xor": DriftBand(balance_max=16.0),
-    "pmod": DriftBand(balance_max=1.5),
-    "pdisp": DriftBand(balance_max=1.5),
-    "pdisp19": DriftBand(balance_max=1.5),
-    "pdisp31": DriftBand(balance_max=1.5),
-    "pdisp37": DriftBand(balance_max=1.5),
-    "keyed": DriftBand(balance_max=1.5),
-    "keyed_pdisp": DriftBand(balance_max=1.5),
+    "pmod": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
+    "pdisp": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
+    "pdisp19": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
+    "pdisp31": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
+    "pdisp37": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
+    "keyed": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
+    "keyed_pdisp": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
 }
 
+#: Adversary mode's thresholds: the hottest shard's load relative to
+#: its ideal share, the share of all accesses the top-K keys landing
+#: on it must carry, and the consecutive suspicious grades that page.
+ADVERSARY_TAIL_MAX = 4.0
+ADVERSARY_HOT_KEY_SHARE = 0.25
+ADVERSARY_SUSTAIN = 2
 
-def strict_bands(n_shards: int,
-                 balance_max: float = 1.5) -> Dict[str, DriftBand]:
+
+def strict_bands(n_shards: int) -> Dict[str, DriftBand]:
     """The near-ideal band applied to *every* scheme.
 
     This is the Figure 5 ordering turned into a detector: on a
@@ -463,7 +475,7 @@ def strict_bands(n_shards: int,
     ``n_shards - 1`` (every access re-hitting one shard) while healthy
     prime selection on strided streams stays near single digits.
     """
-    band = DriftBand(balance_max=balance_max,
+    band = DriftBand(balance_max=NEAR_IDEAL_BALANCE,
                      concentration_max=n_shards / 4.0)
     return {scheme: band for scheme in DEFAULT_DRIFT_BANDS}
 
@@ -513,8 +525,8 @@ class AdversaryStatus:
 
     ``suspicious`` is this single observation's verdict (hot shard
     *and* hot keys concentrated on it); ``tripped`` is the sustained
-    alarm state after :attr:`HashQualityDetector.adversary_sustain`
-    consecutive suspicious observations.
+    alarm state after :data:`ADVERSARY_SUSTAIN` consecutive suspicious
+    observations.
     """
 
     scheme: str
@@ -553,13 +565,13 @@ class HashQualityDetector:
 
     **Adversary mode** (:meth:`grade_adversary`) watches for
     *deliberate* skew rather than accidental drift: traffic that pins
-    one shard (``tail_load`` at or above ``adversary_tail_max``) while
-    the heavy-hitter top-K shows the traffic is a small recycled key
-    set aimed at that shard (their share of all accesses at or above
-    ``adversary_hot_key_share``).  Accidental skew (zipfian hot keys)
-    spreads its hitters across shards; a crack-and-flood attack cannot
-    avoid both signals at once.  Sustained for ``adversary_sustain``
-    consecutive observations, it pages: ``health.alert_fired`` with
+    one shard (``tail_load`` at or above :data:`ADVERSARY_TAIL_MAX`)
+    while the heavy-hitter top-K shows the traffic is a small recycled
+    key set aimed at that shard (their share of all accesses at or
+    above :data:`ADVERSARY_HOT_KEY_SHARE`).  Accidental skew (zipfian
+    hot keys) spreads its hitters across shards; a crack-and-flood
+    attack cannot avoid both signals at once.  Sustained for
+    :data:`ADVERSARY_SUSTAIN` consecutive observations, it pages: ``health.alert_fired`` with
     ``slo="health.adversary"``, mirrored to ``health.adversary.ok`` /
     ``health.adversary.trips`` — the page the
     :class:`~repro.control.RemediationController` answers with a key
@@ -568,24 +580,11 @@ class HashQualityDetector:
 
     def __init__(self, bands: Optional[Mapping[str, DriftBand]] = None,
                  registry: Optional[MetricsRegistry] = None,
-                 journal: Optional[Journal] = None,
-                 adversary_tail_max: float = 4.0,
-                 adversary_hot_key_share: float = 0.25,
-                 adversary_sustain: int = 2):
+                 journal: Optional[Journal] = None):
         self.bands: Dict[str, DriftBand] = dict(bands or DEFAULT_DRIFT_BANDS)
         self._registry = registry
         self._journal = journal
         self._tripped: Dict[str, DriftStatus] = {}
-        if adversary_tail_max <= 1.0:
-            raise ValueError("adversary_tail_max must exceed 1.0 "
-                             "(1.0 is perfectly balanced load)")
-        if not 0.0 < adversary_hot_key_share <= 1.0:
-            raise ValueError("adversary_hot_key_share must be in (0, 1]")
-        if adversary_sustain < 1:
-            raise ValueError("adversary_sustain must be >= 1")
-        self.adversary_tail_max = adversary_tail_max
-        self.adversary_hot_key_share = adversary_hot_key_share
-        self.adversary_sustain = adversary_sustain
         self._adversary_streak: Dict[str, int] = {}
         self._adversary_tripped: Dict[str, AdversaryStatus] = {}
 
@@ -596,12 +595,6 @@ class HashQualityDetector:
     @property
     def journal(self) -> Journal:
         return self._journal if self._journal is not None else get_journal()
-
-    def rebind(self, registry: MetricsRegistry) -> "HashQualityDetector":
-        """Point the detector at another registry (the federated
-        cluster-wide merge) without losing trip/streak state."""
-        self._registry = registry
-        return self
 
     def band_for(self, scheme: str) -> DriftBand:
         """The scheme's band (unmonitored for unknown schemes)."""
@@ -688,12 +681,12 @@ class HashQualityDetector:
         """Grade one telemetry snapshot for *deliberate* hot-shard skew.
 
         Suspicious when the hottest shard carries at least
-        ``adversary_tail_max`` times its ideal share **and** the
+        :data:`ADVERSARY_TAIL_MAX` times its ideal share **and** the
         heavy-hitter top-K rows landing on that shard account for at
-        least ``adversary_hot_key_share`` of all accesses.  The alarm
-        trips (pages) only after ``adversary_sustain`` consecutive
-        suspicious snapshots and resolves on the first healthy one —
-        edge-triggered, like drift.
+        least :data:`ADVERSARY_HOT_KEY_SHARE` of all accesses.  The
+        alarm trips (pages) only after :data:`ADVERSARY_SUSTAIN`
+        consecutive suspicious snapshots and resolves on the first
+        healthy one — edge-triggered, like drift.
         """
         scheme = telemetry.scheme
         tail_load = float(telemetry.tail_load)
@@ -707,19 +700,19 @@ class HashQualityDetector:
             if row.get("where") == hottest)
         hot_key_share = hot_count / accesses
         suspicious = (math.isfinite(tail_load)
-                      and tail_load >= self.adversary_tail_max
-                      and hot_key_share >= self.adversary_hot_key_share)
+                      and tail_load >= ADVERSARY_TAIL_MAX
+                      and hot_key_share >= ADVERSARY_HOT_KEY_SHARE)
         streak = self._adversary_streak.get(scheme, 0) + 1 if suspicious \
             else 0
         self._adversary_streak[scheme] = streak
         was_tripped = scheme in self._adversary_tripped
-        tripped = (streak >= self.adversary_sustain) or (suspicious
-                                                         and was_tripped)
+        tripped = (streak >= ADVERSARY_SUSTAIN) or (suspicious
+                                                    and was_tripped)
         status = AdversaryStatus(
             scheme=scheme, tail_load=tail_load,
             hot_key_share=hot_key_share,
-            tail_max=self.adversary_tail_max,
-            share_min=self.adversary_hot_key_share,
+            tail_max=ADVERSARY_TAIL_MAX,
+            share_min=ADVERSARY_HOT_KEY_SHARE,
             suspicious=suspicious, tripped=tripped, streak=streak)
         registry = self.registry
         registry.gauge("health.adversary.ok", scheme=scheme).set(
@@ -732,8 +725,8 @@ class HashQualityDetector:
                 "health.alert_fired", slo="health.adversary",
                 window="telemetry", severity="page", scheme=scheme,
                 tail_load=tail_load, hot_key_share=hot_key_share,
-                tail_max=self.adversary_tail_max,
-                share_min=self.adversary_hot_key_share)
+                tail_max=ADVERSARY_TAIL_MAX,
+                share_min=ADVERSARY_HOT_KEY_SHARE)
         elif not tripped and was_tripped:
             del self._adversary_tripped[scheme]
             self.journal.emit("health.alert_resolved",
@@ -750,7 +743,7 @@ class HashQualityDetector:
 
     def adversary_streak(self, scheme: str) -> int:
         """Consecutive suspicious observations for ``scheme`` (0 =
-        clean).  Nonzero-but-below-``adversary_sustain`` means a
+        clean).  Nonzero-but-below-:data:`ADVERSARY_SUSTAIN` means a
         verdict is *pending* — consumers (the controller's drift rule)
         use this to hold fire until the attack call is made."""
         return self._adversary_streak.get(scheme, 0)

@@ -25,11 +25,10 @@ Design points, mirroring the registry's:
   ``schema_version``; :func:`validate_event` checks a decoded line,
   :func:`replay` iterates a file (rotated segment first) back into
   dicts.
-* **bounded rotation** — when the sink file exceeds ``max_bytes`` it
-  rotates through ``<path>.1`` .. ``<path>.N`` (``backups``
-  generations, default 1), so a chatty run costs bounded disk, never
-  an unbounded log; long soaks that must not lose early events raise
-  ``backups`` instead of ``max_bytes``.
+* **bounded rotation** — when the sink file would exceed
+  :data:`MAX_BYTES` (4 MB) it moves to ``<path>.1``, replacing the
+  previous backup, and a fresh file starts, so a chatty run costs at
+  most two files of disk, never an unbounded log.
 
 Every emit also increments the pre-declared ``journal.events`` counter
 (and ``journal.rotations`` on rotation), so snapshots record journal
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import threading
 import time
 from collections import deque
@@ -51,7 +49,6 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 from repro.obs.registry import get_registry
 
 __all__ = [
-    "DEFAULT_BACKUPS",
     "EVENT_SCHEMA_VERSION",
     "KNOWN_EVENT_KINDS",
     "Journal",
@@ -87,7 +84,6 @@ KNOWN_EVENT_KINDS = frozenset({
     "cluster.rereplicate",
     "control.action",
     "control.key_rotation",
-    "control.node_quarantine",
     "control.quarantine",
     "engine.cache.corrupt_discard",
     "experiment.finish",
@@ -114,14 +110,11 @@ KNOWN_EVENT_KINDS = frozenset({
     "store.replay.error",
 })
 
-#: Default rotation threshold for the JSONL sink.
-DEFAULT_MAX_BYTES = 4 << 20
+#: Rotation threshold for the JSONL sink.
+MAX_BYTES = 4 << 20
 
 #: Default in-memory tail length (events kept for `tail()` / the dash).
 DEFAULT_TAIL_EVENTS = 2048
-
-#: Default rotated-backup generations kept beside the live sink.
-DEFAULT_BACKUPS = 1
 
 
 @dataclass(frozen=True)
@@ -180,28 +173,17 @@ class Journal:
 
     Args:
         path: JSONL sink file; None keeps events in memory only (the
-            bounded tail).  The file is appended to, rotated through
-            ``<path>.1`` .. ``<path>.N`` past ``max_bytes``.
-        max_bytes: rotation threshold for the sink file.
+            bounded tail).  The file is appended to, and rotated to
+            ``<path>.1`` past :data:`MAX_BYTES`.
         tail_events: how many recent events the in-memory tail keeps.
-        backups: rotated generations kept (``.1`` newest .. ``.N``
-            oldest); the oldest is dropped at each rotation past N.
         enabled: a disabled journal's :meth:`emit` is a no-op.
     """
 
     def __init__(self, path: Union[str, os.PathLike, None] = None,
-                 max_bytes: int = DEFAULT_MAX_BYTES,
                  tail_events: int = DEFAULT_TAIL_EVENTS,
-                 backups: int = DEFAULT_BACKUPS,
                  enabled: bool = True):
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        if backups < 1:
-            raise ValueError("backups must be >= 1")
         self.enabled = enabled
         self.path: Optional[Path] = Path(path) if path is not None else None
-        self.max_bytes = max_bytes
-        self.backups = backups
         self.rotations = 0
         self._seq = 0
         self._epoch = time.monotonic()
@@ -272,7 +254,7 @@ class Journal:
             payload["fields"] = {k: str(v)
                                  for k, v in event.fields.items()}
             line = json.dumps(payload, sort_keys=True) + "\n"
-        if self._bytes + len(line) > self.max_bytes and self._bytes > 0:
+        if self._bytes + len(line) > MAX_BYTES and self._bytes > 0:
             self._rotate()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as stream:
@@ -280,13 +262,8 @@ class Journal:
         self._bytes += len(line)
 
     def _rotate(self) -> None:
-        """Shift backups ``.N-1 -> .N`` (dropping the old ``.N``), move
-        the full sink to ``.1``, and start a fresh file."""
-        for i in range(self.backups, 1, -1):
-            older = self.path.with_name(f"{self.path.name}.{i}")
-            newer = self.path.with_name(f"{self.path.name}.{i - 1}")
-            if newer.exists():
-                newer.replace(older)
+        """Move the full sink to ``.1`` (dropping the previous backup)
+        and start a fresh file."""
         try:
             self.path.replace(self.path.with_name(self.path.name + ".1"))
         except FileNotFoundError:
@@ -330,24 +307,15 @@ def replay(path: Union[str, os.PathLike],
            strict: bool = True) -> Iterator[Dict[str, Any]]:
     """Iterate a journal file's events as dicts, oldest first.
 
-    Rotated segments (``<path>.N`` oldest first, then ``<path>.1``) are
-    read before the live file, so the stream covers the whole retained
-    history in ``seq`` order however many backup generations the
-    journal kept.  With ``strict`` (the default) a malformed line
-    raises ValueError naming its file and line number; otherwise
-    malformed lines are skipped — the tolerant mode for inspecting a
-    journal that was cut off mid-write.
+    The rotated segment ``<path>.1`` is read before the live file, so
+    the stream covers the whole retained history in ``seq`` order.
+    With ``strict`` (the default) a malformed line raises ValueError
+    naming its file and line number; otherwise malformed lines are
+    skipped — the tolerant mode for inspecting a journal that was cut
+    off mid-write.
     """
     path = Path(path)
-    pattern = re.compile(re.escape(path.name) + r"\.(\d+)$")
-    backups = []
-    if path.parent.exists():
-        for candidate in path.parent.iterdir():
-            match = pattern.match(candidate.name)
-            if match:
-                backups.append((int(match.group(1)), candidate))
-    segments = [p for _, p in sorted(backups, reverse=True)] + [path]
-    for segment in segments:
+    for segment in (path.with_name(path.name + ".1"), path):
         if not segment.exists():
             continue
         with open(segment) as stream:
@@ -385,18 +353,15 @@ def set_journal(journal: Journal) -> Journal:
     return previous
 
 
-def enable_journal(path: Union[str, os.PathLike, None] = None,
-                   max_bytes: int = DEFAULT_MAX_BYTES,
-                   backups: int = DEFAULT_BACKUPS) -> Journal:
+def enable_journal(path: Union[str, os.PathLike, None] = None) -> Journal:
     """Install and return an enabled process-wide journal.
 
-    With ``path`` events also append to that JSONL file (rotating
-    through ``backups`` generations past ``max_bytes``); without one
-    the journal is memory-only (the bounded tail), which is what the
-    ``health`` experiment uses under pytest.
+    With ``path`` events also append to that JSONL file (rotating to
+    ``<path>.1`` past :data:`MAX_BYTES`); without one the journal is
+    memory-only (the bounded tail), which is what the ``health``
+    experiment uses under pytest.
     """
-    journal = Journal(path=path, max_bytes=max_bytes, backups=backups,
-                      enabled=True)
+    journal = Journal(path=path, enabled=True)
     set_journal(journal)
     return journal
 

@@ -46,7 +46,7 @@ __all__ = [
     "set_registry",
 ]
 
-#: Default observation-window length for histograms.
+#: Observation-window length of every histogram.
 DEFAULT_HISTOGRAM_WINDOW = 4096
 
 #: ``(name, sorted label items)`` — one instrument identity.
@@ -113,7 +113,8 @@ class Histogram:
     """Windowed distribution with streaming totals.
 
     ``count``/``sum``/``min``/``max`` cover the full lifetime;
-    percentiles are computed over the last ``window`` observations so
+    percentiles are computed over the last
+    :data:`DEFAULT_HISTOGRAM_WINDOW` observations so
     a long-lived process reports *recent* latency, not its cold start
     averaged away (the same bounded-window reasoning as the store's
     concentration telemetry).
@@ -145,7 +146,6 @@ class Histogram:
     kind = "histogram"
 
     def __init__(self, name: str, labels: Dict[str, Any],
-                 window: int = DEFAULT_HISTOGRAM_WINDOW,
                  sketch: bool = False):
         self.name = name
         self.labels = labels
@@ -153,8 +153,8 @@ class Histogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._window: deque = deque(maxlen=window)
-        self._exemplars: deque = deque(maxlen=window)
+        self._window: deque = deque(maxlen=DEFAULT_HISTOGRAM_WINDOW)
+        self._exemplars: deque = deque(maxlen=DEFAULT_HISTOGRAM_WINDOW)
         self.exemplar_drops = 0
         self._drop_noted = False
         self.sketch: Optional[QuantileSketch] = (
@@ -363,8 +363,8 @@ class MetricsRegistry:
             return NULL
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(self, name: str, window: int = DEFAULT_HISTOGRAM_WINDOW,
-                  sketch: bool = False, **labels: Any) -> Histogram:
+    def histogram(self, name: str, sketch: bool = False,
+                  **labels: Any) -> Histogram:
         """Get-or-create a histogram; ``sketch=True`` requests one that
         also feeds a lifetime quantile sketch (the federation feed).
         Asking without a sketch for a series declared with one returns
@@ -375,7 +375,7 @@ class MetricsRegistry:
         if not self.enabled:
             return NULL
         series = self._get_or_create(Histogram, name, labels,
-                                     window=window, sketch=sketch)
+                                     sketch=sketch)
         if sketch and series.sketch is None:
             raise TypeError(
                 f"metric {name!r} with labels {labels} already registered "

@@ -19,15 +19,15 @@ Rejections carry a machine-readable reason (:data:`REASON_RATE` /
 :data:`REASON_QUEUE`) so callers, metrics and the load generator can
 distinguish "offered too fast" from "backend backed up".
 
-The clock is injectable, so the token bucket is exactly testable
-without sleeping.
+The caller passes the time with each decision (the frontend's own
+``perf_counter`` read at submit), so the token bucket is exactly
+testable without sleeping.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "AdmissionConfig",
@@ -77,25 +77,25 @@ class AdmissionController:
     asyncio event loop, so admissions are already serialized.
     """
 
-    def __init__(self, config: AdmissionConfig = None,
-                 clock: Callable[[], float] = time.monotonic):
+    def __init__(self, config: AdmissionConfig = None):
         self.config = config or AdmissionConfig()
-        self._clock = clock
         self._tokens = float(self.config.burst)
-        self._last_refill = clock()
+        #: Time of the last refill.  The bucket starts full, so the
+        #: first refill (from 0.0) only caps it at ``burst`` again.
+        self._last_refill = 0.0
         self.admitted = 0
         self.rejected: Dict[str, int] = {REASON_RATE: 0, REASON_QUEUE: 0}
 
-    def _refill(self) -> None:
-        now = self._clock()
-        elapsed = now - self._last_refill
-        self._last_refill = now
+    def _refill(self, now_s: float) -> None:
+        elapsed = now_s - self._last_refill
+        self._last_refill = now_s
         if elapsed > 0:
             self._tokens = min(float(self.config.burst),
                                self._tokens + elapsed * self.config.rate)
 
-    def admit(self, queue_depth: int) -> Optional[str]:
-        """Decide one request: ``None`` = admitted, else the reason.
+    def admit(self, queue_depth: int, now_s: float) -> Optional[str]:
+        """Decide one request at time ``now_s`` (seconds on any
+        monotonic clock): ``None`` = admitted, else the reason.
 
         ``queue_depth`` is the caller's current in-flight count; the
         depth check runs first so a backed-up frontend rejects even
@@ -106,7 +106,7 @@ class AdmissionController:
             self.rejected[REASON_QUEUE] += 1
             return REASON_QUEUE
         if self.config.rate is not None:
-            self._refill()
+            self._refill(now_s)
             if self._tokens < 1.0:
                 self.rejected[REASON_RATE] += 1
                 return REASON_RATE

@@ -31,6 +31,15 @@ from repro.obs import get_journal
 
 __all__ = ["FaultInjector", "FaultPolicy", "InjectedFault"]
 
+#: Backoff before the first retry.
+BACKOFF_BASE_S = 0.005
+
+#: Exponential growth factor of the backoff per retry.
+BACKOFF_MULTIPLIER = 2.0
+
+#: Ceiling on any single backoff sleep.
+BACKOFF_CAP_S = 0.1
+
 
 class InjectedFault(RuntimeError):
     """Raised by :class:`FaultInjector` in place of a real backend error."""
@@ -46,35 +55,27 @@ class FaultPolicy:
             fails with ``asyncio.TimeoutError``, and the executor skips
             the settled item when its batch comes up).
         max_retries: attempts after the first (0 = fail fast).
-        backoff_base_s: backoff before the first retry.
-        backoff_multiplier: exponential growth factor per retry.
-        backoff_cap_s: ceiling on any single backoff sleep.
+
+    Retries back off :data:`BACKOFF_BASE_S`, growing by
+    :data:`BACKOFF_MULTIPLIER` per retry up to :data:`BACKOFF_CAP_S`.
     """
 
     timeout_s: float = 1.0
     max_retries: int = 2
-    backoff_base_s: float = 0.005
-    backoff_multiplier: float = 2.0
-    backoff_cap_s: float = 0.1
 
     def __post_init__(self):
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff times must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
 
     def backoff_s(self, attempt: int) -> float:
         """Deterministic capped exponential backoff before retry
         ``attempt`` (1-based)."""
         if attempt < 1:
             return 0.0
-        return min(self.backoff_cap_s,
-                   self.backoff_base_s
-                   * self.backoff_multiplier ** (attempt - 1))
+        return min(BACKOFF_CAP_S,
+                   BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** (attempt - 1))
 
 
 @dataclass

@@ -54,7 +54,6 @@ from time import perf_counter
 from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import (
-    MetricsRegistry,
     get_collector,
     get_journal,
     get_registry,
@@ -134,7 +133,6 @@ class Frontend:
         policy: per-attempt timeout (enforced by the deadline sweep) +
             bounded-retry schedule.
         injector: optional chaos-testing fault source.
-        registry: metrics registry override (defaults to the global).
         span_every: trace one request per this many submitted
             while tracing is enabled (0 disables; sampling bounds
             trace size under load).
@@ -145,7 +143,6 @@ class Frontend:
                  admission: AdmissionConfig = None,
                  policy: FaultPolicy = None,
                  injector: FaultInjector = None,
-                 registry: Optional[MetricsRegistry] = None,
                  span_every: int = 64):
         self.store = store
         self.policy = policy or FaultPolicy()
@@ -168,7 +165,7 @@ class Frontend:
             "requests": 0, "ok": 0, "rejected": 0, "timeouts": 0,
             "errors": 0, "dropped": 0, "retries": 0,
         }
-        registry = get_registry() if registry is None else registry
+        registry = get_registry()
         self._registry = registry
         self._observed = registry.enabled
         scheme = store.scheme
@@ -274,7 +271,7 @@ class Frontend:
             if counter is not None:
                 counter.inc()
         ctx = self._maybe_trace(op, key)
-        reason = self.admission.admit(self._pending)
+        reason = self.admission.admit(self._pending, start)
         if reason is not None:
             now = perf_counter()
             if ctx is not None:

@@ -52,7 +52,9 @@ from repro.store.routing import RoutingTable
 from repro.store.selector import ShardSelector, StoreKey, canonical_key
 from repro.store.shard import Shard
 
-#: Default shard-access window the telemetry metrics are computed over.
+#: How many recent shard accesses the telemetry metrics (concentration
+#: among them) are computed over: bounded, so telemetry costs
+#: O(window), not O(traffic).
 DEFAULT_TELEMETRY_WINDOW = 1 << 16
 
 #: How many heavy-hitter keys the observed store tracks (space-saving
@@ -141,9 +143,6 @@ class ShardedStore:
         shard_capacity: max entries per shard.
         assoc: ways per shard set.
         replacement: per-set eviction policy key.
-        telemetry_window: how many recent shard accesses the
-            concentration metric is computed over (bounded so telemetry
-            cost stays O(window), not O(traffic)).
         routing: explicit starting :class:`RoutingTable`; overrides
             ``scheme``/``n_shards`` when given.
     """
@@ -151,7 +150,6 @@ class ShardedStore:
     def __init__(self, n_shards: int = 64, scheme: str = "pmod",
                  shard_capacity: int = 512, assoc: int = 8,
                  replacement: str = "lru",
-                 telemetry_window: int = DEFAULT_TELEMETRY_WINDOW,
                  registry: Optional[MetricsRegistry] = None,
                  routing: Optional[RoutingTable] = None):
         table = (routing if routing is not None
@@ -162,7 +160,7 @@ class ShardedStore:
         self._epoch_lock = threading.Lock()
         self._state = _EpochState(table, self._build_shards(table.n_shards),
                                   None, None)
-        self._window: deque = deque(maxlen=telemetry_window)
+        self._window: deque = deque(maxlen=DEFAULT_TELEMETRY_WINDOW)
         self._window_lock = threading.Lock()
         # Registry instruments are resolved per epoch; with the
         # registry disabled they are all the shared null instrument and

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import NodeDownError, NodeState, StoreNode
+from repro.cluster.node import DEGRADED_PENALTY_S, SERVICE_S
 from repro.store import RoutingTable, ShardedStore
 
 
@@ -86,14 +87,13 @@ class TestServing:
         assert node.live
 
     def test_degraded_pays_the_penalty(self):
-        node = StoreNode(0, ShardedStore(
-            routing=RoutingTable.create("pmod", 8), shard_capacity=64),
-            service_s=1e-6, degraded_penalty_s=5e-4)
-        assert node.service_now_s == pytest.approx(1e-6)
+        node = make_node()
+        assert node.service_now_s == pytest.approx(SERVICE_S)
         node.degrade()
-        assert node.service_now_s == pytest.approx(1e-6 + 5e-4)
+        assert node.service_now_s == pytest.approx(
+            SERVICE_S + DEGRADED_PENALTY_S)
         node.restore()
-        assert node.service_now_s == pytest.approx(1e-6)
+        assert node.service_now_s == pytest.approx(SERVICE_S)
 
     def test_describe_is_json_friendly(self):
         import json

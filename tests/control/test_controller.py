@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.control import Action, ControlConfig, RemediationController
+from repro.control import Action, RemediationController
+from repro.control.controller import MAX_QUARANTINE_FRACTION
 from repro.obs import Journal
 from repro.obs.health import Alert, DriftStatus
 from repro.store import RoutingTable, ShardedStore
@@ -58,13 +59,13 @@ class FakeDetector:
 
 
 def make_controller(scheme="pmod", n_shards=61, alerts=(), tripped=(),
-                    config=None, journal=None):
+                    journal=None):
     journal = journal or Journal()
     store = ShardedStore(routing=RoutingTable.create(scheme, n_shards),
                          shard_capacity=256, assoc=16)
     controller = RemediationController(
         store, FakeSloEngine(alerts), detector=FakeDetector(tripped),
-        config=config or ControlConfig(), journal=journal)
+        journal=journal)
     return controller, store, journal
 
 
@@ -118,15 +119,14 @@ class TestQuarantineRule:
         assert controller.step() == []
 
     def test_quarantine_fraction_caps_the_blast_radius(self):
-        config = ControlConfig(max_quarantine_fraction=0.05)
-        controller, store, journal = make_controller(alerts=[page()],
-                                                     config=config)
+        controller, store, journal = make_controller(alerts=[page()])
         journal.enable()
-        for queue_id in range(10):
+        for queue_id in range(40):
             journal.emit("serve.fault.stall", queue_id=queue_id)
         controller.step()
-        # floor(61 * 0.05) = 3 shards at most, not all ten.
-        assert len(store.routing.quarantined) == 3
+        # floor(61 * 0.5) = 30 shards at most, not all forty.
+        assert MAX_QUARANTINE_FRACTION == 0.5
+        assert len(store.routing.quarantined) == 30
 
 
 class TestDriftRule:
@@ -205,158 +205,12 @@ class TestApply:
         assert events[0].fields["scheme"] == "pmod"
 
 
-class TestHierarchicalBlastRadius:
-    def test_node_capacity_caps_one_step_at_one_node(self):
-        """A correlated burst naming two nodes' worth of shards only
-        quarantines one node's worth per step (regression: the old cap
-        was a flat fleet fraction, so one burst could take out half the
-        fleet in a single swing)."""
-        config = ControlConfig(node_capacity=4)
-        controller, store, journal = make_controller(alerts=[page()],
-                                                     config=config)
-        journal.enable()
-        for queue_id in range(8):  # two nodes' worth of stalled shards
-            journal.emit("serve.fault.stall", queue_id=queue_id)
-        controller.step()
-        assert len(store.routing.quarantined) == 4
-        # The remaining shards need a fresh observe/decide cycle (and
-        # fresh evidence) — the next step sees no new stall events.
-        assert controller.step() == []
-        assert len(store.routing.quarantined) == 4
-
-    def test_node_capacity_still_respects_fleet_fraction(self):
-        config = ControlConfig(node_capacity=8,
-                               max_quarantine_fraction=0.05)
-        controller, store, journal = make_controller(alerts=[page()],
-                                                     config=config)
-        journal.enable()
-        for queue_id in range(10):
-            journal.emit("serve.fault.stall", queue_id=queue_id)
-        controller.step()
-        # min(floor(61 * 0.05) = 3, node_capacity = 8) = 3.
-        assert len(store.routing.quarantined) == 3
-
-
 class TestNodeQuarantineRule:
-    def _make_clustered(self, journal):
-        from repro.cluster import Cluster, ReplicationConfig
-
-        cluster = Cluster(n_nodes=5, node_scheme="pmod",
-                          shard_scheme="pmod", shards_per_node=8,
-                          replication=ReplicationConfig(replicas=2))
-        store = ShardedStore(routing=RoutingTable.create("pmod", 61),
-                             shard_capacity=256, assoc=16)
-        controller = RemediationController(
-            store, FakeSloEngine(), journal=journal, cluster=cluster)
-        return controller, cluster
-
-    def test_node_down_event_quarantines_the_node(self):
-        journal = Journal()
-        controller, cluster = self._make_clustered(journal)
-        journal.emit("cluster.node_down", node=3, live_nodes=4, epoch=0)
-        actions = controller.step()
-        assert [a.kind for a in actions] == ["node_quarantine"]
-        assert cluster.router.quarantined_nodes == frozenset([3])
-        assert cluster.epoch == 1
-        (event,) = journal.find("control.node_quarantine")
-        assert event.fields["nodes"] == [3]
-        # Consumed-once: the same event never re-triggers.
-        assert controller.step() == []
-
-    def test_at_most_one_node_per_step(self):
-        journal = Journal()
-        controller, cluster = self._make_clustered(journal)
-        journal.emit("cluster.node_down", node=1, live_nodes=4, epoch=0)
-        journal.emit("cluster.node_down", node=2, live_nodes=3, epoch=0)
-        actions = controller.step()
-        assert [a.kind for a in actions] == ["node_quarantine"]
-        assert len(cluster.router.quarantined_nodes) == 1
-
-    def test_traffic_routes_around_quarantined_node(self):
-        journal = Journal()
-        controller, cluster = self._make_clustered(journal)
-        journal.emit("cluster.node_down", node=2, live_nodes=4, epoch=0)
-        controller.step()
-        keys = range(200)
-        assert all(cluster.router.node(k) != 2 for k in keys)
+    """The controller has no node-level rule: node events are not its
+    input."""
 
     def test_without_cluster_node_events_are_ignored(self):
         journal = Journal()
         controller, store, _ = make_controller(journal=journal)
         journal.emit("cluster.node_down", node=0, live_nodes=4, epoch=0)
         assert controller.step() == []
-
-
-class TestFederatedObserve:
-    """A controller given a Federation runs its health layer on the
-    cluster-wide merge, refreshed at every observe."""
-
-    def _controller(self):
-        from repro.cluster import Cluster
-        from repro.obs import declare_core_metrics
-        from repro.obs.fed import Federation
-        from repro.obs.health import SloEngine, SloSpec
-        from repro.obs.registry import MetricsRegistry
-
-        cluster = Cluster(n_nodes=4, node_scheme="pmod",
-                          shard_scheme="pmod", node_registries=True)
-        for i in range(600):
-            cluster.put(f"k{i}", i)
-        local = MetricsRegistry(enabled=True)
-        declare_core_metrics(local)
-        fed = Federation.for_cluster(cluster, registry=local)
-        engine = SloEngine(
-            [SloSpec.latency("p99", "cluster.node.request_latency_s",
-                             threshold_s=10.0, objective=0.99)],
-            registry=local)  # starts bound to the un-merged registry
-        store = ShardedStore(routing=RoutingTable.create("pmod", 61),
-                             shard_capacity=256, assoc=16)
-        controller = RemediationController(
-            store, engine, journal=Journal(), cluster=cluster,
-            federation=fed)
-        return controller, engine, fed, local
-
-    def test_observe_collects_then_rebinds_the_engine(self):
-        controller, engine, fed, local = self._controller()
-        assert controller.step() == []  # healthy cluster: no actions
-        assert local.counter("fed.merges").value == 1
-        assert engine.registry is fed.merged  # decisions see the merge
-        assert engine.evaluations == 1
-        # The merged registry actually carries the pooled per-node
-        # sketches the spec gates on — not evaluating a blank.
-        series = engine.registry.matching("cluster.node.request_latency_s")
-        assert series and sum(s.count for s in series) > 0
-
-    def test_every_step_refreshes_the_merge(self):
-        controller, engine, fed, local = self._controller()
-        controller.step()
-        first_merge = engine.registry
-        controller.step()
-        assert local.counter("fed.merges").value == 2
-        assert engine.registry is fed.merged
-        assert engine.registry is not first_merge  # fresh merge
-        assert engine.evaluations == 2  # state survived the rebind
-
-    def test_detector_is_rebound_too(self):
-        from repro.obs.health import HashQualityDetector, strict_bands
-
-        controller, engine, fed, _ = self._controller()
-        detector = HashQualityDetector(strict_bands(8),
-                                       registry=engine.registry)
-        controller.detector = detector
-        controller.observe()
-        assert detector.registry is fed.merged
-
-
-class TestConfigValidation:
-    def test_bad_budget_rejected(self):
-        with pytest.raises(ValueError, match="migration_budget"):
-            ControlConfig(migration_budget=0)
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError, match="max_quarantine_fraction"):
-            ControlConfig(max_quarantine_fraction=1.5)
-
-    def test_bad_node_capacity_rejected(self):
-        with pytest.raises(ValueError, match="node_capacity"):
-            ControlConfig(node_capacity=0)

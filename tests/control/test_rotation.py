@@ -98,11 +98,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="not keyed"):
             KeyRotator(store)
 
-    def test_rejects_nonpositive_budget(self):
-        store = keyed_store(n_keys=1)
-        with pytest.raises(ValueError, match="migration_budget"):
-            KeyRotator(store, migration_budget=0)
-
 
 class TestFingerprint:
     def test_stable_and_short(self):

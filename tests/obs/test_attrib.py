@@ -15,6 +15,8 @@ from repro.obs import (
     set_journal,
 )
 from repro.obs.attrib import (
+    FLIGHT_ERROR_CAPACITY,
+    FLIGHT_SLOW_CAPACITY,
     CriticalPathAnalyzer,
     FlightRecorder,
     HeavyHitterTracker,
@@ -25,6 +27,7 @@ from repro.obs.attrib import (
     activate,
     current_trace,
 )
+from repro.obs.registry import DEFAULT_HISTOGRAM_WINDOW
 
 
 def synthetic_trace(trace_id, wall_s, status="ok",
@@ -113,29 +116,31 @@ class TestCriticalPathAnalyzer:
 
 class TestFlightRecorderOverflow:
     def test_slow_ring_keeps_the_slowest_in_order(self):
-        """Overflow ordering: with capacity 4 and 10 recorded traces,
-        exactly the 4 largest walls survive, slowest first."""
-        recorder = FlightRecorder(slow_capacity=4)
-        for i in range(10):
+        """Overflow ordering: with six more traces recorded than the
+        ring holds, exactly the largest walls survive, slowest first."""
+        recorder = FlightRecorder()
+        n = FLIGHT_SLOW_CAPACITY + 6
+        for i in range(n):
             recorder.record(synthetic_trace(f"t{i}", 0.001 * (i + 1)))
-        assert recorder.recorded == 10
+        assert recorder.recorded == n
         assert [t.trace_id for t in recorder.slowest()] == \
-            ["t9", "t8", "t7", "t6"]
+            [f"t{i}" for i in range(n - 1, 5, -1)]
 
     def test_slow_ring_breaks_wall_ties_by_arrival(self):
-        recorder = FlightRecorder(slow_capacity=2)
-        for i in range(4):
+        recorder = FlightRecorder()
+        for i in range(FLIGHT_SLOW_CAPACITY + 2):
             recorder.record(synthetic_trace(f"t{i}", 0.005))
         survivors = [t.trace_id for t in recorder.slowest()]
-        assert survivors == ["t0", "t1"]  # equal walls never displace
+        # Equal walls never displace: the first arrivals stay.
+        assert survivors == [f"t{i}" for i in range(FLIGHT_SLOW_CAPACITY)]
 
     def test_error_ring_evicts_oldest_first(self):
-        recorder = FlightRecorder(error_capacity=3)
-        for i in range(5):
+        recorder = FlightRecorder()
+        for i in range(FLIGHT_ERROR_CAPACITY + 2):
             recorder.record(synthetic_trace(f"t{i}", 0.001,
                                             status="timeout"))
         assert [t.trace_id for t in recorder.errors()] == \
-            ["t2", "t3", "t4"]
+            [f"t{i}" for i in range(2, FLIGHT_ERROR_CAPACITY + 2)]
 
     def test_dump_journals_the_slowest_waterfall(self, tmp_path):
         enable_observability()
@@ -202,18 +207,20 @@ class TestHistogramExemplars:
         trace that no longer backs the quantile would lie."""
         enable_observability()
         set_journal(Journal())
-        hist = get_registry().histogram("attrib.test.latency_s", window=4)
+        hist = get_registry().histogram("attrib.test.latency_s")
         hist.observe(0.9, exemplar="t-slowest")
-        for i in range(4):  # four more observations: t-slowest ages out
+        # A window's worth more observations: t-slowest ages out.
+        for i in range(DEFAULT_HISTOGRAM_WINDOW):
             hist.observe(0.1 * (i + 1), exemplar=f"t{i}")
-        retained = {row["trace_id"] for row in hist.exemplars(n=10)}
+        retained = {row["trace_id"]
+                    for row in hist.exemplars(n=DEFAULT_HISTOGRAM_WINDOW)}
         assert "t-slowest" not in retained
-        assert retained == {"t0", "t1", "t2", "t3"}
+        assert retained == {f"t{i}" for i in range(DEFAULT_HISTOGRAM_WINDOW)}
         assert hist.exemplar_drops == 1
 
     def test_exemplars_rank_heaviest_first(self):
         enable_observability()
-        hist = get_registry().histogram("attrib.test.rank_s", window=8)
+        hist = get_registry().histogram("attrib.test.rank_s")
         for i, value in enumerate([0.2, 0.9, 0.1]):
             hist.observe(value, exemplar=f"t{i}")
         hist.observe(0.5)  # no exemplar: must not surface as None
@@ -224,8 +231,8 @@ class TestHistogramExemplars:
     def test_drop_event_is_edge_triggered(self):
         enable_observability()
         set_journal(Journal())
-        hist = get_registry().histogram("attrib.test.drop_s", window=2)
-        for i in range(6):
+        hist = get_registry().histogram("attrib.test.drop_s")
+        for i in range(DEFAULT_HISTOGRAM_WINDOW + 4):
             hist.observe(float(i), exemplar=f"t{i}")
         assert hist.exemplar_drops == 4
         assert len(get_journal().find("obs.exemplar_drop")) == 1

@@ -9,6 +9,7 @@ import pytest
 from repro.obs import Journal, MetricsRegistry, set_journal
 from repro.obs.attrib import FlightRecorder, Stage, Trace
 from repro.obs.dash import (
+    DEFAULT_TAIL_ROWS,
     build_dashboard,
     render_html,
     render_text,
@@ -84,12 +85,13 @@ class TestModel:
 
     def test_tail_is_bounded_by_tail_rows(self, tmp_path):
         journal = Journal()
-        for i in range(10):
+        n = DEFAULT_TAIL_ROWS + 10
+        for i in range(n):
             journal.emit("k", i=i)
-        model = build_dashboard(journal=journal, tail_rows=4)
-        assert [e["fields"]["i"] for e in model["journal_tail"]] == [
-            6, 7, 8, 9]
-        assert model["journal_events_total"] == 10
+        model = build_dashboard(journal=journal)
+        assert [e["fields"]["i"] for e in model["journal_tail"]] == list(
+            range(10, n))
+        assert model["journal_events_total"] == n
 
     def test_process_journal_counts_lifetime_events(self):
         journal = Journal()  # default tail keeps the last 2048
@@ -177,12 +179,12 @@ class TestFederationAndTsdbPanels:
             assert cells in html_rows
 
     def test_tsdb_panel_scalarizes_and_bounds_sparklines(self):
-        recorder = FlightRecorder(slow_capacity=_WATERFALL_TRACES + 3)
+        recorder = FlightRecorder()
         for i in range(3 * _WATERFALL_TRACES):
             recorder.record(_trace(i, 1e-3 * (i + 1)))
         model = build_dashboard(flight=recorder)
         json.dumps(model)
-        assert len(model["flight"]["slowest"]) == _WATERFALL_TRACES + 3
+        assert len(model["flight"]["slowest"]) == 3 * _WATERFALL_TRACES
         assert model["flight"]["recorded"] == 3 * _WATERFALL_TRACES
         page = render_html(model)
         assert page.count('<div class="wf">') == _WATERFALL_TRACES

@@ -5,6 +5,7 @@ from repro.obs import (
     CLUSTER_METRICS,
     CONTROL_METRICS,
     CORE_COUNTERS,
+    FASTSIM_METRICS,
     FED_METRICS,
     HEALTH_METRICS,
     JOURNAL_METRICS,
@@ -18,9 +19,9 @@ from repro.obs import (
 
 #: Every declared layer's name -> kind mapping, in one place so the
 #: parity tests below cover new layers automatically.
-DECLARED_LAYERS = (STORE_METRICS, SERVE_METRICS, JOURNAL_METRICS,
-                   HEALTH_METRICS, CONTROL_METRICS, CLUSTER_METRICS,
-                   ADVERSARY_METRICS, FED_METRICS)
+DECLARED_LAYERS = (STORE_METRICS, FASTSIM_METRICS, SERVE_METRICS,
+                   JOURNAL_METRICS, HEALTH_METRICS, CONTROL_METRICS,
+                   CLUSTER_METRICS, ADVERSARY_METRICS, FED_METRICS)
 
 
 class TestDeclaredSchema:
@@ -78,6 +79,105 @@ class TestDeclaredSchema:
         # Warm adds only *labeled* variants of declared names, never a
         # journal./health. name that was not declared cold.
         assert warm == declared
+
+    def test_store_declaration_parity_with_emitting_code(self):
+        """Every unlabeled ``store.*`` series the store emits is
+        pre-declared: a cold snapshot carries exactly the declared
+        store names, and a snapshot taken after traffic, a replay, a
+        reshard and a telemetry publish adds only *labeled* variants
+        of declared names."""
+        from repro.obs import Journal, set_journal
+        from repro.store import Migrator, ShardedStore, make_traffic, replay
+
+        registry, _ = enable_observability()
+        cold = {name for name in _names(registry)
+                if name.startswith("store.")}
+
+        set_journal(Journal())
+        store = ShardedStore(n_shards=8, scheme="pmod", shard_capacity=16,
+                             registry=registry)
+        replay(store, make_traffic("zipfian", 400, seed=0))
+        store.delete(0)
+        store.begin_reshard(store.routing.grown())
+        Migrator(store, registry=registry).run()
+        store.telemetry()
+
+        warm = {name for name in _names(registry)
+                if name.startswith("store.")}
+        declared = set(STORE_METRICS)
+        assert cold == declared
+        assert warm == declared
+
+    def test_serve_declaration_parity_with_emitting_code(self):
+        """Every unlabeled ``serve.*`` series the frontend emits is
+        pre-declared: served, rejected and rebound traffic adds only
+        *labeled* variants of declared names."""
+        import asyncio
+
+        from repro.obs import Journal, set_journal
+        from repro.serve import AdmissionConfig, BatchConfig, Frontend
+        from repro.store import ShardedStore
+
+        registry, _ = enable_observability()
+        cold = {name for name in _names(registry)
+                if name.startswith("serve.")}
+
+        set_journal(Journal())
+
+        async def drill():
+            store = ShardedStore(n_shards=8, scheme="pmod",
+                                 shard_capacity=64, registry=registry)
+            async with Frontend(
+                    store,
+                    batch=BatchConfig(max_batch_size=8, max_wait_s=0.001),
+                    admission=AdmissionConfig(rate=1000.0, burst=16),
+            ) as frontend:
+                await asyncio.gather(*(frontend.put(i, i)
+                                       for i in range(32)))
+                store.begin_reshard(store.routing.grown())
+                await frontend.rebind_routing()
+                await asyncio.gather(*(frontend.get(i) for i in range(8)))
+                await frontend.delete(0)
+
+        asyncio.run(drill())
+
+        warm = {name for name in _names(registry)
+                if name.startswith("serve.")}
+        declared = set(SERVE_METRICS)
+        assert cold == declared
+        assert warm == declared
+        assert registry.counter("serve.rejected", scheme="pmod",
+                                reason="rate_limited").value > 0
+        assert registry.counter("serve.rebinds", scheme="pmod").value > 0
+
+    def test_engine_declaration_parity_with_emitting_code(self, tmp_path):
+        """Every unlabeled ``engine.*`` / ``fastsim.*`` series the
+        simulation path emits is pre-declared: cached engine runs and a
+        fast-path call add no undeclared name."""
+        import numpy as np
+
+        from repro.cache import simulate_misses
+        from repro.engine import RunConfig, SimulationEngine
+        from repro.hashing import PrimeModuloIndexing
+
+        registry, _ = enable_observability()
+        prefixes = ("engine.", "fastsim.")
+        cold = {name for name in _names(registry)
+                if name.startswith(prefixes)}
+
+        config = RunConfig(scale=0.01)
+        for _ in range(2):  # a miss that simulates and writes, then a hit
+            SimulationEngine(config, cache_dir=tmp_path).result("lu", "pmod")
+        simulate_misses(PrimeModuloIndexing(64),
+                        np.arange(4096, dtype=np.uint64), 4)
+
+        warm = {name for name in _names(registry)
+                if name.startswith(prefixes)}
+        declared = set(CORE_COUNTERS) | set(FASTSIM_METRICS)
+        assert cold == declared
+        assert warm == declared
+        assert registry.counter("engine.cache.hits").value > 0
+        assert registry.counter("fastsim.calls").value == 1
 
     def test_control_declaration_parity_with_emitting_code(self):
         """Every ``control.*`` series the remediation controller emits

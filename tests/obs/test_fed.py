@@ -108,7 +108,6 @@ class TestScraper:
         fabric = make_fabric("star", 2)
         node = FakeNode("node0")
         scraper = Scraper([("node0", node)], fabric=fabric,
-                          source_endpoint="frontend",
                           registry=MetricsRegistry(enabled=True))
         (result,) = scraper.scrape(now_s=0.0)
         assert result.ok

@@ -116,11 +116,17 @@ class TestRatioBurn:
 class TestThresholds:
     def test_fast_page_fires_at_threshold(self):
         registry = make_registry()
-        spec = SloSpec.ratio("r", bad="bad", total="total", objective=0.9)
-        registry.counter("total").inc(100)
-        registry.counter("bad").inc(100)  # 100% bad, burn 10.0
-        engine = SloEngine([spec], registry=registry, journal=Journal(),
-                           fast_threshold=10.0, slow_threshold=100.0)
+        spec = SloSpec.ratio("r", bad="bad", total="total", objective=0.99)
+        bad, total = registry.counter("bad"), registry.counter("total")
+        engine = SloEngine([spec], registry=registry, journal=Journal())
+        total.inc(10000)  # good history keeps the slow burn low
+        engine.evaluate()
+        total.inc(100)
+        bad.inc(14)  # 14% bad: fast burn 14.0, under the threshold
+        (status,) = engine.evaluate()
+        assert not status.fast_alert and not status.slow_alert
+        total.inc(100)
+        bad.inc(15)  # 15% bad: fast burn 15.0, slow burn ~0.3
         (status,) = engine.evaluate()
         assert status.fast_alert and not status.slow_alert
         (alert,) = engine.active_alerts()
@@ -134,10 +140,11 @@ class TestThresholds:
     def test_alerts_are_edge_triggered_onto_journal(self):
         registry = make_registry()
         journal = Journal()
-        spec = SloSpec.ratio("r", bad="bad", total="total", objective=0.9)
+        spec = SloSpec.ratio("r", bad="bad", total="total", objective=0.99)
         bad, total = registry.counter("bad"), registry.counter("total")
-        engine = SloEngine([spec], registry=registry, journal=journal,
-                           fast_threshold=5.0, slow_threshold=1000.0)
+        engine = SloEngine([spec], registry=registry, journal=journal)
+        total.inc(10000)  # good history keeps the slow window quiet
+        engine.evaluate()
         total.inc(10)
         bad.inc(10)
         engine.evaluate()  # fast window 100% bad: fires once

@@ -74,15 +74,18 @@ class TestHistograms:
         assert summary["p99"] == 4.0
 
     def test_percentiles_use_bounded_window(self):
-        histogram = MetricsRegistry().histogram("lat", window=10)
-        for value in range(1000):
+        histogram = MetricsRegistry().histogram("lat")
+        n = DEFAULT_HISTOGRAM_WINDOW + 1000
+        for value in range(n):
             histogram.observe(float(value))
         # lifetime stats see everything...
-        assert histogram.count == 1000
+        assert histogram.count == n
         assert histogram.min == 0.0
-        # ...percentiles only the last 10 observations (990..999)
-        assert histogram.percentile(50) >= 990.0
-        assert histogram.summary()["window"] == 10
+        # ...percentiles only the last window of observations
+        # (1000..n-1)
+        assert histogram.percentile(0) == 1000.0
+        assert histogram.percentile(50) >= 1000.0
+        assert histogram.summary()["window"] == DEFAULT_HISTOGRAM_WINDOW
 
     def test_empty_histogram_is_nan_not_crash(self):
         summary = MetricsRegistry().histogram("lat").summary()

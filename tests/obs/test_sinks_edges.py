@@ -3,6 +3,7 @@
 import json
 
 from repro.obs import MetricsRegistry
+from repro.obs.registry import DEFAULT_HISTOGRAM_WINDOW
 from repro.obs.sinks import metrics_snapshot, validate_snapshot, write_snapshot
 
 
@@ -38,22 +39,24 @@ class TestLabelEscaping:
 class TestHistogramWindowEviction:
     def test_window_drops_oldest_at_boundary(self):
         registry = make_registry()
-        histogram = registry.histogram("h", window=4)
-        for value in (1.0, 2.0, 3.0, 4.0):
+        histogram = registry.histogram("h")
+        values = [float(v) for v in range(1, DEFAULT_HISTOGRAM_WINDOW + 1)]
+        for value in values:
             histogram.observe(value)
-        assert histogram.window_values() == [1.0, 2.0, 3.0, 4.0]
-        histogram.observe(5.0)  # boundary crossed: 1.0 evicted
-        assert histogram.window_values() == [2.0, 3.0, 4.0, 5.0]
+        assert histogram.window_values() == values
+        histogram.observe(0.5)  # boundary crossed: 1.0 evicted
+        assert histogram.window_values() == values[1:] + [0.5]
 
     def test_lifetime_stats_survive_eviction(self):
         registry = make_registry()
-        histogram = registry.histogram("h", window=2)
-        for value in (10.0, 1.0, 1.0, 1.0):
-            histogram.observe(value)
+        histogram = registry.histogram("h")
+        histogram.observe(10.0)
+        for _ in range(DEFAULT_HISTOGRAM_WINDOW):
+            histogram.observe(1.0)
         # 10.0 left the window but lifetime count/sum/max keep it.
         summary = histogram.summary()
-        assert summary["count"] == 4
-        assert summary["sum"] == 13.0
+        assert summary["count"] == DEFAULT_HISTOGRAM_WINDOW + 1
+        assert summary["sum"] == 10.0 + DEFAULT_HISTOGRAM_WINDOW
         assert summary["max"] == 10.0
         # Percentiles are windowed: the outlier no longer skews them.
         assert histogram.percentile(99) == 1.0

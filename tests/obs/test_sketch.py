@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.obs import declare_core_metrics
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import DEFAULT_HISTOGRAM_WINDOW, MetricsRegistry
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 
 
@@ -188,9 +188,9 @@ class TestWindowBoundaryContinuity:
     continuous for both the windowed and the sketch path)."""
 
     def test_p99_continuous_across_one_eviction(self):
-        window = 256
+        window = DEFAULT_HISTOGRAM_WINDOW
         registry = MetricsRegistry(enabled=True)
-        hist = registry.histogram("lat", sketch=True, window=window)
+        hist = registry.histogram("lat", sketch=True)
         values = _lognormal(window + 8, seed=13)
         for v in values[:window]:
             hist.observe(v)
@@ -212,9 +212,9 @@ class TestWindowBoundaryContinuity:
             prev_window_p99, prev_sketch_p99 = window_p99, sketch_p99
 
     def test_sketch_keeps_evicted_tail_the_window_forgets(self):
-        window = 64
+        window = DEFAULT_HISTOGRAM_WINDOW
         registry = MetricsRegistry(enabled=True)
-        hist = registry.histogram("lat", sketch=True, window=window)
+        hist = registry.histogram("lat", sketch=True)
         hist.observe(10.0)  # a spike the window will forget
         for _ in range(window):
             hist.observe(0.001)

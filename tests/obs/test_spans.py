@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.obs import TraceCollector, get_collector, trace_span
+from repro.obs.attrib import TRACE_CAPACITY
 
 
 def _shape(rows):
@@ -175,15 +176,16 @@ class TestRequestTraces:
         assert collector.flight.recorded == 0
 
     def test_span_roots_never_evict_a_request_trace(self):
-        collector = TraceCollector(capacity=2)
-        kept = [self._request(collector).trace_id for _ in range(2)]
+        collector = TraceCollector()
+        kept = [self._request(collector).trace_id
+                for _ in range(TRACE_CAPACITY)]
         for _ in range(5):
             with collector.span("simulate"):
                 pass
         assert [t.trace_id for t in collector.traces()] == kept
         names = [row["name"] for row in collector.flat()
                  if row["depth"] == 0]
-        assert names == ["trace.get"] * 2 + ["simulate"] * 5
+        assert names == ["trace.get"] * TRACE_CAPACITY + ["simulate"] * 5
 
 
 class TestDisabled:

@@ -10,19 +10,8 @@ from repro.serve import (
 )
 
 
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
-
-
-def controller(clock, **kwargs):
-    return AdmissionController(AdmissionConfig(**kwargs), clock=clock)
+def controller(**kwargs):
+    return AdmissionController(AdmissionConfig(**kwargs))
 
 
 class TestConfig:
@@ -41,56 +30,48 @@ class TestConfig:
 
 class TestTokenBucket:
     def test_burst_then_rate_limited(self):
-        clock = FakeClock()
-        gate = controller(clock, rate=100.0, burst=5)
-        assert [gate.admit(0) for _ in range(5)] == [None] * 5
-        assert gate.admit(0) == REASON_RATE
+        gate = controller(rate=100.0, burst=5)
+        assert [gate.admit(0, 0.0) for _ in range(5)] == [None] * 5
+        assert gate.admit(0, 0.0) == REASON_RATE
 
     def test_refill_restores_admission(self):
-        clock = FakeClock()
-        gate = controller(clock, rate=100.0, burst=1)
-        assert gate.admit(0) is None
-        assert gate.admit(0) == REASON_RATE
-        clock.advance(0.01)  # exactly one token at 100/s
-        assert gate.admit(0) is None
+        gate = controller(rate=100.0, burst=1)
+        assert gate.admit(0, 0.0) is None
+        assert gate.admit(0, 0.0) == REASON_RATE
+        assert gate.admit(0, 0.01) is None  # exactly one token at 100/s
 
     def test_refill_caps_at_burst(self):
-        clock = FakeClock()
-        gate = controller(clock, rate=1000.0, burst=3)
-        clock.advance(100.0)  # would be 100k tokens uncapped
-        outcomes = [gate.admit(0) for _ in range(4)]
+        gate = controller(rate=1000.0, burst=3)
+        # 100 s idle would be 100k tokens uncapped.
+        outcomes = [gate.admit(0, 100.0) for _ in range(4)]
         assert outcomes == [None, None, None, REASON_RATE]
 
     def test_rate_none_never_rate_limits(self):
-        clock = FakeClock()
-        gate = controller(clock, rate=None, burst=1)
-        assert all(gate.admit(0) is None for _ in range(1000))
+        gate = controller(rate=None, burst=1)
+        assert all(gate.admit(0, 0.0) is None for _ in range(1000))
 
 
 class TestQueueDepth:
     def test_depth_cap_rejects(self):
-        clock = FakeClock()
-        gate = controller(clock, rate=None, max_queue_depth=10)
-        assert gate.admit(9) is None
-        assert gate.admit(10) == REASON_QUEUE
-        assert gate.admit(11) == REASON_QUEUE
+        gate = controller(rate=None, max_queue_depth=10)
+        assert gate.admit(9, 0.0) is None
+        assert gate.admit(10, 0.0) == REASON_QUEUE
+        assert gate.admit(11, 0.0) == REASON_QUEUE
 
     def test_depth_check_runs_before_tokens(self):
         """A queue-full reject must not burn rate budget."""
-        clock = FakeClock()
-        gate = controller(clock, rate=100.0, burst=1, max_queue_depth=5)
-        assert gate.admit(5) == REASON_QUEUE
-        assert gate.admit(0) is None  # the token survived the reject
+        gate = controller(rate=100.0, burst=1, max_queue_depth=5)
+        assert gate.admit(5, 0.0) == REASON_QUEUE
+        assert gate.admit(0, 0.0) is None  # the token survived the reject
 
 
 class TestStats:
     def test_stats_track_every_outcome(self):
-        clock = FakeClock()
-        gate = controller(clock, rate=100.0, burst=2, max_queue_depth=4)
-        gate.admit(0)
-        gate.admit(0)
-        gate.admit(0)  # rate limited
-        gate.admit(4)  # queue full
+        gate = controller(rate=100.0, burst=2, max_queue_depth=4)
+        gate.admit(0, 0.0)
+        gate.admit(0, 0.0)
+        gate.admit(0, 0.0)  # rate limited
+        gate.admit(4, 0.0)  # queue full
         assert gate.stats() == {
             "admitted": 2,
             "rejected_rate_limited": 1,

@@ -12,6 +12,11 @@ from repro.serve import (
     Frontend,
     InjectedFault,
 )
+from repro.serve.faults import (
+    BACKOFF_BASE_S,
+    BACKOFF_CAP_S,
+    BACKOFF_MULTIPLIER,
+)
 from repro.store import ShardedStore
 
 
@@ -21,18 +26,20 @@ def run(coro):
 
 class TestFaultPolicy:
     def test_backoff_schedule_is_capped_exponential(self):
-        policy = FaultPolicy(backoff_base_s=0.01, backoff_multiplier=2.0,
-                             backoff_cap_s=0.05)
-        assert policy.backoff_s(1) == pytest.approx(0.01)
-        assert policy.backoff_s(2) == pytest.approx(0.02)
-        assert policy.backoff_s(3) == pytest.approx(0.04)
-        assert policy.backoff_s(4) == pytest.approx(0.05)  # capped
-        assert policy.backoff_s(10) == pytest.approx(0.05)
+        assert (BACKOFF_BASE_S, BACKOFF_MULTIPLIER, BACKOFF_CAP_S) == (
+            0.005, 2.0, 0.1)
+        policy = FaultPolicy()
+        assert policy.backoff_s(1) == pytest.approx(0.005)
+        assert policy.backoff_s(2) == pytest.approx(0.01)
+        assert policy.backoff_s(3) == pytest.approx(0.02)
+        assert policy.backoff_s(4) == pytest.approx(0.04)
+        assert policy.backoff_s(5) == pytest.approx(0.08)
+        assert policy.backoff_s(6) == pytest.approx(0.1)  # capped
+        assert policy.backoff_s(10) == pytest.approx(0.1)
         assert policy.backoff_s(0) == 0.0
 
     @pytest.mark.parametrize("kwargs", [
         {"timeout_s": 0.0}, {"max_retries": -1},
-        {"backoff_base_s": -1.0}, {"backoff_multiplier": 0.5},
     ])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -105,8 +112,7 @@ class TestRetries:
             frontend = Frontend(
                 store,
                 batch=BatchConfig(max_batch_size=4, max_wait_s=0.0),
-                policy=FaultPolicy(timeout_s=0.1, max_retries=3,
-                                   backoff_base_s=0.01),
+                policy=FaultPolicy(timeout_s=0.1, max_retries=3),
                 injector=injector)
             async with frontend:
                 task = asyncio.create_task(frontend.put(42, "v"))
@@ -127,8 +133,7 @@ class TestRetries:
             frontend = Frontend(
                 store,
                 batch=BatchConfig(max_batch_size=4, max_wait_s=0.0),
-                policy=FaultPolicy(timeout_s=0.5, max_retries=2,
-                                   backoff_base_s=0.001),
+                policy=FaultPolicy(timeout_s=0.5, max_retries=2),
                 injector=injector)
             async with frontend:
                 response = await frontend.put(1, "v")
@@ -167,8 +172,7 @@ class TestGracefulDegradation:
                 store,
                 batch=BatchConfig(max_batch_size=8, max_wait_s=0.001),
                 admission=AdmissionConfig(max_queue_depth=cap),
-                policy=FaultPolicy(timeout_s=0.05, max_retries=1,
-                                   backoff_base_s=0.001),
+                policy=FaultPolicy(timeout_s=0.05, max_retries=1),
                 injector=injector)
             healthy_keys = [k for k in range(1, 200)
                             if store.shard_for(k) != stalled_shard]
@@ -237,8 +241,7 @@ class TestGracefulDegradation:
 
 
 def stalled_frontend(timeout_s, stall_s, *, max_retries=0,
-                     backoff_base_s=0.01, max_batch_size=4,
-                     max_queue_depth=1024):
+                     max_batch_size=4, max_queue_depth=1024):
     """A frontend over 8 pmod shards with an injector (nothing stalled
     yet) whose batches take only what is already queued."""
     store = ShardedStore(n_shards=8, scheme="pmod", shard_capacity=64)
@@ -247,8 +250,7 @@ def stalled_frontend(timeout_s, stall_s, *, max_retries=0,
         store,
         batch=BatchConfig(max_batch_size=max_batch_size, max_wait_s=0.0),
         admission=AdmissionConfig(max_queue_depth=max_queue_depth),
-        policy=FaultPolicy(timeout_s=timeout_s, max_retries=max_retries,
-                           backoff_base_s=backoff_base_s),
+        policy=FaultPolicy(timeout_s=timeout_s, max_retries=max_retries),
         injector=injector)
     return frontend, store, injector
 
@@ -307,11 +309,11 @@ class TestDeadlineSweep:
         assert timeout + gap <= b_done <= timeout + gap + 0.05
 
     def test_retry_gets_a_fresh_deadline(self):
-        timeout, backoff = 0.1, 0.01
+        timeout, backoff = 0.1, BACKOFF_BASE_S
 
         async def scenario():
             frontend, store, injector = stalled_frontend(
-                timeout, 0.5, max_retries=1, backoff_base_s=backoff)
+                timeout, 0.5, max_retries=1)
             injector.stall(store.shard_for(7))
             async with frontend:
                 return await frontend.get(7)

@@ -128,7 +128,7 @@ class TestMetrics:
         registry = get_registry()
 
         async def scenario():
-            frontend = make_frontend(registry=registry)
+            frontend = make_frontend()
             async with frontend:
                 await asyncio.gather(*(frontend.put(i, i) for i in range(20)))
 

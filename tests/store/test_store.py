@@ -7,6 +7,7 @@ import pytest
 
 from repro.hashing import balance, concentration_from_sets
 from repro.store import ShardedStore, make_selector
+from repro.store.engine import DEFAULT_TELEMETRY_WINDOW
 
 
 class TestOperations:
@@ -65,8 +66,7 @@ class TestTelemetry:
         assert store.balance() == pytest.approx(expected)
 
     def test_concentration_matches_analysis_layer(self):
-        store = ShardedStore(n_shards=16, scheme="traditional",
-                             telemetry_window=1 << 12)
+        store = ShardedStore(n_shards=16, scheme="traditional")
         keys = [k * 2 for k in range(500)]
         for k in keys:
             store.get(k)
@@ -109,7 +109,7 @@ class TestTelemetry:
         assert spread.telemetry().tail_load < 2.0
 
     def test_telemetry_window_bounds_memory(self):
-        store = ShardedStore(n_shards=8, telemetry_window=128)
-        for k in range(1000):
+        store = ShardedStore(n_shards=8)
+        for k in range(DEFAULT_TELEMETRY_WINDOW + 1000):
             store.get(k)
-        assert len(store._window) == 128
+        assert len(store._window) == DEFAULT_TELEMETRY_WINDOW

@@ -6,8 +6,11 @@ consistent registry surface.  These tests keep the documentation
 guarantee (deliverable (e)) from regressing.
 """
 
+import ast
 import importlib
 import inspect
+import itertools
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +87,199 @@ def test_every_experiment_has_run_render_main(module_name):
 def test_version_exposed():
     import repro
     assert repro.__version__
+
+
+# -- options only tests set ---------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Packages whose component and config classes the options guard scans.
+OPTION_PACKAGES = ("serve", "store", "cluster", "control", "obs")
+
+#: Functions and methods scanned beside the classes' initialisers.
+OPTION_FUNCTIONS = {"default_slos", "strict_bands", "enable_journal",
+                    "enable_observability", "build_dashboard"}
+OPTION_METHODS = {("MetricsRegistry", "histogram")}
+
+#: Out of scope: result records (telemetry snapshots, statuses, events
+#: and the records below), which the reporting code builds rather than
+#: a caller configures; instruments, checked at the registry factory;
+#: and ``obs/benchguard.py``.
+RECORD_SUFFIXES = ("Telemetry", "Status", "Event")
+RECORDS = {"Response", "WorkItem", "Stage", "Action", "Observation"}
+INSTRUMENTS = {"Counter", "Gauge", "Histogram", "NullInstrument"}
+
+#: Parameters nothing outside ``tests/`` sets, kept on purpose:
+#: ``(owner, parameters, reason)``.
+KEPT_OPTIONS = (
+    ("Cluster", ("registry",),
+     "registry injection: tests substitute it"),
+    ("KeyRotator", ("registry",),
+     "registry injection: tests substitute it"),
+    ("Cluster", ("fabric", "injector", "tick_s"),
+     "tests/cluster/test_recorded.py pins runs built with them"),
+    ("Journal", ("tail_events",),
+     "tests/cluster/test_recorded.py pins runs built with it"),
+    ("FaultInjector", ("delay_probability", "delay_s",
+                       "error_probability", "stalled_shards"),
+     "the only way tests reach the frontend's retry and error handling"),
+    ("NodeFaultInjector", ("error_probability", "seed", "fail_at",
+                           "recover_at"),
+     "the only way tests reach the cluster's replica-error handling"),
+    ("ReplicationConfig", ("read_quorum",),
+     "freshest-wins quorum reads are an invariant tests check"),
+    ("RoutingTable", ("quarantined",),
+     "set through dataclasses.replace, which the scan cannot follow"),
+)
+
+
+def _defaulted(fn, skip_self):
+    """(positional parameter order, {defaulted name: default dump})."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaults = {}
+    for arg, default in zip(positional[len(positional)
+                                       - len(args.defaults):],
+                            args.defaults):
+        defaults[arg] = ast.dump(default)
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            defaults[arg.arg] = ast.dump(default)
+    return positional[1:] if skip_self else positional, defaults
+
+
+def _is_dataclass(node):
+    names = [getattr(d.func if isinstance(d, ast.Call) else d, "id", "")
+             for d in node.decorator_list]
+    return ("dataclass" in names
+            or any(getattr(b, "id", "") == "NamedTuple"
+                   for b in node.bases))
+
+
+def _option_definitions():
+    """Callee name -> (owner, positional order, {option: default})."""
+    found = {}
+    for package in OPTION_PACKAGES:
+        for path in sorted((REPO / "src/repro" / package).glob("*.py")):
+            if path.name == "benchguard.py":
+                continue
+            for node in ast.parse(path.read_text()).body:
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name in OPTION_FUNCTIONS):
+                    found[node.name] = (node.name,
+                                        *_defaulted(node, False))
+                if (not isinstance(node, ast.ClassDef)
+                        or node.name.startswith("_")
+                        or node.name in RECORDS | INSTRUMENTS
+                        or node.name.endswith(RECORD_SUFFIXES)):
+                    continue
+                methods = {m.name: m for m in node.body
+                           if isinstance(m, ast.FunctionDef)}
+                if "__init__" in methods:
+                    found[node.name] = (
+                        node.name, *_defaulted(methods["__init__"], True))
+                elif _is_dataclass(node):
+                    fields = [f for f in node.body
+                              if isinstance(f, ast.AnnAssign)
+                              and isinstance(f.target, ast.Name)]
+                    found[node.name] = (
+                        node.name, [f.target.id for f in fields],
+                        {f.target.id: ast.dump(f.value) for f in fields
+                         if f.value is not None})
+                for owner, method in OPTION_METHODS:
+                    if owner == node.name:
+                        found[method] = (f"{owner}.{method}",
+                                         *_defaulted(methods[method],
+                                                     True))
+    return found
+
+
+def _option_bindings(definitions):
+    """(owner, option) -> a source per binding outside ``tests/``.
+
+    A call binds an option by keyword, by position or through ``**``.
+    Passing on a defaulted parameter of the enclosing function under
+    the same default (``Journal(max_bytes=max_bytes)`` inside
+    ``enable_journal``) sets the option only where that parameter is
+    set: the binding's source names it.  Any other binding's source is
+    None."""
+    bindings = {}
+
+    def record(call, klass, fn):
+        func = call.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name == "cls" and klass:
+            name = klass
+        if name not in definitions:
+            return
+        owner, positional, options = definitions[name]
+        args = itertools.takewhile(
+            lambda arg: not isinstance(arg, ast.Starred), call.args)
+        bound = list(zip(positional, args))
+        for keyword in call.keywords:
+            if keyword.arg is None:
+                bound.extend((param, None) for param in options)
+            else:
+                bound.append((keyword.arg, keyword.value))
+        outer = _defaulted(fn[0], False)[1] if fn else {}
+        for param, value in bound:
+            if param not in options:
+                continue
+            source = None
+            if (isinstance(value, ast.Name)
+                    and outer.get(value.id) == options[param]):
+                outer_name = (fn[1] if fn[0].name == "__init__"
+                              else fn[0].name)
+                source = (outer_name, value.id)
+            bindings.setdefault((owner, param), []).append(source)
+
+    def visit(node, klass, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, fn)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, klass, (child, klass))
+                continue
+            if isinstance(child, ast.Call):
+                record(child, klass, fn)
+            visit(child, klass, fn)
+
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            visit(ast.parse(path.read_text()), None, None)
+    return bindings
+
+
+def _options_set_outside_tests(definitions, bindings):
+    """The (owner, option) pairs some binding sets, passed-on ones
+    resolved to a fixed point."""
+    owners = {name: owner for name, (owner, _, _) in definitions.items()}
+    settled = set()
+    changed = True
+    while changed:
+        changed = False
+        for key, sources in bindings.items():
+            if key not in settled and any(
+                    source is None or source[0] not in owners
+                    or (owners[source[0]], source[1]) in settled
+                    for source in sources):
+                settled.add(key)
+                changed = True
+    return settled
+
+
+def test_stack_options_are_set_outside_tests():
+    """Every defaulted parameter of the stack's component and config
+    classes is set by some caller in ``src/``, ``benchmarks/`` or
+    ``examples/``: a value only tests change is a constant."""
+    definitions = _option_definitions()
+    settled = _options_set_outside_tests(definitions,
+                                         _option_bindings(definitions))
+    in_scope = {(owner, option)
+                for owner, _, options in definitions.values()
+                for option in options}
+    kept = {(owner, option) for owner, options, _ in KEPT_OPTIONS
+            for option in options}
+    assert kept <= in_scope - settled, "stale KEPT_OPTIONS entries"
+    assert sorted(in_scope - settled - kept) == []
