@@ -21,7 +21,9 @@ test:
 # exceptions, plus the smoke load) and the tracing gate,
 # then the bench-regression gate over the recorded BENCH_* trajectory
 # (check-only: `make bench-check` is the target that appends history),
-# then an import check of the bench harness, which tier-1 never loads.
+# then an import check of the bench harness, which tier-1 never loads,
+# then the benchmark suite's own tests (the committed golden-grid
+# check, every declared metric emitted, the refusal paths).
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m repro.experiments store_sharding --check
@@ -33,6 +35,7 @@ verify:
 	$(MAKE) trace-check
 	PYTHONPATH=src $(PYTHON) -m repro.obs.benchguard --no-update
 	PYTHONPATH=src $(PYTHON) -m pytest --collect-only -q benchmarks
+	$(MAKE) bench-suite-test
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

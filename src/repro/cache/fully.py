@@ -36,17 +36,17 @@ class FullyAssociativeCache:
             stats.writes += 1
         else:
             stats.reads += 1
-        stats.set_accesses[0] += 1
+        stats.set_access_counts[0] += 1
 
         if block_address in self._lru:
             stats.hits += 1
             self._lru.move_to_end(block_address)
             if is_write:
                 self._lru[block_address] = True
-            return AccessResult(hit=True, set_index=0)
+            return AccessResult(True, 0)
 
         stats.misses += 1
-        stats.set_misses[0] += 1
+        stats.set_miss_counts[0] += 1
         victim_block = None
         writeback = False
         if len(self._lru) >= self.n_blocks:
@@ -56,9 +56,7 @@ class FullyAssociativeCache:
             if writeback:
                 stats.writebacks += 1
         self._lru[block_address] = is_write
-        return AccessResult(
-            hit=False, set_index=0, victim_block=victim_block, writeback=writeback
-        )
+        return AccessResult(False, 0, victim_block, writeback)
 
     def contains(self, block_address: int) -> bool:
         return block_address in self._lru

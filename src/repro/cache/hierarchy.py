@@ -26,15 +26,14 @@ costs nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.mathutil import log2_exact
 
 
-@dataclass
 class HierarchyOutcome:
-    """What one CPU access did to the hierarchy.
+    """What one CPU access did to the hierarchy: a slotted record, one
+    per access.
 
     Attributes:
         level: where the data was found — ``"l1"``, ``"l2"``, … or
@@ -43,13 +42,21 @@ class HierarchyOutcome:
         memory_writes: last-level block addresses written back to DRAM.
     """
 
-    level: str
-    memory_reads: List[int] = field(default_factory=list)
-    memory_writes: List[int] = field(default_factory=list)
+    __slots__ = ("level", "memory_reads", "memory_writes")
+
+    def __init__(self, level: str):
+        self.level = level
+        self.memory_reads: List[int] = []
+        self.memory_writes: List[int] = []
 
     @property
     def touched_memory(self) -> bool:
         return bool(self.memory_reads or self.memory_writes)
+
+    def __repr__(self) -> str:
+        return (f"HierarchyOutcome(level={self.level!r}, "
+                f"memory_reads={self.memory_reads!r}, "
+                f"memory_writes={self.memory_writes!r})")
 
 
 class CacheHierarchy:
@@ -85,7 +92,7 @@ class CacheHierarchy:
         DRAM traffic it caused."""
         if byte_address < 0:
             raise ValueError("address must be non-negative")
-        outcome = HierarchyOutcome(level="mem")
+        outcome = HierarchyOutcome("mem")
         outcome.level = self._walk(self._levels, byte_address, is_write,
                                    outcome)
         return outcome

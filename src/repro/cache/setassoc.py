@@ -7,17 +7,16 @@ This is the cache model behind the paper's *Base*, *8-way*, *XOR*,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.cache.replacement import ReplacementPolicy, make_replacement
 from repro.cache.stats import CacheStats
 from repro.hashing.base import IndexingFunction
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one cache access.
+class AccessResult(NamedTuple):
+    """Outcome of one cache access: an immutable tuple, built
+    positionally on the access path.
 
     Attributes:
         hit: whether the block was present.
@@ -94,27 +93,26 @@ class SetAssociativeCache:
             stats.writes += 1
         else:
             stats.reads += 1
-        stats.set_accesses[set_index] += 1
+        stats.set_access_counts[set_index] += 1
 
         ways = self._blocks[set_index]
-        dirty = self._dirty[set_index]
-        for way, resident in enumerate(ways):
-            if resident == block_address:
-                stats.hits += 1
-                self.policy.on_hit(set_index, way)
-                if is_write:
-                    dirty[way] = True
-                return AccessResult(hit=True, set_index=set_index)
+        if block_address in ways:
+            way = ways.index(block_address)
+            stats.hits += 1
+            self.policy.on_hit(set_index, way)
+            if is_write:
+                self._dirty[set_index][way] = True
+            return AccessResult(True, set_index)
 
         stats.misses += 1
-        stats.set_misses[set_index] += 1
+        stats.set_miss_counts[set_index] += 1
 
         # Prefer an invalid frame; otherwise ask the policy for a victim.
-        victim_block = None
-        writeback = False
-        for way, resident in enumerate(ways):
-            if resident is None:
-                break
+        dirty = self._dirty[set_index]
+        if None in ways:
+            way = ways.index(None)
+            victim_block = None
+            writeback = False
         else:
             way = self.policy.victim(set_index)
             victim_block = ways[way]
@@ -125,12 +123,7 @@ class SetAssociativeCache:
         ways[way] = block_address
         dirty[way] = is_write
         self.policy.on_fill(set_index, way)
-        return AccessResult(
-            hit=False,
-            set_index=set_index,
-            victim_block=victim_block,
-            writeback=writeback,
-        )
+        return AccessResult(False, set_index, victim_block, writeback)
 
     def contains(self, block_address: int) -> bool:
         """True when the block is resident (no state change)."""

@@ -186,48 +186,45 @@ class SkewedAssociativeCache:
     def access(self, block_address: int, is_write: bool = False) -> AccessResult:
         """Probe all banks; on miss, fill the policy-chosen victim frame."""
         indices = self.family.indices(block_address)
+        first = indices[0]
         stats = self.stats
         if is_write:
             stats.writes += 1
         else:
             stats.reads += 1
-        stats.set_accesses[indices[0]] += 1
+        stats.set_access_counts[first] += 1
         self.policy.on_access()
 
+        blocks = self._blocks
         for bank, idx in enumerate(indices):
-            if self._blocks[bank][idx] == block_address:
+            if blocks[bank][idx] == block_address:
                 stats.hits += 1
                 self.recently_used[bank][idx] = True
                 if is_write:
                     self.dirty[bank][idx] = True
-                return AccessResult(hit=True, set_index=indices[0])
+                return AccessResult(True, first)
 
         stats.misses += 1
-        stats.set_misses[indices[0]] += 1
+        stats.set_miss_counts[first] += 1
 
         # Prefer an empty frame in any bank.
         victim_block = None
         writeback = False
         for bank, idx in enumerate(indices):
-            if self._blocks[bank][idx] is None:
+            if blocks[bank][idx] is None:
                 break
         else:
             bank = self.policy.choose_bank(indices)
             idx = indices[bank]
-            victim_block = self._blocks[bank][idx]
+            victim_block = blocks[bank][idx]
             writeback = self.dirty[bank][idx]
             stats.evictions += 1
             if writeback:
                 stats.writebacks += 1
-        self._blocks[bank][idx] = block_address
+        blocks[bank][idx] = block_address
         self.dirty[bank][idx] = is_write
         self.recently_used[bank][idx] = True
-        return AccessResult(
-            hit=False,
-            set_index=indices[0],
-            victim_block=victim_block,
-            writeback=writeback,
-        )
+        return AccessResult(False, first, victim_block, writeback)
 
     def contains(self, block_address: int) -> bool:
         return any(

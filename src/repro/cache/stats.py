@@ -11,7 +11,13 @@ import numpy as np
 
 
 class CacheStats:
-    """Counters for one cache: totals plus per-set access/miss arrays."""
+    """Counters for one cache: totals plus per-set access/miss counts.
+
+    The caches bump the per-set counts in ``set_access_counts`` and
+    ``set_miss_counts``, Python int lists, because a list slot costs a
+    fraction of a numpy element written from Python; ``set_accesses``
+    and ``set_misses`` read them as int64 arrays.
+    """
 
     def __init__(self, n_sets: int):
         self.n_sets = n_sets
@@ -21,8 +27,18 @@ class CacheStats:
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
-        self.set_accesses = np.zeros(n_sets, dtype=np.int64)
-        self.set_misses = np.zeros(n_sets, dtype=np.int64)
+        self.set_access_counts = [0] * n_sets
+        self.set_miss_counts = [0] * n_sets
+
+    @property
+    def set_accesses(self) -> np.ndarray:
+        """Accesses per set, as a new int64 array."""
+        return np.array(self.set_access_counts, dtype=np.int64)
+
+    @property
+    def set_misses(self) -> np.ndarray:
+        """Misses per set, as a new int64 array."""
+        return np.array(self.set_miss_counts, dtype=np.int64)
 
     @property
     def accesses(self) -> int:
@@ -41,8 +57,8 @@ class CacheStats:
         self.reads = self.writes = 0
         self.hits = self.misses = 0
         self.evictions = self.writebacks = 0
-        self.set_accesses[:] = 0
-        self.set_misses[:] = 0
+        self.set_access_counts = [0] * self.n_sets
+        self.set_miss_counts = [0] * self.n_sets
 
     def __repr__(self) -> str:
         return (

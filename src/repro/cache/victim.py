@@ -13,6 +13,7 @@ this quantitative on tree).
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Optional, Tuple
 
 from repro.cache.setassoc import AccessResult, SetAssociativeCache
 from repro.cache.stats import CacheStats
@@ -45,7 +46,7 @@ class VictimCache:
     def n_blocks(self) -> int:
         return self.main.n_blocks + self.n_victim_entries
 
-    def _stash(self, block: int, dirty: bool) -> AccessResult:
+    def _stash(self, block: int, dirty: bool) -> Tuple[Optional[int], bool]:
         """Push an evicted main-cache line into the buffer; returns the
         buffer's own overflow (if any) as the outward eviction."""
         overflow_block = None
@@ -68,23 +69,20 @@ class VictimCache:
             self.victim_hits += 1
             stats.misses -= 1
             stats.hits += 1
-            stats.set_misses[result.set_index] -= 1
+            stats.set_miss_counts[result.set_index] -= 1
             if buffered_dirty:
                 # The promoted line carries its dirt back into the array.
                 ways = self.main._blocks[result.set_index]
                 way = ways.index(block_address)
                 self.main._dirty[result.set_index][way] = True
-            hit_result = AccessResult(hit=True, set_index=result.set_index)
             if result.victim_block is not None:
                 overflow, overflow_dirty = self._stash(
                     result.victim_block, result.writeback
                 )
                 if overflow is not None:
-                    return AccessResult(
-                        hit=True, set_index=result.set_index,
-                        victim_block=overflow, writeback=overflow_dirty,
-                    )
-            return hit_result
+                    return AccessResult(True, result.set_index, overflow,
+                                        overflow_dirty)
+            return AccessResult(True, result.set_index)
 
         # True miss: stash the main eviction; the buffer overflow is
         # what leaves the cache for the next level.
@@ -92,10 +90,7 @@ class VictimCache:
             return result
         overflow, overflow_dirty = self._stash(result.victim_block,
                                                result.writeback)
-        return AccessResult(
-            hit=False, set_index=result.set_index,
-            victim_block=overflow, writeback=overflow_dirty,
-        )
+        return AccessResult(False, result.set_index, overflow, overflow_dirty)
 
     def contains(self, block_address: int) -> bool:
         return self.main.contains(block_address) or \

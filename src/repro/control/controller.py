@@ -92,14 +92,6 @@ class Observation:
         """Whether ``slo`` has an active fast-window (paging) alert."""
         return any(a.slo == slo and a.window == "fast" for a in self.alerts)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "alerts": [a.as_dict() for a in self.alerts],
-            "tripped": [t.as_dict() for t in self.tripped],
-            "stalled_shards": list(self.stalled_shards),
-            "adversary": [a.as_dict() for a in self.adversary],
-        }
-
 
 class RemediationController:
     """Polled controller wiring health signals to routing actions.

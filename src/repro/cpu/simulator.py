@@ -23,11 +23,16 @@ substrate models directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.config import MachineConfig, build_hierarchy
 from repro.memory import DramModel
 from repro.trace.records import Trace
+
+#: Accesses whose addresses and write flags :meth:`Simulator.run` turns
+#: into Python values at a time; larger blocks raise peak memory.
+TRACE_BLOCK = 1024
 
 
 @dataclass
@@ -104,12 +109,13 @@ class Simulator:
         populate the caches, then resets every statistic before the
         measured region — the standard way to exclude cold misses.
 
-        Every access is one ``hierarchy.access`` call and every DRAM
-        transfer one ``dram.service`` call, so a wrapper
-        around either sees each of them; the benchmark suite times and
-        traces the layers that way.  :func:`simulate_scheme` runs the LRU
-        hierarchies through :mod:`repro.cpu.fastpath` instead, which
-        matches this loop exactly.
+        Every access, warm-up included, is one ``hierarchy.access``
+        call and every DRAM transfer one ``dram.service`` call.  Both
+        are looked up when ``run`` starts, so a wrapper set on the
+        instance before then sees each of them; the benchmark suite
+        times and traces the layers that way.  :func:`simulate_scheme`
+        runs the LRU hierarchies through :mod:`repro.cpu.fastpath`
+        instead, which matches this loop exactly.
 
         DRAM reads are charged only for accesses that miss the L2.  A
         dirty L1 victim that misses the L2 is write-allocated there, and
@@ -123,16 +129,16 @@ class Simulator:
         meta = trace.meta
         hierarchy = self.hierarchy
         dram = self.dram
-        addresses = trace.addresses
-        writes = trace.is_write
+        access = hierarchy.access
+        service = dram.service
 
         start = int(len(trace) * warmup_fraction)
         if start:
-            for i in range(start):
-                hierarchy.access(int(addresses[i]), bool(writes[i]))
+            for address, write in _accesses(trace, 0, start):
+                access(address, write)
             hierarchy.l1.stats.reset()
             hierarchy.l2.stats.reset()
-            self.dram.stats = type(self.dram.stats)()
+            dram.stats = type(dram.stats)()
 
         n = len(trace) - start
         busy = n * meta.instructions_per_access / cfg.issue_width
@@ -140,25 +146,27 @@ class Simulator:
 
         mlp = min(meta.mlp, float(cfg.pending_loads))
         l2_exposed = cfg.l2_hit_cycles * cfg.l2_exposed_fraction
+        step = meta.instructions_per_access / cfg.issue_width
         memory_stall = 0.0
         now = 0.0
-        for i in range(start, len(trace)):
-            outcome = hierarchy.access(int(addresses[i]), bool(writes[i]))
-            if outcome.level == "l1":
+        for address, write in _accesses(trace, start, len(trace)):
+            outcome = access(address, write)
+            level = outcome.level
+            if level == "l1":
                 stall = 0.0
-            elif outcome.level == "l2":
+            elif level == "l2":
                 stall = l2_exposed
             else:
                 stall = 0.0
                 for block in outcome.memory_reads:
-                    stall += dram.service(now + stall, block, is_write=False)
+                    stall += service(now + stall, block, False)
                 # Writebacks leave the requester's critical path but
                 # still occupy the channel (posted writes).
                 for block in outcome.memory_writes:
-                    dram.service(now + stall, block, is_write=True)
+                    service(now + stall, block, True)
                 stall /= mlp
             memory_stall += stall
-            now += meta.instructions_per_access / cfg.issue_width + stall
+            now += step + stall
 
         l1 = hierarchy.l1.stats
         l2 = hierarchy.l2.stats
@@ -174,6 +182,16 @@ class Simulator:
             dram_row_hits=dram.stats.row_hits,
             dram_row_misses=dram.stats.row_misses,
         )
+
+
+def _accesses(trace: Trace, lo: int, hi: int):
+    """``(address, is_write)`` of accesses ``lo`` to ``hi`` as Python
+    values, converted :data:`TRACE_BLOCK` accesses at a time."""
+    addresses, writes = trace.addresses[lo:hi], trace.is_write[lo:hi]
+    return chain.from_iterable(
+        zip(addresses[b:b + TRACE_BLOCK].tolist(),
+            writes[b:b + TRACE_BLOCK].tolist())
+        for b in range(0, hi - lo, TRACE_BLOCK))
 
 
 def simulate_scheme(trace: Trace, scheme: str,

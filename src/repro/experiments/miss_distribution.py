@@ -60,9 +60,8 @@ def _measure(trace: Trace, schemes: Sequence[str],
         hierarchy = build_hierarchy(scheme, machine)
         for address, is_write in zip(trace.addresses, trace.is_write):
             hierarchy.access(int(address), bool(is_write))
-        results[scheme] = MissDistribution(
-            scheme, hierarchy.l2.stats.set_misses.copy()
-        )
+        results[scheme] = MissDistribution(scheme,
+                                           hierarchy.l2.stats.set_misses)
     return results
 
 

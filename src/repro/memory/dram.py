@@ -90,15 +90,16 @@ class DramModel:
         """
         if block_address < 0:
             raise ValueError("block address must be non-negative")
-        cfg = self.config
-        channel, bank, row = self._locate(block_address)
         stats = self.stats
         if is_write:
             stats.writes += 1
             return 0.0
         stats.reads += 1
 
-        start = max(now, self._channel_free_at[channel])
+        cfg = self.config
+        channel, bank, row = self._locate(block_address)
+        free_at = self._channel_free_at[channel]
+        start = free_at if free_at > now else now
         queued = start - now
         stats.busy_wait_cycles += int(queued)
 

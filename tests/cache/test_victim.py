@@ -39,6 +39,17 @@ class TestVictimCache:
         assert stats.misses == 2          # the two cold misses only
         assert stats.hits == 38
 
+    def test_victim_hit_reclassifies_its_set_miss(self):
+        """A buffer hit takes its miss back from the per-set counts as
+        well as from the total (Figure 13 reads the per-set ones)."""
+        vc = make()
+        for _ in range(20):
+            vc.access(0)
+            vc.access(16)
+        stats = vc.stats
+        assert stats.set_misses.sum() == stats.misses == 2
+        assert stats.set_misses[0] == 2
+
     def test_wide_conflict_overwhelms_buffer(self):
         """More conflicting lines than buffer entries: the buffer can't
         keep up — exactly why indexing beats buffering at scale."""
