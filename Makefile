@@ -15,7 +15,9 @@ test:
 
 # The tier-1 gate: full suite, stop at first failure, quiet output —
 # then every drill's contract through the experiment CLI's --check
-# (store_sharding's Figure 5 ordering on served traffic included),
+# (store_sharding's Figure 5 ordering on served traffic included, once
+# serially and once through the 4-worker threaded replay, the one
+# contract that drives the shard locks from several threads),
 # then the serving gate (tests/serve under asyncio debug mode, which
 # reports never-awaited coroutines and never-retrieved task
 # exceptions, plus the smoke load) and the tracing gate,
@@ -27,6 +29,7 @@ test:
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m repro.experiments store_sharding --check
+	PYTHONPATH=src $(PYTHON) -m repro.experiments store_sharding --check --param workers=4
 	PYTHONPATH=src $(PYTHON) -m repro.experiments reshard --check
 	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --check
 	PYTHONPATH=src $(PYTHON) -m repro.experiments adversary --check

@@ -30,8 +30,8 @@ from repro.cpu.config import MachineConfig, build_hierarchy
 from repro.memory import DramModel
 from repro.trace.records import Trace
 
-#: Accesses whose addresses and write flags :meth:`Simulator.run` turns
-#: into Python values at a time; larger blocks raise peak memory.
+#: Accesses whose addresses and write flags :func:`trace_accesses`
+#: turns into Python values at a time; larger blocks raise peak memory.
 TRACE_BLOCK = 1024
 
 
@@ -134,7 +134,7 @@ class Simulator:
 
         start = int(len(trace) * warmup_fraction)
         if start:
-            for address, write in _accesses(trace, 0, start):
+            for address, write in trace_accesses(trace, 0, start):
                 access(address, write)
             hierarchy.l1.stats.reset()
             hierarchy.l2.stats.reset()
@@ -149,7 +149,7 @@ class Simulator:
         step = meta.instructions_per_access / cfg.issue_width
         memory_stall = 0.0
         now = 0.0
-        for address, write in _accesses(trace, start, len(trace)):
+        for address, write in trace_accesses(trace, start, len(trace)):
             outcome = access(address, write)
             level = outcome.level
             if level == "l1":
@@ -184,9 +184,11 @@ class Simulator:
         )
 
 
-def _accesses(trace: Trace, lo: int, hi: int):
+def trace_accesses(trace: Trace, lo: int, hi: int):
     """``(address, is_write)`` of accesses ``lo`` to ``hi`` as Python
-    values, converted :data:`TRACE_BLOCK` accesses at a time."""
+    values, converted :data:`TRACE_BLOCK` accesses at a time; every loop
+    that feeds a trace to a hierarchy one access at a time reads it
+    through here."""
     addresses, writes = trace.addresses[lo:hi], trace.is_write[lo:hi]
     return chain.from_iterable(
         zip(addresses[b:b + TRACE_BLOCK].tolist(),

@@ -15,6 +15,7 @@ from typing import Dict, Mapping, Sequence
 import numpy as np
 
 from repro.cpu import MachineConfig, build_hierarchy
+from repro.cpu.simulator import trace_accesses
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
@@ -58,8 +59,9 @@ def _measure(trace: Trace, schemes: Sequence[str],
     results = {}
     for scheme in schemes:
         hierarchy = build_hierarchy(scheme, machine)
-        for address, is_write in zip(trace.addresses, trace.is_write):
-            hierarchy.access(int(address), bool(is_write))
+        access = hierarchy.access
+        for address, is_write in trace_accesses(trace, 0, len(trace)):
+            access(address, is_write)
         results[scheme] = MissDistribution(scheme,
                                            hierarchy.l2.stats.set_misses)
     return results

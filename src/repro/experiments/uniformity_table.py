@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional
 
 from repro.cpu import MachineConfig, build_hierarchy
+from repro.cpu.simulator import trace_accesses
 from repro.engine import (
     ExperimentContext,
     ExperimentSpec,
@@ -60,8 +61,9 @@ def run(config: RunConfig = RunConfig(),
         else:
             trace = workload.trace(scale=config.scale, seed=config.seed)
         hierarchy = build_hierarchy("base", machine)
-        for address, is_write in zip(trace.addresses, trace.is_write):
-            hierarchy.access(int(address), bool(is_write))
+        access = hierarchy.access
+        for address, is_write in trace_accesses(trace, 0, len(trace)):
+            access(address, is_write)
         report = uniformity(hierarchy.l2.stats.set_accesses)
         rows.append(UniformityRow(
             app=name,

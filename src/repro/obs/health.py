@@ -538,19 +538,6 @@ class AdversaryStatus:
     tripped: bool
     streak: int
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-serializable payload."""
-        return {
-            "scheme": self.scheme,
-            "tail_load": self.tail_load,
-            "hot_key_share": self.hot_key_share,
-            "tail_max": self.tail_max,
-            "share_min": self.share_min,
-            "suspicious": self.suspicious,
-            "tripped": self.tripped,
-            "streak": self.streak,
-        }
-
 
 class HashQualityDetector:
     """Grades live per-scheme balance/concentration against bands.

@@ -16,6 +16,14 @@ quality metrics via :mod:`repro.hashing.analysis`:
 Those are exactly the numbers the strided sweeps of Figures 5 and 6
 report for L2 sets, here measured on real served traffic.
 
+**Locking.**  An op takes only shard locks, one per shard it touches
+(see :mod:`repro.store.shard`); outside a migration that is one.  The
+window append takes none: appending to a ``deque`` is atomic under the
+interpreter lock, and a reader copies the window with one
+``deque.copy()`` before it looks at it.  The store's own epoch lock
+guards only the epoch swaps; ``begin_reshard`` and ``wipe`` clear the
+window under it.
+
 **Online resharding.**  The routing table is swappable at runtime:
 :meth:`ShardedStore.begin_reshard` installs a successor epoch with a
 fresh shard fleet while keeping the previous epoch's shards readable.
@@ -132,6 +140,10 @@ class StoreTelemetry:
 class ShardedStore:
     """Sharded, capacity-bounded, thread-safe in-memory object store.
 
+    Thread safety comes from one lock per shard, taken inside the
+    shard's op; the telemetry window is appended to without a lock and
+    copied before it is read.
+
     Args:
         n_shards: power-of-two physical shard count; ``pmod`` uses the
             largest prime below it, leaving the rest idle (Table 1's
@@ -161,7 +173,6 @@ class ShardedStore:
         self._state = _EpochState(table, self._build_shards(table.n_shards),
                                   None, None)
         self._window: deque = deque(maxlen=DEFAULT_TELEMETRY_WINDOW)
-        self._window_lock = threading.Lock()
         # Registry instruments are resolved per epoch; with the
         # registry disabled they are all the shared null instrument and
         # the `_observed` flag keeps the serving path free of even the
@@ -278,8 +289,7 @@ class ShardedStore:
         state = self._state
         canonical = canonical_key(key)
         shard_id = state.table.route(canonical)
-        with self._window_lock:
-            self._window.append(shard_id)
+        self._window.append(shard_id)
         observed = self._observed
         if observed:
             self._hitters.offer(key, shard_id)
@@ -300,8 +310,7 @@ class ShardedStore:
         state = self._state
         canonical = canonical_key(key)
         shard_id = state.table.route(canonical)
-        with self._window_lock:
-            self._window.append(shard_id)
+        self._window.append(shard_id)
         observed = self._observed
         if observed:
             self._hitters.offer(key, shard_id)
@@ -319,8 +328,7 @@ class ShardedStore:
         state = self._state
         canonical = canonical_key(key)
         shard_id = state.table.route(canonical)
-        with self._window_lock:
-            self._window.append(shard_id)
+        self._window.append(shard_id)
         observed = self._observed
         if observed:
             self._hitters.offer(key, shard_id)
@@ -381,8 +389,7 @@ class ShardedStore:
                     f"current epoch {state.table.epoch_id}")
             self._state = _EpochState(table, self._build_shards(
                 table.n_shards), state.table, state.shards)
-            with self._window_lock:
-                self._window.clear()
+            self._window.clear()
             self._bind_instruments()
         get_journal().emit(
             "reshard.start",
@@ -457,8 +464,7 @@ class ShardedStore:
             self._state = _EpochState(
                 state.table, self._build_shards(state.table.n_shards),
                 None, None)
-            with self._window_lock:
-                self._window.clear()
+            self._window.clear()
             self._bind_instruments()
 
     def quarantine(self, shard_ids: Iterable[int]) -> RoutingTable:
@@ -506,9 +512,10 @@ class ShardedStore:
 
     def concentration(self) -> float:
         """Concentration (Eq. 2) over the recent shard-access window."""
-        with self._window_lock:
-            window = np.array(self._window, dtype=np.int64)
-        return concentration_from_sets(window, self.n_shards)
+        window = self._window.copy()
+        return concentration_from_sets(
+            np.fromiter(window, dtype=np.int64, count=len(window)),
+            self.n_shards)
 
     def heavy_hitters(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
         """Space-saving top-K routed keys with their last shard

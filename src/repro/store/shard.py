@@ -12,9 +12,12 @@ the raw key bits: the shard-*selection* scheme is the object of study,
 the internal layout is not, and reusing the raw bits would let the
 router's structure alias into every shard's sets.
 
-Each shard owns one :class:`threading.Lock`; all mutating entry points
-take it, so a :class:`~repro.store.engine.ShardedStore` is safe under
-the concurrent replay driver with no global lock.
+Each shard owns one :class:`threading.Lock`, its only lock.  Every
+entry point that reads or writes the ways takes it: the per-op methods
+(``get``, ``put``, ``delete``, ``contains``) with ``lock.acquire()`` and
+a ``finally: lock.release()``, ``items`` with a ``with`` block.  So a
+:class:`~repro.store.engine.ShardedStore` is safe under the concurrent
+replay driver with no global lock.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ def mix64(key: int) -> int:
     z = (key + 0x9E3779B97F4A7C15) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return (z ^ (z >> 31)) & _M64
+    return z ^ (z >> 31)  # both operands < 2**64, so no final mask
 
 
 class ShardStats:
@@ -75,6 +78,10 @@ class ShardStats:
 class Shard:
     """Set-associative key→value segment bounded at ``capacity`` entries.
 
+    ``lock`` serializes every op on this shard, taken with
+    ``acquire()`` and released in a ``finally``, so it is free again on
+    every exit from an op, a policy that raises included.
+
     Args:
         capacity: maximum live entries (rounded down to a multiple of
             ``assoc``, minimum one set).
@@ -101,31 +108,45 @@ class Shard:
         self.policy: ReplacementPolicy = make_replacement(
             replacement, self.n_sets, self.assoc
         )
+        # Bound once: the per-op methods call these on every hit or fill.
+        self._on_hit = self.policy.on_hit
+        self._on_fill = self.policy.on_fill
+        self._victim = self.policy.victim
         self.stats = ShardStats()
         self.occupancy = 0
         self.lock = threading.Lock()
 
     # -- operations (thread-safe: each takes the shard lock) -----------
+    #
+    # The lock is taken with acquire() and released in a `finally`, not
+    # with a `with` block: on CPython the context-manager protocol costs
+    # about twice the explicit pair on every op.
 
     def get(self, key: int, default: Any = None) -> Any:
         """Value stored under ``key``, or ``default`` on miss."""
         set_index = mix64(key) % self.n_sets
-        with self.lock:
+        lock = self.lock
+        lock.acquire()
+        try:
             stats = self.stats
             stats.gets += 1
             ways = self._keys[set_index]
             if key in ways:
                 way = ways.index(key)
                 stats.hits += 1
-                self.policy.on_hit(set_index, way)
+                self._on_hit(set_index, way)
                 return self._values[set_index][way]
             stats.misses += 1
             return default
+        finally:
+            lock.release()
 
     def put(self, key: int, value: Any) -> Optional[int]:
         """Insert or update ``key``; returns the evicted key, if any."""
         set_index = mix64(key) % self.n_sets
-        with self.lock:
+        lock = self.lock
+        lock.acquire()
+        try:
             stats = self.stats
             stats.puts += 1
             ways = self._keys[set_index]
@@ -134,27 +155,31 @@ class Shard:
                 way = ways.index(key)
                 stats.hits += 1
                 values[way] = value
-                self.policy.on_hit(set_index, way)
+                self._on_hit(set_index, way)
                 return None
             stats.misses += 1
             evicted = None
             if None in ways:
                 way = ways.index(None)
             else:
-                way = self.policy.victim(set_index)
+                way = self._victim(set_index)
                 evicted = ways[way]
                 stats.evictions += 1
                 self.occupancy -= 1
             ways[way] = key
             values[way] = value
             self.occupancy += 1
-            self.policy.on_fill(set_index, way)
+            self._on_fill(set_index, way)
             return evicted
+        finally:
+            lock.release()
 
     def delete(self, key: int) -> bool:
         """Drop ``key`` if present; returns whether it was stored."""
         set_index = mix64(key) % self.n_sets
-        with self.lock:
+        lock = self.lock
+        lock.acquire()
+        try:
             stats = self.stats
             stats.deletes += 1
             ways = self._keys[set_index]
@@ -167,12 +192,18 @@ class Shard:
                 return True
             stats.misses += 1
             return False
+        finally:
+            lock.release()
 
     def contains(self, key: int) -> bool:
         """True when ``key`` is stored (no stats or recency change)."""
         set_index = mix64(key) % self.n_sets
-        with self.lock:
+        lock = self.lock
+        lock.acquire()
+        try:
             return key in self._keys[set_index]
+        finally:
+            lock.release()
 
     def __len__(self) -> int:
         return self.occupancy
