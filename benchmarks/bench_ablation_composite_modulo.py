@@ -14,14 +14,13 @@ lose balance) but behave comparably on the real workloads — and its
 """
 
 from repro.cache import CacheHierarchy, SetAssociativeCache
-from repro.cpu import MachineConfig, Simulator
+from repro.cpu import MachineConfig, simulate_hierarchy
 from repro.hashing import (
     PrimeModuloIndexing,
     TraditionalIndexing,
     balance,
     strided_addresses,
 )
-from repro.memory import DramModel
 from repro.workloads import get_workload
 
 from conftest import BENCH_SCALE
@@ -35,8 +34,7 @@ def simulate_modulo(trace, n_sets):
                              PrimeModuloIndexing(config.l2_sets, n_sets=n_sets))
     hierarchy = CacheHierarchy([(l1, config.l1_block_bytes),
                                 (l2, config.l2_block_bytes)])
-    return Simulator(hierarchy, DramModel(config.dram_config()),
-                     config).run(trace)
+    return simulate_hierarchy(trace, hierarchy, config)
 
 
 def run_comparison():

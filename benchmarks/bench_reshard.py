@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
 
-from repro.store import Migrator, RoutingTable, ShardedStore
+from repro.store import Migrator, ShardedStore
 from repro.experiments.reshard import (
     DEFAULT_SCHEMES,
     measure,
@@ -33,9 +33,8 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_reshard.json"
 
 def _migration_rate(scheme):
     """Keys/second for a pure (traffic-free) one-rung migration drain."""
-    store = ShardedStore(shard_capacity=SHARD_CAPACITY, assoc=ASSOC,
-                         routing=RoutingTable.create(
-                             scheme, start_shards(scheme)))
+    store = ShardedStore(start_shards(scheme), scheme,
+                         shard_capacity=SHARD_CAPACITY, assoc=ASSOC)
     for key in range(N_KEYS):
         store.put(key, key)
     store.begin_reshard(store.routing.grown())

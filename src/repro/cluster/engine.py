@@ -64,7 +64,7 @@ from repro.cluster.interconnect import (
 from repro.cluster.node import NodeState, STATE_CODES, StoreNode
 from repro.cluster.router import ClusterRouter
 from repro.store import RoutingTable, ShardedStore
-from repro.store.selector import StoreKey, canonical_key
+from repro.store.routing import StoreKey, canonical_key
 
 __all__ = ["Cluster", "ClusterTelemetry", "ReplicationConfig"]
 
@@ -190,7 +190,7 @@ class Cluster:
             the largest prime below a power of two (Table 1's
             fragmentation, one level up), exact primes are honored.
         node_scheme: outer key → node scheme
-            (:data:`~repro.store.selector.STORE_SCHEMES`).
+            (:data:`~repro.store.routing.STORE_SCHEMES`).
         shard_scheme: inner key → shard scheme for every node's store.
         shards_per_node: physical shard count per node (same ladder
             rules as ``n_nodes``).
@@ -235,10 +235,9 @@ class Cluster:
                 from repro.obs import declare_core_metrics
                 node_registry = MetricsRegistry(enabled=True)
                 declare_core_metrics(node_registry)
-            store = ShardedStore(
-                shard_capacity=shard_capacity, assoc=assoc,
-                routing=RoutingTable.create(shard_scheme, shards_per_node),
-                registry=node_registry)
+            store = ShardedStore(shards_per_node, shard_scheme,
+                                 shard_capacity=shard_capacity, assoc=assoc,
+                                 registry=node_registry)
             self.nodes.append(StoreNode(i, store, registry=node_registry))
         self.router = ClusterRouter(
             node_table, [node.store.routing for node in self.nodes])

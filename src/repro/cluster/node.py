@@ -80,8 +80,8 @@ class StoreNode:
         node_id: position on the node ring (also the successor-walk
             identity replication placement is computed from).
         store: the node's :class:`ShardedStore` (the inner routing
-            level).  Build with ``routing=RoutingTable.create(scheme,
-            n_shards)`` for exact prime fleets.
+            level); ``ShardedStore(n_shards, scheme)`` takes an exact
+            prime ``n_shards`` for a prime-capable scheme.
         registry: the node's *own* metrics registry — each cluster
             member is a separate process in the model, so its metrics
             are private until a federation scrape pulls them.  None

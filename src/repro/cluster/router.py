@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.store.routing import RoutingTable
-from repro.store.selector import StoreKey, canonical_key
+from repro.store.routing import StoreKey, canonical_key
 
 __all__ = ["ClusterRouter", "ComposedIndexing"]
 

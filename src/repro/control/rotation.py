@@ -13,7 +13,7 @@ via the same dual-epoch migration path a reshard uses.
 :meth:`~repro.store.routing.RoutingTable.rekeyed` the routing table,
 and run the :class:`~repro.store.Migrator` to completion.  It journals
 ``control.key_rotation`` with a *fingerprint* of the new secret — the
-raw key never leaves the selector, least of all onto a log stream an
+raw key never leaves the routing table, least of all onto a log stream an
 attacker might read.
 
 The :class:`~repro.control.RemediationController` fires a rotation
@@ -48,7 +48,7 @@ class KeyRotator:
 
     Args:
         store: the store to rotate.  Its scheme must be keyed (its
-            selector exposes a ``key``) — checked at construction, not
+            routing table's indexing carries a ``key``) — checked at construction, not
             at the moment an attack is already underway.
         seed: seeds the rotator's private secret stream; two rotators
             with the same seed mint the same key sequence, which keeps
@@ -60,7 +60,7 @@ class KeyRotator:
     def __init__(self, store: ShardedStore, seed: int = 0,
                  registry: Optional[MetricsRegistry] = None,
                  journal: Optional[Journal] = None):
-        if store.routing.selector.key is None:
+        if getattr(store.routing.indexing, "key", None) is None:
             raise ValueError(
                 f"scheme {store.scheme!r} is not keyed; only keyed "
                 f"schemes can rotate secrets")

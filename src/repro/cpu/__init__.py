@@ -11,6 +11,7 @@ from repro.cpu.simulator import (
     ExecutionResult,
     NormalizedTime,
     Simulator,
+    simulate_hierarchy,
     simulate_scheme,
 )
 
@@ -23,5 +24,6 @@ __all__ = [
     "Simulator",
     "build_hierarchy",
     "build_l2",
+    "simulate_hierarchy",
     "simulate_scheme",
 ]

@@ -28,9 +28,10 @@ field to the reference's:
   inlined with its float operations in the reference's order, so the
   cycle counts match bit for bit, not just to a tolerance.
 
-:func:`~repro.cpu.simulator.simulate_scheme` takes this path whenever
-:func:`supports` accepts the hierarchy it built; ``Simulator.run``
-stays the reference and the path for every other hierarchy.
+:func:`~repro.cpu.simulator.simulate_hierarchy` (and so
+``simulate_scheme``) takes this path whenever :func:`supports` accepts
+the hierarchy it is given; ``Simulator.run`` stays the reference and
+the path for every other hierarchy.
 """
 
 from __future__ import annotations

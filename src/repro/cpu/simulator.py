@@ -113,7 +113,7 @@ class Simulator:
         call and every DRAM transfer one ``dram.service`` call.  Both
         are looked up when ``run`` starts, so a wrapper set on the
         instance before then sees each of them; the benchmark suite
-        times and traces the layers that way.  :func:`simulate_scheme`
+        times and traces the layers that way.  :func:`simulate_hierarchy`
         runs the LRU hierarchies through :mod:`repro.cpu.fastpath`
         instead, which matches this loop exactly.
 
@@ -196,23 +196,21 @@ def trace_accesses(trace: Trace, lo: int, hi: int):
         for b in range(0, hi - lo, TRACE_BLOCK))
 
 
-def simulate_scheme(trace: Trace, scheme: str,
-                    config: MachineConfig = None,
-                    skew_replacement: str = "enru",
-                    warmup_fraction: float = 0.0) -> ExecutionResult:
-    """Build a fresh hierarchy for ``scheme`` and run ``trace`` on it.
+def simulate_hierarchy(trace: Trace, hierarchy: CacheHierarchy,
+                       config: MachineConfig, scheme: str = "",
+                       warmup_fraction: float = 0.0) -> ExecutionResult:
+    """Run ``trace`` on a freshly built two-level ``hierarchy``.
 
     When both cache levels are LRU set-associative (base, 8way, xor,
-    pmod, pdisp) the run takes :func:`repro.cpu.fastpath.run_flat`,
-    which returns exactly what :meth:`Simulator.run` would, several
-    times faster; skewed and fully associative L2s take
-    :meth:`Simulator.run`.
+    pmod, pdisp, and hand-built hierarchies of that shape) the run
+    takes :func:`repro.cpu.fastpath.run_flat`, which returns exactly
+    what :meth:`Simulator.run` would, several times faster, and leaves
+    ``hierarchy`` untouched, so read counts from the result; skewed and
+    fully associative L2s take :meth:`Simulator.run`.
     """
     # fastpath builds ExecutionResults, so it imports this module.
     from repro.cpu import fastpath
 
-    config = config or MachineConfig.paper_default()
-    hierarchy = build_hierarchy(scheme, config, skew_replacement)
     if fastpath.supports(hierarchy):
         return fastpath.run_flat(trace, hierarchy, config, scheme,
                                  warmup_fraction)
@@ -220,3 +218,15 @@ def simulate_scheme(trace: Trace, scheme: str,
     return Simulator(hierarchy, dram, config, scheme=scheme).run(
         trace, warmup_fraction=warmup_fraction
     )
+
+
+def simulate_scheme(trace: Trace, scheme: str,
+                    config: MachineConfig = None,
+                    skew_replacement: str = "enru",
+                    warmup_fraction: float = 0.0) -> ExecutionResult:
+    """Build a fresh hierarchy for ``scheme`` and run ``trace`` on it
+    through :func:`simulate_hierarchy`."""
+    config = config or MachineConfig.paper_default()
+    return simulate_hierarchy(
+        trace, build_hierarchy(scheme, config, skew_replacement), config,
+        scheme, warmup_fraction)

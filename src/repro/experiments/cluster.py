@@ -47,7 +47,7 @@ from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.hashing import balance_from_counts
 from repro.obs import Journal, get_collector, set_journal
 from repro.store import make_traffic, request_keys
-from repro.store.selector import canonical_key
+from repro.store.routing import canonical_key
 
 #: Routing stacks compared, as "node_scheme+shard_scheme" labels: the
 #: all-prime stack, the all-pow2 baseline, and the mixed middle ground.

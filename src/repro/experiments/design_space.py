@@ -14,11 +14,10 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from repro.cache import CacheHierarchy, SetAssociativeCache
-from repro.cpu import MachineConfig, Simulator
+from repro.cpu import MachineConfig, simulate_hierarchy
 from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.experiments.common import RunConfig
 from repro.hashing import make_indexing
-from repro.memory import DramModel
 from repro.reporting import format_table
 from repro.workloads import get_workload
 
@@ -59,10 +58,9 @@ def run(workload: str, config: RunConfig = RunConfig(),
     points = []
     for key in indexings:
         for assoc in associativities:
-            hierarchy = _hierarchy(key, assoc, machine)
-            sim = Simulator(hierarchy, DramModel(machine.dram_config()),
-                            machine, scheme=f"{key}/{assoc}")
-            result = sim.run(trace)
+            result = simulate_hierarchy(trace,
+                                        _hierarchy(key, assoc, machine),
+                                        machine, f"{key}/{assoc}")
             points.append(DesignPoint(key, assoc, result.l2_misses,
                                       result.cycles))
     return points

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping
 
 from repro.cache import CacheHierarchy, SetAssociativeCache
-from repro.cpu import MachineConfig, Simulator
+from repro.cpu import MachineConfig, simulate_hierarchy
 from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.experiments.common import RunConfig
 from repro.hashing import (
@@ -30,7 +30,6 @@ from repro.hashing import (
     make_indexing,
     strided_addresses,
 )
-from repro.memory import DramModel
 from repro.reporting import format_table
 from repro.workloads import get_workload
 
@@ -94,11 +93,9 @@ def l1_miss_comparison(config: RunConfig = RunConfig(),
         trace = get_workload(app).trace(scale=config.scale, seed=config.seed)
         results[app] = {}
         for key in l1_keys:
-            hierarchy = _hierarchy_with_l1_indexing(key, machine)
-            sim = Simulator(hierarchy, DramModel(machine.dram_config()),
-                            machine, scheme=f"l1-{key}")
-            sim.run(trace)
-            results[app][key] = hierarchy.l1.stats.misses
+            results[app][key] = simulate_hierarchy(
+                trace, _hierarchy_with_l1_indexing(key, machine), machine,
+                f"l1-{key}").l1_misses
     return results
 
 

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from repro.cache import CacheHierarchy, SetAssociativeCache
+from repro.cpu.simulator import trace_accesses
 from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.experiments.common import RunConfig
 from repro.hashing import make_indexing
@@ -63,8 +64,9 @@ def run(workloads: Sequence[str] = ("tree", "mcf", "lu"),
                                              seed=config.seed)
         for key in indexings:
             hierarchy = build_three_level(key)
-            for address, is_write in zip(trace.addresses, trace.is_write):
-                hierarchy.access(int(address), bool(is_write))
+            access = hierarchy.access
+            for address, is_write in trace_accesses(trace, 0, len(trace)):
+                access(address, is_write)
             l3 = hierarchy.caches[2]
             results.append(L3Result(workload, key, l3.stats.misses,
                                     l3.stats.accesses))

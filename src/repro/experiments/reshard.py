@@ -43,7 +43,7 @@ from repro.store import (
     make_traffic,
     request_keys,
 )
-from repro.store.selector import canonical_key
+from repro.store.routing import canonical_key
 
 #: Schemes resharded, in the paper's figure order.
 DEFAULT_SCHEMES = ("traditional", "xor", "pmod", "pdisp")
@@ -95,9 +95,8 @@ def measure(scheme: str, n_requests: int, shard_capacity: int = 512,
             seed: int = 0) -> Dict:
     """Reshard one scheme one rung up its ladder under live traffic."""
     from_n = start_shards(scheme)
-    store = ShardedStore(shard_capacity=shard_capacity, assoc=assoc,
-                         replacement=replacement,
-                         routing=RoutingTable.create(scheme, from_n))
+    store = ShardedStore(from_n, scheme, shard_capacity=shard_capacity,
+                         assoc=assoc, replacement=replacement)
     requests = make_traffic("zipfian", n_requests, seed=seed)
     split = len(requests) // 2
     model: Dict[int, int] = {}

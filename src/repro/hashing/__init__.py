@@ -31,6 +31,7 @@ from repro.hashing.analysis import (
     uniformity,
 )
 from repro.hashing.base import (
+    INDEXINGS,
     BankIndexingFamily,
     IndexingFunction,
     available_indexings,
@@ -84,6 +85,7 @@ __all__ = [
     "DispersionReport",
     "FIBONACCI_MULTIPLIER_64",
     "GF2PolynomialIndexing",
+    "INDEXINGS",
     "IndexingFunction",
     "KeyedDisplacementIndexing",
     "KeyedMersenneIndexing",

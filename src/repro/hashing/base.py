@@ -93,32 +93,33 @@ class BankIndexingFamily(abc.ABC):
         )
 
 
-_REGISTRY: Dict[str, Callable[[int], IndexingFunction]] = {}
+#: Registry key -> the :class:`IndexingFunction` class registered under
+#: it (called with the physical set count).  The store's scheme table
+#: (:data:`repro.store.routing.STORE_SCHEMES`) is a subset of it.
+INDEXINGS: Dict[str, Callable[[int], IndexingFunction]] = {}
 
 
 def register_indexing(key: str) -> Callable[[Type[IndexingFunction]], Type[IndexingFunction]]:
     """Class decorator registering an indexing function under ``key``."""
 
     def decorator(cls: Type[IndexingFunction]) -> Type[IndexingFunction]:
-        _REGISTRY[key] = cls
+        INDEXINGS[key] = cls
         return cls
 
     return decorator
 
 
 def make_indexing(key: str, n_sets_physical: int) -> IndexingFunction:
-    """Instantiate a registered indexing function by key.
-
-    Keys: ``traditional``, ``xor``, ``pmod``, ``pdisp``.
-    """
+    """Instantiate a registered indexing function by key
+    (:func:`available_indexings`)."""
     try:
-        factory = _REGISTRY[key]
+        factory = INDEXINGS[key]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(INDEXINGS))
         raise KeyError(f"unknown indexing {key!r}; known: {known}") from None
     return factory(n_sets_physical)
 
 
 def available_indexings() -> List[str]:
     """Registered indexing keys, sorted."""
-    return sorted(_REGISTRY)
+    return sorted(INDEXINGS)

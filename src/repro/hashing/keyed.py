@@ -22,7 +22,7 @@ learned by rotating the key through an epoch migration.
   (Section 3 Property 2) because it is still ``(d·T + x) mod 2^b``
   with ``d`` odd — only now ``d`` is unguessable.
 
-Both carry ``.key`` and ``rekeyed(key)`` so ``ShardSelector`` /
+Both carry ``.key`` and ``rekeyed(key)`` so the store's
 ``RoutingTable`` can rotate secrets without knowing the scheme.
 """
 

@@ -448,9 +448,6 @@ DEFAULT_DRIFT_BANDS: Dict[str, DriftBand] = {
     "xor": DriftBand(balance_max=16.0),
     "pmod": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
     "pdisp": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
-    "pdisp19": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
-    "pdisp31": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
-    "pdisp37": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
     "keyed": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
     "keyed_pdisp": DriftBand(balance_max=NEAR_IDEAL_BALANCE),
 }

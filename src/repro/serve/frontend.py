@@ -18,7 +18,7 @@ queue is ever unbounded*.  The pieces:
   in-flight count;
 * :class:`~repro.serve.batcher.Batcher` coalesces admitted requests
   per destination shard (keys route through the store's prime-indexed
-  :class:`~repro.store.selector.ShardSelector`, so shard balance — the
+  :class:`~repro.store.routing.RoutingTable`, so shard balance — the
   paper's Eq. 1 — directly shapes queue depths and tail latency); its
   one drain task runs each store batch inside its own step, so only a
   batch that an injected fault makes wait becomes a task;

@@ -3,9 +3,9 @@ paper's indexing functions.
 
 The rest of the package *analyzes* hashing functions against simulated
 cache addresses; this subsystem *serves requests* through them.  A
-:class:`ShardSelector` adapts any :mod:`repro.hashing` scheme into a
-key→shard router (prime shard counts for pMod, the paper's p = 9/19/31/37
-displacement constants for pDisp); each shard is a capacity-bounded
+:class:`RoutingTable` routes keys to shards through a :mod:`repro.hashing`
+scheme (prime shard counts for pMod, the paper's p = 9 displacement for
+pDisp, secret-keyed variants of both); each shard is a capacity-bounded
 set-associative segment (:class:`Shard`) evicting through
 :mod:`repro.cache.replacement` policies; :class:`ShardedStore` fronts
 them with ``get``/``put``/``delete``, per-shard and global statistics,
@@ -23,18 +23,13 @@ from repro.store.driver import ReplayError, ReplayReport, replay
 from repro.store.engine import ShardedStore, StoreTelemetry
 from repro.store.migrate import DEFAULT_MOVE_BUDGET, MigrationReport, Migrator
 from repro.store.routing import (
+    STORE_SCHEMES,
     RoutingTable,
     ladder_down,
     ladder_up,
+    make_selector,
     normalize_shard_count,
     prime_capable,
-)
-from repro.store.selector import (
-    STORE_SCHEMES,
-    ShardSelector,
-    available_selectors,
-    make_selector,
-    make_selector_exact,
 )
 from repro.store.shard import Shard, ShardStats
 from repro.store.traffic import (
@@ -58,17 +53,14 @@ __all__ = [
     "RoutingTable",
     "STORE_SCHEMES",
     "Shard",
-    "ShardSelector",
     "ShardStats",
     "ShardedStore",
     "StoreTelemetry",
     "TRAFFIC_PATTERNS",
     "available_patterns",
-    "available_selectors",
     "ladder_down",
     "ladder_up",
     "make_selector",
-    "make_selector_exact",
     "make_traffic",
     "normalize_shard_count",
     "power_of_two_traffic",

@@ -4,7 +4,7 @@ The driver splits a request stream across a thread pool (the store
 serializes per shard, not globally, so disjoint-shard requests proceed
 in parallel) and reports what a serving system reports: wall time,
 throughput, hit rate, and the *tail* per-shard load — the metric a
-badly balanced selector hurts first, because the hottest shard's lock
+badly balanced scheme hurts first, because the hottest shard's lock
 is the whole store's ceiling.
 
 Each worker chunk's wall time is recorded individually

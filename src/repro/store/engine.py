@@ -56,8 +56,7 @@ import numpy as np
 from repro.hashing.analysis import balance_from_counts, concentration_from_sets
 from repro.obs import HeavyHitterTracker, MetricsRegistry, get_journal, \
     get_registry
-from repro.store.routing import RoutingTable
-from repro.store.selector import ShardSelector, StoreKey, canonical_key
+from repro.store.routing import RoutingTable, StoreKey, canonical_key
 from repro.store.shard import Shard
 
 #: How many recent shard accesses the telemetry metrics (concentration
@@ -145,27 +144,24 @@ class ShardedStore:
     copied before it is read.
 
     Args:
-        n_shards: power-of-two physical shard count; ``pmod`` uses the
-            largest prime below it, leaving the rest idle (Table 1's
-            fragmentation, transplanted to shards).  Exact prime counts
-            are reachable at runtime through :meth:`begin_reshard` with
-            a prime-ladder :class:`RoutingTable`.
+        n_shards: shard count, built by :meth:`RoutingTable.create`: a
+            power of two is the physical count (``pmod`` uses the
+            largest prime below it, leaving the rest idle — Table 1's
+            fragmentation, transplanted to shards), and a prime-capable
+            scheme (``pmod``, ``keyed``) also takes a prime count
+            exactly.
         scheme: shard-selection scheme key from
-            :data:`~repro.store.selector.STORE_SCHEMES`.
+            :data:`~repro.store.routing.STORE_SCHEMES`.
         shard_capacity: max entries per shard.
         assoc: ways per shard set.
         replacement: per-set eviction policy key.
-        routing: explicit starting :class:`RoutingTable`; overrides
-            ``scheme``/``n_shards`` when given.
     """
 
     def __init__(self, n_shards: int = 64, scheme: str = "pmod",
                  shard_capacity: int = 512, assoc: int = 8,
                  replacement: str = "lru",
-                 registry: Optional[MetricsRegistry] = None,
-                 routing: Optional[RoutingTable] = None):
-        table = (routing if routing is not None
-                 else RoutingTable.create(scheme, n_shards))
+                 registry: Optional[MetricsRegistry] = None):
+        table = RoutingTable.create(scheme, n_shards)
         self._shard_capacity = shard_capacity
         self._assoc = assoc
         self._replacement = replacement
@@ -224,11 +220,6 @@ class ShardedStore:
     def routing(self) -> RoutingTable:
         """The current (newest) routing epoch."""
         return self._state.table
-
-    @property
-    def selector(self) -> ShardSelector:
-        """The current epoch's selector (analysis-surface compatible)."""
-        return self._state.table.selector
 
     @property
     def shards(self) -> List[Shard]:

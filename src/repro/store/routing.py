@@ -1,15 +1,38 @@
-"""Epoch-versioned routing tables and the prime shard-count ladder.
+"""Key→shard routing: epoch-versioned tables over the paper's indexing
+functions, and the prime shard-count ladder.
 
-A :class:`RoutingTable` is one *immutable* generation of the key→shard
-mapping: ``(scheme, n_shards, epoch_id)`` plus the set of quarantined
-shards routed around.  Mutating the mapping — resizing along the prime
-ladder, swapping schemes, quarantining a stalled shard — never edits a
-table; it derives a successor with ``epoch_id + 1``.  That versioning is
-what makes online resharding safe: a :class:`~repro.store.engine.
+A :class:`RoutingTable` routes store keys to shards exactly the way the
+paper routes block addresses to cache sets, through one
+:class:`~repro.hashing.base.IndexingFunction` (its ``indexing`` field,
+which every metric in :mod:`repro.hashing.analysis` accepts).  It is one
+*immutable* generation of the key→shard mapping: ``(scheme, n_shards,
+epoch_id)`` plus the set of quarantined shards routed around.  Mutating
+the mapping — resizing along the prime ladder, swapping schemes,
+rotating a secret, quarantining a stalled shard — never edits a table;
+it derives a successor with ``epoch_id + 1``.  That versioning is what
+makes online resharding safe: a :class:`~repro.store.engine.
 ShardedStore` can hold the *new* table next to the *old* one during
 migration (reads consult new-then-old, writes land on the new epoch),
 and the serving layer can detect "the routing I bound my batch queues
 to is stale" with one integer comparison.
+
+Schemes (:data:`STORE_SCHEMES`, the hashing registry's entries for the
+store's keys):
+
+* ``traditional`` — low bits of the key (power-of-two modulo).
+* ``xor`` — tag-xor-index pseudo-random routing.
+* ``pmod`` — modulo the largest prime below a power-of-two shard count,
+  or exactly a prime shard count; the pMod adapter.
+* ``pdisp`` — prime displacement with the paper's p = 9.
+* ``keyed`` / ``keyed_pdisp`` — secret-keyed Mersenne-prime hashing and
+  keyed prime displacement (:mod:`repro.hashing.keyed`), the defense
+  against the black-box hash-cracking adversary; rotate the secret
+  with :meth:`RoutingTable.rekeyed`.
+
+Non-integer keys (str / bytes) are first folded to a stable 64-bit
+integer by :func:`canonical_key`, so structured integer key streams keep
+their structure (the whole point of the analysis) while arbitrary
+object keys still route deterministically.
 
 The **ladder** functions keep resizes on the shard counts the paper's
 argument needs: ``pmod`` moves prime→prime through
@@ -27,26 +50,61 @@ path is untouched while the quarantine set is empty).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Iterable, List
+from typing import Callable, Dict, FrozenSet, Iterable, List, Union
 
 import numpy as np
 
-from repro.mathutil import is_power_of_two, next_prime, prev_prime
-from repro.store.selector import (
-    STORE_SCHEMES,
-    ShardSelector,
-    StoreKey,
-    make_selector_exact,
-)
+from repro.hashing import INDEXINGS, IndexingFunction
+from repro.mathutil import is_power_of_two, is_prime, next_prime, prev_prime
 
 __all__ = [
+    "STORE_SCHEMES",
     "RoutingTable",
+    "StoreKey",
+    "canonical_key",
     "ladder_down",
     "ladder_up",
+    "make_selector",
     "normalize_shard_count",
     "prime_capable",
 ]
+
+#: Keys a store accepts.
+StoreKey = Union[int, str, bytes]
+
+_KEY_MASK = (1 << 64) - 1
+
+#: scheme key -> the hashing registry's factory for it (physical shard
+#: count -> :class:`IndexingFunction`).
+STORE_SCHEMES: Dict[str, Callable[..., IndexingFunction]] = {
+    scheme: INDEXINGS[scheme]
+    for scheme in ("traditional", "xor", "pmod", "pdisp", "keyed",
+                   "keyed_pdisp")
+}
+
+
+def canonical_key(key: StoreKey) -> int:
+    """Fold a store key to the 64-bit integer a table hashes.
+
+    Integers pass through (masked to 64 bits, so negative keys are
+    well-defined); str/bytes are digested with blake2b, which is stable
+    across processes — unlike the builtin ``hash``.  A plain ``int``,
+    the key every layer below the first passes on, is tested first.
+    """
+    if type(key) is int:
+        return key & _KEY_MASK
+    if isinstance(key, bool):  # bool is an int subclass; reject explicitly
+        raise TypeError("bool is not a valid store key")
+    if isinstance(key, int):
+        return key & _KEY_MASK
+    if isinstance(key, str):
+        key = key.encode()
+    if isinstance(key, bytes):
+        digest = hashlib.blake2b(key, digest_size=8).digest()
+        return int.from_bytes(digest, "little")
+    raise TypeError(f"unsupported store key type: {type(key).__name__}")
 
 
 def prime_capable(scheme: str) -> bool:
@@ -69,8 +127,6 @@ def normalize_shard_count(scheme: str, n_shards: int) -> int:
     if n_shards < 2:
         raise ValueError(f"need at least 2 shards, got {n_shards}")
     if prime_capable(scheme):
-        from repro.mathutil import is_prime
-
         return n_shards if is_prime(n_shards) else next_prime(n_shards)
     if is_power_of_two(n_shards):
         return n_shards
@@ -101,26 +157,26 @@ class RoutingTable:
     """One immutable epoch of key→shard routing.
 
     Attributes:
-        scheme: shard-selection scheme key (:data:`~repro.store.
-            selector.STORE_SCHEMES`).
+        scheme: shard-selection scheme key (:data:`STORE_SCHEMES`).
         epoch_id: monotonically increasing generation number; every
-            derived table (resize, scheme swap, quarantine change)
-            increments it.
-        selector: the wrapped :class:`ShardSelector` doing the hashing.
+            derived table (resize, scheme swap, rekey, quarantine
+            change) increments it.
+        indexing: the :class:`IndexingFunction` doing the hashing; its
+            ``n_sets`` is the usable shard count (below the physical
+            count for pMod over a power of two).
         quarantined: shard ids routed *around* — keys whose primary
             shard is quarantined probe linearly to the next healthy
             shard.
         route: ``route(canonical) -> shard id`` for a key already
-            folded by :func:`~repro.store.selector.canonical_key` —
-            the same answer as :meth:`shard` in one call.  It is the
-            selector's bound ``indexing.index`` while nothing is
-            quarantined and the bound :meth:`_route_around` otherwise
-            (a bound method, unlike a closure, pickles and copies).
+            folded by :func:`canonical_key`.  It is the bound
+            ``indexing.index`` while nothing is quarantined and the
+            bound :meth:`_route_around` otherwise (a bound method,
+            unlike a closure, pickles and copies).
     """
 
     scheme: str
     epoch_id: int
-    selector: ShardSelector
+    indexing: IndexingFunction
     quarantined: FrozenSet[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -136,7 +192,7 @@ class RoutingTable:
             raise ValueError("cannot quarantine every shard")
         object.__setattr__(self, "route", (
             self._route_around if self.quarantined
-            else self.selector.indexing.index))
+            else self.indexing.index))
 
     # -- construction ---------------------------------------------------
 
@@ -145,40 +201,44 @@ class RoutingTable:
                epoch_id: int = 0) -> "RoutingTable":
         """Epoch-``epoch_id`` table for ``scheme`` over ``n_shards``.
 
-        Power-of-two counts go through :func:`~repro.store.selector.
-        make_selector` semantics (``pmod`` uses the largest prime
-        below, the paper's construction); prime counts are honored
-        exactly for prime-capable schemes.
+        A power-of-two count is the physical shard count (``pmod`` then
+        uses the largest prime below it, the paper's construction).  A
+        prime-capable scheme also takes a prime count exactly, over the
+        smallest covering power of two, so ladder moves land on exactly
+        the requested count.  Any other count is refused.
         """
-        if scheme not in STORE_SCHEMES:
+        try:
+            factory = STORE_SCHEMES[scheme]
+        except KeyError:
             known = ", ".join(sorted(STORE_SCHEMES))
             raise KeyError(
-                f"unknown store scheme {scheme!r}; known: {known}")
-        selector = make_selector_exact(scheme, n_shards)
-        return cls(scheme=scheme, epoch_id=epoch_id, selector=selector)
+                f"unknown store scheme {scheme!r}; known: {known}") from None
+        if n_shards < 2:
+            raise ValueError(f"need at least 2 shards, got {n_shards}")
+        if is_power_of_two(n_shards):
+            return cls(scheme, epoch_id, factory(n_shards))
+        if prime_capable(scheme) and is_prime(n_shards):
+            return cls(scheme, epoch_id,
+                       factory(1 << n_shards.bit_length(), n_sets=n_shards))
+        counts = ("a power-of-two or prime" if prime_capable(scheme)
+                  else "a power-of-two")
+        raise ValueError(f"scheme {scheme!r} needs {counts} shard count, "
+                         f"got {n_shards}")
 
     # -- derivation (always a new epoch) --------------------------------
 
     def resized(self, n_shards: int) -> "RoutingTable":
         """Successor table over ``n_shards`` (quarantine cleared: the
         new epoch gets a fresh shard fleet)."""
-        selector = make_selector_exact(self.scheme, n_shards)
-        return RoutingTable(scheme=self.scheme, epoch_id=self.epoch_id + 1,
-                            selector=selector)
+        return RoutingTable.create(self.scheme, n_shards, self.epoch_id + 1)
 
     def reschemed(self, scheme: str, n_shards: int = None) -> "RoutingTable":
         """Successor table under a different scheme (same target count
         unless overridden; the count is re-normalized onto the new
         scheme's ladder)."""
-        if scheme not in STORE_SCHEMES:
-            known = ", ".join(sorted(STORE_SCHEMES))
-            raise KeyError(
-                f"unknown store scheme {scheme!r}; known: {known}")
         target = normalize_shard_count(
             scheme, n_shards if n_shards is not None else self.n_shards)
-        selector = make_selector_exact(scheme, target)
-        return RoutingTable(scheme=scheme, epoch_id=self.epoch_id + 1,
-                            selector=selector)
+        return RoutingTable.create(scheme, target, self.epoch_id + 1)
 
     def rekeyed(self, key: int) -> "RoutingTable":
         """Successor table under a fresh secret (keyed schemes only).
@@ -186,15 +246,21 @@ class RoutingTable:
         Same scheme and shard count — only the secret changes, so the
         key→shard map is scrambled while capacity stays put.  Like
         :meth:`resized`, the quarantine set is cleared: the new epoch
-        gets a fresh fleet and re-routes from scratch.
+        gets a fresh fleet and re-routes from scratch.  Raises
+        :class:`ValueError` for unkeyed schemes — rotating a public
+        hash would silently provide no defense.
         """
-        selector = self.selector.rekeyed(key)
-        return RoutingTable(scheme=self.scheme, epoch_id=self.epoch_id + 1,
-                            selector=selector)
+        rekey = getattr(self.indexing, "rekeyed", None)
+        if rekey is None:
+            raise ValueError(
+                f"scheme {self.scheme!r} is not keyed; only keyed "
+                f"schemes can rotate secrets")
+        return RoutingTable(self.scheme, self.epoch_id + 1, rekey(int(key)))
 
     def with_quarantined(self, shard_ids: Iterable[int]) -> "RoutingTable":
         """Successor table with ``shard_ids`` added to the quarantine
-        set (same selector — quarantine re-routes, it does not rehash)."""
+        set (same indexing — quarantine re-routes, it does not
+        rehash)."""
         merged = frozenset(self.quarantined) | frozenset(
             int(s) for s in shard_ids)
         if merged == self.quarantined:
@@ -226,11 +292,11 @@ class RoutingTable:
 
     @property
     def n_shards(self) -> int:
-        return self.selector.n_shards
+        return self.indexing.n_sets
 
     @property
     def n_shards_physical(self) -> int:
-        return self.selector.n_shards_physical
+        return self.indexing.n_sets_physical
 
     def _reroute(self, primary: int) -> int:
         """First healthy shard on the probe walk from ``primary``."""
@@ -244,19 +310,18 @@ class RoutingTable:
 
     def _route_around(self, canonical: int) -> int:
         """:attr:`route` under quarantine: hash, then probe."""
-        return self._reroute(self.selector.indexing.index(canonical))
+        return self._reroute(self.indexing.index(canonical))
 
     def shard(self, key: StoreKey) -> int:
         """Shard id ``key`` routes to under this epoch."""
-        primary = self.selector.shard(key)
-        if not self.quarantined:
-            return primary
-        return self._reroute(primary)
+        return self.route(canonical_key(key))
 
     def shard_array(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized routing; quarantine fixup applies only to the
-        (rare) keys whose primary shard is quarantined."""
-        primaries = self.selector.shard_array(keys)
+        """Vectorized routing of an integer key batch; quarantine fixup
+        applies only to the (rare) keys whose primary shard is
+        quarantined."""
+        primaries = self.indexing.index_array(
+            np.asarray(keys, dtype=np.uint64))
         if not self.quarantined:
             return primaries
         out = primaries.copy()
@@ -286,3 +351,9 @@ class RoutingTable:
         return (f"RoutingTable(scheme={self.scheme!r}, "
                 f"epoch={self.epoch_id}, n_shards={self.n_shards}"
                 f"{quarantine})")
+
+
+def make_selector(scheme: str, n_shards: int) -> RoutingTable:
+    """:meth:`RoutingTable.create` under the name the benchmark suite's
+    layer ladder times (``.shard`` over ``.indexing.index``)."""
+    return RoutingTable.create(scheme, n_shards)

@@ -15,7 +15,8 @@ Three families, all deterministic under a seed:
 
 Each generator returns a list of :class:`Request`; :func:`request_keys`
 extracts the key array for vectorized, store-free analysis through a
-:class:`~repro.store.selector.ShardSelector`.
+:class:`~repro.store.routing.RoutingTable` (``shard_array``) or its
+``indexing``.
 """
 
 from __future__ import annotations

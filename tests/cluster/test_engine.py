@@ -12,7 +12,7 @@ from repro.cluster import (
     ReReplicator,
 )
 from repro.obs import Journal, set_journal
-from repro.store.selector import canonical_key
+from repro.store.routing import canonical_key
 
 
 def make_cluster(n_nodes=5, replicas=2, **kwargs):

@@ -4,13 +4,12 @@ import pytest
 
 from repro.cluster import NodeDownError, NodeState, StoreNode
 from repro.cluster.node import DEGRADED_PENALTY_S, SERVICE_S
-from repro.store import RoutingTable, ShardedStore
+from repro.store import ShardedStore
 
 
 def make_node(node_id=0, scheme="pmod", n_shards=8):
-    return StoreNode(node_id, ShardedStore(
-        routing=RoutingTable.create(scheme, n_shards),
-        shard_capacity=64, assoc=8))
+    return StoreNode(node_id, ShardedStore(n_shards, scheme,
+                                           shard_capacity=64, assoc=8))
 
 
 class TestLifecycle:

@@ -6,7 +6,7 @@ from repro.control import Action, RemediationController
 from repro.control.controller import MAX_QUARANTINE_FRACTION
 from repro.obs import Journal
 from repro.obs.health import Alert, DriftStatus
-from repro.store import RoutingTable, ShardedStore
+from repro.store import ShardedStore
 
 
 def page(slo="serve-p99-latency", window="fast"):
@@ -61,8 +61,7 @@ class FakeDetector:
 def make_controller(scheme="pmod", n_shards=61, alerts=(), tripped=(),
                     journal=None):
     journal = journal or Journal()
-    store = ShardedStore(routing=RoutingTable.create(scheme, n_shards),
-                         shard_capacity=256, assoc=16)
+    store = ShardedStore(n_shards, scheme, shard_capacity=256, assoc=16)
     controller = RemediationController(
         store, FakeSloEngine(alerts), detector=FakeDetector(tripped),
         journal=journal)

@@ -4,13 +4,12 @@ import pytest
 
 from repro.control import KeyRotator, key_fingerprint
 from repro.obs import Journal, MetricsRegistry
-from repro.store import RoutingTable, ShardedStore
+from repro.store import ShardedStore
 
 
 def keyed_store(scheme="keyed_pdisp", n_shards=16, n_keys=150):
     """A keyed store pre-loaded with ``n_keys`` addressable records."""
-    store = ShardedStore(routing=RoutingTable.create(scheme, n_shards),
-                         shard_capacity=512, assoc=16)
+    store = ShardedStore(n_shards, scheme, shard_capacity=512, assoc=16)
     for i in range(n_keys):
         store.put(i * 1009 + 3, f"value-{i}")
     return store
@@ -28,7 +27,7 @@ class TestRotation:
         """Rotation re-routes every resident key under the new secret:
         nothing is lost, the epoch advances, geometry is unchanged."""
         store = keyed_store(scheme, n_shards)
-        old_key = store.routing.selector.key
+        old_key = store.routing.indexing.key
         report = KeyRotator(store, seed=0, journal=Journal(),
                             registry=MetricsRegistry()).rotate()
 
@@ -36,7 +35,7 @@ class TestRotation:
         assert not store.migrating
         assert store.scheme == scheme
         assert store.n_shards == n_shards
-        assert store.routing.selector.key != old_key
+        assert store.routing.indexing.key != old_key
         for i in range(150):
             assert store.get(i * 1009 + 3) == f"value-{i}"
 
@@ -77,10 +76,10 @@ class TestJournal:
         assert event.fields["reason"] == "drill"
         assert event.fields["moved"] >= 0
         fingerprint = event.fields["key_fingerprint"]
-        assert fingerprint == key_fingerprint(store.routing.selector.key)
+        assert fingerprint == key_fingerprint(store.routing.indexing.key)
         assert len(fingerprint) == 8  # 4-byte digest, hex
         # The raw 64-bit secret appears nowhere in the payload.
-        assert str(store.routing.selector.key) not in str(event.fields)
+        assert str(store.routing.indexing.key) not in str(event.fields)
 
     def test_rotation_counter_increments(self):
         store = keyed_store(n_keys=20)

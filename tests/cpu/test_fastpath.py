@@ -1,9 +1,12 @@
 """The flat LRU kernel against the reference loop.
 
 ``simulate_scheme`` runs the base, 8way, xor, pmod and pdisp
-hierarchies through :func:`repro.cpu.fastpath.run_flat`.  Every
-comparison here is with ``Simulator.run`` on a freshly built hierarchy,
-field by field and exactly.
+hierarchies through :func:`repro.cpu.fastpath.run_flat`, and
+``simulate_hierarchy`` runs the experiments' hand-built LRU hierarchies
+(design_space's indexing x associativity grid, l1_hashing's L1
+indexings) the same way.  Every comparison here is with
+``Simulator.run`` on a freshly built hierarchy, field by field and
+exactly.
 """
 
 from dataclasses import asdict, replace
@@ -14,8 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheHierarchy
-from repro.cpu import MachineConfig, Simulator, build_hierarchy, simulate_scheme
+from repro.cpu import (
+    MachineConfig,
+    Simulator,
+    build_hierarchy,
+    simulate_hierarchy,
+    simulate_scheme,
+)
 from repro.cpu import fastpath
+from repro.experiments.design_space import _hierarchy as design_point
+from repro.experiments.l1_hashing import _hierarchy_with_l1_indexing
 from repro.memory import DramModel
 from repro.trace import Trace, TraceMetadata
 from repro.workloads import all_workload_names, get_workload
@@ -102,6 +113,43 @@ class TestMatchesReference:
         with pytest.raises(ValueError) as ref:
             reference(trace, "pmod", warmup_fraction=warmup)
         assert str(flat.value) == str(ref.value)
+
+
+class TestHandBuiltHierarchies:
+    """The experiments build their own two-level LRU hierarchies; each
+    takes the flat path and equals the reference loop exactly."""
+
+    MACHINE = MachineConfig.paper_default()
+    INDEXINGS = ("traditional", "xor", "pmod", "pdisp")
+
+    @staticmethod
+    def assert_flat_equals_reference(trace, build, machine, scheme):
+        hierarchy = build()
+        assert fastpath.supports(hierarchy), scheme
+        flat = simulate_hierarchy(trace, hierarchy, machine, scheme)
+        reference_hierarchy = build()
+        ref = Simulator(reference_hierarchy, DramModel(machine.dram_config()),
+                        machine, scheme=scheme).run(trace)
+        assert asdict(flat) == asdict(ref), scheme
+        assert flat.l1_misses == reference_hierarchy.l1.stats.misses
+
+    @pytest.mark.parametrize("workload", ["tree", "swim"])
+    def test_design_space_points(self, workload):
+        trace = get_workload(workload).trace(scale=0.05, seed=0)
+        for key in self.INDEXINGS:
+            for assoc in (1, 2, 4, 8):
+                self.assert_flat_equals_reference(
+                    trace, lambda: design_point(key, assoc, self.MACHINE),
+                    self.MACHINE, f"{key}/{assoc}")
+
+    @pytest.mark.parametrize("workload", ["tree", "swim"])
+    def test_l1_indexings(self, workload):
+        trace = get_workload(workload).trace(scale=0.05, seed=0)
+        for key in self.INDEXINGS:
+            self.assert_flat_equals_reference(
+                trace,
+                lambda: _hierarchy_with_l1_indexing(key, self.MACHINE),
+                self.MACHINE, f"l1-{key}")
 
 
 class TestDispatch:

@@ -157,6 +157,15 @@ class TestPrimeDisplacement:
         pd = PrimeDisplacementIndexing(2048, displacement=p)
         assert pd.index(addr) == (p * (addr >> 11) + (addr & 2047)) % 2048
 
+    @pytest.mark.parametrize("p", [9, 19, 31, 37])
+    @pytest.mark.parametrize("n_sets", [16, 64, 256])
+    def test_vectorized_matches_scalar_for_paper_constants(self, p, n_sets):
+        pd = PrimeDisplacementIndexing(n_sets, displacement=p)
+        rng = np.random.default_rng(p)
+        addrs = rng.integers(0, 2**48, size=1024, dtype=np.uint64)
+        assert pd.index_array(addrs).tolist() == [
+            pd.index(int(a)) for a in addrs]
+
     def test_bijective_within_tag_group(self):
         """For a fixed tag, displacement is a permutation of the sets."""
         pd = PrimeDisplacementIndexing(256)

@@ -3,7 +3,7 @@
 import asyncio
 
 from repro.serve import BatchConfig, Frontend
-from repro.store import Migrator, RoutingTable, ShardedStore
+from repro.store import Migrator, ShardedStore
 
 
 def run(coro):
@@ -11,8 +11,7 @@ def run(coro):
 
 
 def make_store(n_shards=61):
-    return ShardedStore(routing=RoutingTable.create("pmod", n_shards),
-                        shard_capacity=256, assoc=16)
+    return ShardedStore(n_shards, "pmod", shard_capacity=256, assoc=16)
 
 
 def make_frontend(store):

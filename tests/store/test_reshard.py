@@ -13,8 +13,7 @@ from repro.store import (
 def make_store(scheme="pmod", n_shards=61, **kwargs):
     kwargs.setdefault("shard_capacity", 256)
     kwargs.setdefault("assoc", 16)
-    return ShardedStore(routing=RoutingTable.create(scheme, n_shards),
-                        **kwargs)
+    return ShardedStore(n_shards, scheme, **kwargs)
 
 
 def populated(n_keys=500, **kwargs):

@@ -1,4 +1,5 @@
-"""RoutingTable: epochs, the prime ladder, quarantine re-routing."""
+"""RoutingTable: the scheme table, construction, rekeying, epochs, the
+prime ladder, quarantine re-routing."""
 
 import copy
 import pickle
@@ -7,15 +8,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hashing import INDEXINGS
 from repro.store import (
     STORE_SCHEMES,
     RoutingTable,
     ladder_down,
     ladder_up,
+    make_selector,
     normalize_shard_count,
     prime_capable,
 )
-from repro.store.selector import canonical_key
+from repro.store.routing import canonical_key
+
+
+class TestSchemeTable:
+    def test_store_schemes(self):
+        assert sorted(STORE_SCHEMES) == [
+            "keyed", "keyed_pdisp", "pdisp", "pmod", "traditional", "xor"]
+
+    def test_every_scheme_is_the_hashing_registrys_entry(self):
+        """The store keeps no factories of its own: each scheme is the
+        hashing registry's entry under the same key."""
+        for scheme, factory in STORE_SCHEMES.items():
+            assert factory is INDEXINGS[scheme], scheme
+
+    def test_make_selector_is_create(self):
+        table = make_selector("pmod", 64)
+        assert table.describe() == RoutingTable.create("pmod", 64).describe()
+        assert table.shard(1000) == table.indexing.index(1000) == 1000 % 61
 
 
 class TestLadder:
@@ -62,6 +82,21 @@ class TestConstruction:
         table = RoutingTable.create("pmod", 67)
         assert table.n_shards == 67
         assert table.epoch_id == 0
+
+    @pytest.mark.parametrize("scheme", ["pmod", "keyed"])
+    @pytest.mark.parametrize("n_shards", [3, 61, 67, 127])
+    def test_prime_capable_schemes_take_exact_primes(self, scheme, n_shards):
+        """A prime count is the usable count, over the smallest covering
+        power of two, and every one of its shards receives keys."""
+        table = RoutingTable.create(scheme, n_shards)
+        assert table.n_shards == table.indexing.n_sets == n_shards
+        assert table.n_shards_physical == 1 << n_shards.bit_length()
+        assert {table.shard(k) for k in range(50 * n_shards)} == set(
+            range(n_shards))
+
+    def test_too_few_shards_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            RoutingTable.create("pmod", 1)
 
     def test_unknown_scheme_raises(self):
         with pytest.raises(KeyError, match="unknown store scheme"):
@@ -122,6 +157,33 @@ class TestDerivation:
             table.with_quarantined([0, 1, 2, 3])
 
 
+class TestRekey:
+    @pytest.mark.parametrize("scheme,n_shards", [("keyed", 61),
+                                                 ("keyed", 64),
+                                                 ("keyed_pdisp", 16)])
+    def test_rekeyed_scrambles_the_map_not_the_geometry(self, scheme,
+                                                        n_shards):
+        table = RoutingTable.create(scheme, n_shards).with_quarantined([1])
+        fresh = table.rekeyed(12345)
+        assert fresh.epoch_id == table.epoch_id + 1
+        assert (fresh.scheme, fresh.n_shards, fresh.n_shards_physical) == (
+            table.scheme, table.n_shards, table.n_shards_physical)
+        assert fresh.quarantined == frozenset()
+        assert fresh.indexing.key == 12345 != table.indexing.key
+        keys = range(0, 1 << 20, 997)
+        assert [fresh.shard(k) for k in keys] != [
+            table.shard(k) for k in keys]
+        # The same secret routes the same way.
+        assert [fresh.shard(k) for k in keys] == [
+            table.rekeyed(12345).shard(k) for k in keys]
+
+    @pytest.mark.parametrize("scheme", ["traditional", "xor", "pmod",
+                                        "pdisp"])
+    def test_unkeyed_scheme_refuses_to_rekey(self, scheme):
+        with pytest.raises(ValueError, match="not keyed"):
+            RoutingTable.create(scheme, 64).rekeyed(7)
+
+
 class TestQuarantineRouting:
     def test_quarantined_shard_receives_no_traffic(self):
         table = RoutingTable.create("pmod", 61).with_quarantined([7, 8])
@@ -144,7 +206,7 @@ class TestQuarantineRouting:
         table = RoutingTable.create("xor", 64)
         keys = np.arange(4096, dtype=np.uint64)
         assert np.array_equal(table.shard_array(keys),
-                              table.selector.shard_array(keys))
+                              table.indexing.index_array(keys))
 
 
 #: Keys the canonical fold treats differently: negative ints, ints of

@@ -1,4 +1,10 @@
-"""ShardSelector: scheme registry, key folding, routing, analysis duck-typing."""
+"""Key→shard routing over the scheme table: scheme keys, key folding,
+routing, and the table's indexing as the analysis surface.
+
+The cases cover :class:`~repro.store.routing.RoutingTable` and
+:func:`~repro.store.routing.canonical_key`; epochs, the ladder and
+quarantine are in ``test_routing.py``.
+"""
 
 from enum import IntEnum
 
@@ -8,41 +14,35 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hashing import balance, strided_addresses
 from repro.mathutil import largest_prime_below
-from repro.store import (
-    ShardSelector,
-    available_selectors,
-    make_selector,
-    make_selector_exact,
-)
-from repro.store.selector import canonical_key
+from repro.store import STORE_SCHEMES, RoutingTable
+from repro.store.routing import canonical_key
+
+SCHEMES = sorted(STORE_SCHEMES)
 
 
 class TestRegistry:
-    def test_available_selectors(self):
-        assert available_selectors() == [
-            "keyed", "keyed_pdisp", "pdisp", "pdisp19", "pdisp31",
-            "pdisp37", "pmod", "traditional", "xor",
-        ]
-
     def test_unknown_scheme_raises(self):
         with pytest.raises(KeyError, match="unknown store scheme"):
-            make_selector("nope", 64)
+            RoutingTable.create("nope", 64)
 
     def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            make_selector("traditional", 60)
+        """Bit-mask schemes need a power of two; the prime-capable ones
+        a power of two or a prime."""
+        for scheme, n_shards in (("traditional", 60), ("xor", 61),
+                                 ("pdisp", 67), ("keyed_pdisp", 61),
+                                 ("pmod", 60), ("keyed", 63)):
+            with pytest.raises(ValueError, match="power-of-two"):
+                RoutingTable.create(scheme, n_shards)
 
     def test_pmod_uses_prime_shard_count(self):
-        selector = make_selector("pmod", 64)
-        assert selector.n_shards == largest_prime_below(64) == 61
-        assert selector.n_shards_physical == 64
+        table = RoutingTable.create("pmod", 64)
+        assert table.n_shards == largest_prime_below(64) == 61
+        assert table.n_shards_physical == 64
 
-    @pytest.mark.parametrize("scheme,p", [
-        ("pdisp", 9), ("pdisp19", 19), ("pdisp31", 31), ("pdisp37", 37),
-    ])
+    @pytest.mark.parametrize("scheme,p", [("pdisp", 9)])
     def test_pdisp_constants_are_the_papers(self, scheme, p):
-        selector = make_selector(scheme, 64)
-        assert selector.indexing.displacement == p
+        table = RoutingTable.create(scheme, 64)
+        assert table.indexing.displacement == p
 
 
 class TestCanonicalKey:
@@ -85,74 +85,78 @@ class TestCanonicalKey:
 
 
 class TestRouting:
-    @pytest.mark.parametrize("scheme", available_selectors())
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_shard_in_range(self, scheme):
-        selector = make_selector(scheme, 64)
+        table = RoutingTable.create(scheme, 64)
         for key in (0, 1, 63, 64, 2**32 - 1, "a-string-key"):
-            assert 0 <= selector.shard(key) < selector.n_shards
+            assert 0 <= table.shard(key) < table.n_shards
 
-    @pytest.mark.parametrize("scheme", available_selectors())
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_shard_array_matches_scalar(self, scheme):
-        selector = make_selector(scheme, 64)
+        table = RoutingTable.create(scheme, 64)
         rng = np.random.default_rng(11)
         keys = rng.integers(0, 2**48, size=2048, dtype=np.uint64)
-        vec = selector.shard_array(keys)
-        assert vec.tolist() == [selector.shard(int(k)) for k in keys]
+        vec = table.shard_array(keys)
+        assert vec.tolist() == [table.shard(int(k)) for k in keys]
 
-    @pytest.mark.parametrize("scheme", available_selectors())
+    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n_shards", [16, 32, 128, 256])
     def test_shard_array_matches_scalar_across_pow2_counts(
             self, scheme, n_shards):
         """The scalar/vectorized agreement is fleet-size independent on
         the power-of-two rungs every scheme supports."""
-        selector = make_selector(scheme, n_shards)
+        table = RoutingTable.create(scheme, n_shards)
         rng = np.random.default_rng(n_shards)
         keys = rng.integers(0, 2**48, size=1024, dtype=np.uint64)
-        vec = selector.shard_array(keys)
-        assert vec.tolist() == [selector.shard(int(k)) for k in keys]
+        vec = table.shard_array(keys)
+        assert vec.tolist() == [table.shard(int(k)) for k in keys]
 
     @pytest.mark.parametrize("n_shards", [61, 67, 127, 251])
     def test_shard_array_matches_scalar_on_exact_prime_counts(
             self, n_shards):
         """pMod on the epoch ladder's exact prime rungs: the vectorized
         router and the scalar one agree key for key."""
-        selector = make_selector_exact("pmod", n_shards)
-        assert selector.n_shards == n_shards
+        table = RoutingTable.create("pmod", n_shards)
+        assert table.n_shards == n_shards
         rng = np.random.default_rng(n_shards)
         keys = rng.integers(0, 2**48, size=1024, dtype=np.uint64)
-        vec = selector.shard_array(keys)
-        assert vec.tolist() == [selector.shard(int(k)) for k in keys]
+        vec = table.shard_array(keys)
+        assert vec.tolist() == [table.shard(int(k)) for k in keys]
 
     def test_traditional_is_low_bits(self):
-        selector = make_selector("traditional", 64)
-        assert selector.shard(1000) == 1000 % 64
+        table = RoutingTable.create("traditional", 64)
+        assert table.shard(1000) == 1000 % 64
 
     def test_pmod_is_prime_modulo(self):
-        selector = make_selector("pmod", 64)
-        assert selector.shard(1000) == 1000 % 61
+        table = RoutingTable.create("pmod", 64)
+        assert table.shard(1000) == 1000 % 61
 
 
 class TestAnalysisCompatibility:
-    """analysis metrics accept a selector exactly like an indexing."""
+    """analysis metrics take a table's ``indexing``."""
 
     def test_balance_of_even_stride(self):
-        trad = make_selector("traditional", 64)
-        pmod = make_selector("pmod", 64)
+        trad = RoutingTable.create("traditional", 64)
+        pmod = RoutingTable.create("pmod", 64)
         addrs = strided_addresses(64, 4096)
-        assert balance(trad, addrs) > 10 * balance(pmod, addrs)
+        assert balance(trad.indexing, addrs) > 10 * balance(
+            pmod.indexing, addrs)
 
     def test_index_surface_delegates(self):
-        selector = make_selector("xor", 64)
-        assert selector.n_sets == selector.indexing.n_sets
-        assert selector.n_sets_physical == 64
-        assert selector.index(777) == selector.indexing.index(777)
+        """The table's shard counts are its indexing's set counts, and
+        an unquarantined table routes a folded key by its index."""
+        table = RoutingTable.create("xor", 64)
+        assert table.n_shards == table.indexing.n_sets
+        assert table.n_shards_physical == 64
+        assert table.shard(777) == table.route(777) == \
+            table.indexing.index(777)
 
     def test_repr_mentions_scheme(self):
-        assert "pmod" in repr(make_selector("pmod", 64))
+        assert "pmod" in repr(RoutingTable.create("pmod", 64))
 
     def test_wraps_existing_indexing(self):
         from repro.hashing import XorIndexing
 
-        selector = ShardSelector(XorIndexing(128))
-        assert selector.scheme == "XOR"
-        assert selector.n_shards == 128
+        table = RoutingTable("xor", 0, XorIndexing(128))
+        assert table.n_shards == 128
+        assert table.shard(777) == XorIndexing(128).index(777)

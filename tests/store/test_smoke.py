@@ -1,7 +1,7 @@
 """Fast store smoke test: every scheme serves 10k mixed requests.
 
 The tier-1 guard for the serving path: small shard count, real traffic,
-every selector scheme, serial and concurrent replay — asserting the
+every routing scheme, serial and concurrent replay — asserting the
 invariants a production store must never break (capacity bounds,
 conservation of accesses, the paper's balance ordering on structured
 traffic).
@@ -11,14 +11,14 @@ import math
 
 import pytest
 
-from repro.store import ShardedStore, available_selectors, make_traffic, replay
+from repro.store import STORE_SCHEMES, ShardedStore, make_traffic, replay
 
 N_REQUESTS = 10_000
 N_SHARDS = 16
 SHARD_CAPACITY = 128
 
 
-@pytest.mark.parametrize("scheme", available_selectors())
+@pytest.mark.parametrize("scheme", sorted(STORE_SCHEMES))
 def test_smoke_every_scheme(scheme):
     store = ShardedStore(n_shards=N_SHARDS, scheme=scheme,
                          shard_capacity=SHARD_CAPACITY)

@@ -62,7 +62,7 @@ class TestTelemetry:
         keys = np.arange(0, 4096 * 64, 64, dtype=np.uint64)
         for k in keys:
             store.put(int(k), 0)
-        expected = balance(store.selector, keys)
+        expected = balance(store.routing.indexing, keys)
         assert store.balance() == pytest.approx(expected)
 
     def test_concentration_matches_analysis_layer(self):
@@ -71,7 +71,7 @@ class TestTelemetry:
         for k in keys:
             store.get(k)
         expected = concentration_from_sets(
-            store.selector.shard_array(np.array(keys, dtype=np.uint64)),
+            store.routing.shard_array(np.array(keys, dtype=np.uint64)),
             store.n_shards,
         )
         assert store.concentration() == pytest.approx(expected)
