@@ -1,12 +1,12 @@
 """Fast miss-only simulation for single-hash LRU caches.
 
 The cycle-level model in :class:`~repro.cache.setassoc.SetAssociativeCache`
-pays Python-object overhead on every access.  When an experiment needs
-only hit/miss counts — the miss-reduction figures, the uniformity
-classification, design-space sweeps — this path is far faster: it
-exploits the fact that LRU is a *stack algorithm*, so hit/miss outcomes
-are a pure function of the access sequence and need no simulated cache
-state at all.
+pays Python-object overhead on every access.  When only one level's
+hit/miss counts are needed — the ``sensitivity`` and
+``page_allocation`` extensions; the suite's ``cache.fastsim`` rung and
+two benches time it — this path is far faster: it exploits the fact
+that LRU is a *stack algorithm*, so hit/miss outcomes are a pure
+function of the access sequence and need no simulated cache state.
 
 An access to block ``b`` in set ``s`` hits a ``W``-way LRU cache iff
 fewer than ``W`` *distinct* other blocks of ``s`` were touched since
@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hashing.base import IndexingFunction
+from repro.mathutil import radix_argsort
 from repro.obs import get_registry
 
 #: Cap on the scratch matrix used by one windowed-count batch.
@@ -64,32 +65,6 @@ class FastSimResult:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-def _radix_argsort(values: np.ndarray, hi: int = None) -> np.ndarray:
-    """Stable ascending argsort of non-negative integers.
-
-    numpy's stable sort uses a radix sort for <=16-bit integer keys,
-    which is several times faster than the comparison sort it falls
-    back to on wider types; sorting 16 bits per pass keeps that fast
-    path for arbitrary integer magnitudes.  ``hi`` is an optional
-    known upper bound on the values, saving the max scan.
-    """
-    if len(values) == 0:
-        return np.empty(0, dtype=np.intp)
-    if hi is None:
-        hi = int(values.max())
-    if hi < 1 << 16:
-        return np.argsort(values.astype(np.uint16), kind="stable")
-    unsigned = values.astype(np.uint64, copy=False)
-    order = np.argsort(unsigned.astype(np.uint16),
-                       kind="stable").astype(np.int32)
-    shift = 16
-    while hi >> shift:
-        digits = (unsigned >> np.uint64(shift)).astype(np.uint16)
-        order = order[np.argsort(digits[order], kind="stable")]
-        shift += 16
-    return order
-
-
 def _lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
                    assoc: int, smax: int = None) -> np.ndarray:
     """Boolean per-access miss mask of a W-way LRU set-associative cache.
@@ -110,7 +85,7 @@ def _lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
     skey = np.asarray(sets)
     if smax is None:
         smax = int(skey.max())
-    order = _radix_argsort(skey, hi=smax)
+    order = radix_argsort(skey, hi=smax)
     ordered_sets = (skey.astype(np.uint16)[order]
                     if smax < 1 << 16 else skey[order])
     boundary = np.empty(n, dtype=bool)
@@ -129,7 +104,7 @@ def _lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
     # prev[i] = -1 when block i was never touched before.  The matching
     # next-occurrence links are scattered straight into the window
     # layout further down instead of materializing a full nxt array.
-    border = _radix_argsort(blocks)
+    border = radix_argsort(blocks)
     ordered_blocks = blocks[border]
     same = np.flatnonzero(ordered_blocks[1:] == ordered_blocks[:-1])
     earlier = border[same]
@@ -170,8 +145,8 @@ def _lru_miss_mask(blocks: np.ndarray, sets: np.ndarray,
     # Sort the ambiguous windows by length up front so the batched
     # scans below slice contiguous ranges.
     prev_amb = prev[ambiguous]
-    by_length = _radix_argsort(pos_in_layout[ambiguous]
-                               - pos_in_layout[prev_amb])
+    by_length = radix_argsort(pos_in_layout[ambiguous]
+                              - pos_in_layout[prev_amb])
     amb = ambiguous[by_length]
     prev_amb = prev_amb[by_length]
     padded = 2 * pos_in_layout - local

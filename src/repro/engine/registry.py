@@ -21,7 +21,7 @@ Artifact schema (version :data:`ARTIFACT_SCHEMA_VERSION`)::
       "title": "<human title>",
       "repro_version": "<package version>",
       "config": {"scale": float, "seed": int, "skew_replacement": str,
-                 "params": {...extra experiment parameters...}},
+                 "params": {...every declared --param knob's value...}},
       "data": {...experiment-specific JSON payload...}
     }
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping
 
 import repro
@@ -54,8 +54,9 @@ class ExperimentContext:
     Attributes:
         engine: the simulation engine (config, cache, trace sharing,
             parallel grid scheduling).
-        params: experiment-specific parameters from the CLI's
-            ``--param`` (e.g. ``workload=bt`` for the sweep experiments).
+        params: the spec's ``--param`` knobs (e.g. ``workers=4`` for
+            ``store_sharding``), every one present once
+            :func:`run_experiment` has filled in the defaults.
     """
 
     engine: SimulationEngine
@@ -69,8 +70,9 @@ class ExperimentContext:
     def jobs(self) -> int:
         return self.engine.jobs
 
-    def param(self, name: str, default: Any = None) -> Any:
-        return self.params.get(name, default)
+    def param(self, name: str) -> Any:
+        """The value of one knob the experiment's spec declares."""
+        return self.params[name]
 
     def cached(self, workload: str, cell: str, params: Mapping,
                compute: Callable[[], Dict]) -> Dict:
@@ -112,6 +114,9 @@ class ExperimentSpec:
         render: renders a *full artifact* into the terminal report.
         uses_simulation: False for pure-analysis experiments
             (fragmentation, qualitative, machine, stride sweeps).
+        params: the ``--param`` knobs the experiment takes, each with
+            its default.  A given value must have its default's type
+            (a knob whose default is None, i.e. off, takes an int).
     """
 
     name: str
@@ -119,6 +124,25 @@ class ExperimentSpec:
     build: Callable[[ExperimentContext], Mapping]
     render: Callable[[Mapping], str]
     uses_simulation: bool = True
+    params: Mapping[str, Any] = field(default_factory=dict)
+
+    def resolve_params(self, given: Mapping[str, Any]) -> Dict[str, Any]:
+        """Every declared knob, ``given`` over the defaults; ValueError
+        (one line naming the declared knobs) on an undeclared key or a
+        value of another type."""
+        declared = ", ".join(self.params) or "none"
+        for name, value in given.items():
+            if name not in self.params:
+                raise ValueError(f"{self.name} takes no --param {name!r} "
+                                 f"(declared: {declared})")
+            default = self.params[name]
+            expected = int if default is None else type(default)
+            if type(value) is not expected and value is not default:
+                raise ValueError(
+                    f"{self.name} --param {name} must be "
+                    f"{expected.__name__}, got {value!r} "
+                    f"(declared: {declared})")
+        return {**self.params, **given}
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
@@ -154,8 +178,11 @@ def _load_standard_experiments() -> None:
 
 
 def run_experiment(name: str, context: ExperimentContext) -> Dict[str, Any]:
-    """Build the named experiment's artifact (envelope + data)."""
+    """Build the named experiment's artifact (envelope + data), its
+    params checked (ValueError before ``build``) and completed by
+    :meth:`ExperimentSpec.resolve_params`."""
     spec = get_experiment(name)
+    context = replace(context, params=spec.resolve_params(context.params))
     data = spec.build(context)
     return {
         "schema_version": ARTIFACT_SCHEMA_VERSION,

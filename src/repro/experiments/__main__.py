@@ -12,9 +12,10 @@
 Every registered experiment runs through the same path: build an
 artifact (the JSON document described in :mod:`repro.engine.registry`),
 optionally write it to ``--artifact``, then render it to the terminal.
-``--param`` forwards experiment-specific knobs (e.g.
-``--param workload=bt`` for the sweep experiments); values parse as
-JSON when possible, otherwise as strings.
+``--param`` sets a knob the experiment's spec declares (e.g.
+``--param workers=4`` for ``store_sharding``); values parse as JSON
+when possible, otherwise as strings.  Any other key, or a value of
+another type, is refused in one line before the experiment runs.
 
 ``--metrics-out PATH`` turns on the :mod:`repro.obs` layer for the
 run and dumps the metrics + span snapshot (schema in
@@ -92,7 +93,7 @@ def main(argv: Optional[List[str]] = None) -> None:
                         help="registered experiment name, or 'list'")
     parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE",
-                        help="experiment-specific parameter "
+                        help="one of the experiment's declared knobs "
                              "(repeatable; VALUE parsed as JSON)")
     parser.add_argument("--artifact", default=None, metavar="PATH",
                         help="also write the artifact JSON to PATH "
@@ -118,9 +119,13 @@ def main(argv: Optional[List[str]] = None) -> None:
         print(list_experiments())
         return
     try:
-        get_experiment(args.experiment)
+        spec = get_experiment(args.experiment)
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0]}") from None
+    try:
+        spec.resolve_params(parse_params(args.param))
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     observed = bool(args.metrics_out or args.trace or args.journal
                     or args.dash)
     was_enabled = get_registry().enabled

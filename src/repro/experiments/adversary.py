@@ -31,7 +31,7 @@ Eq. 1 / Eq. 2 green bands with zero key loss.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -54,6 +54,14 @@ from repro.store import ShardedStore
 
 #: Schemes attacked, public first, the keyed defense last.
 DEFAULT_SCHEMES = ("traditional", "xor", "pmod", "pdisp", "keyed")
+
+#: The attacked store's shard count, the attacker's key space
+#: (2**KEY_BITS keys), the keys it cracks and the hostile trace's
+#: length.
+N_SHARDS = 16
+KEY_BITS = 16
+CRACK_KEYS = 256
+HOSTILE_REQUESTS = 4000
 
 #: Probe bill the GF(2)-linear schemes must fall within (they measure
 #: ~1k; the bound leaves headroom without letting them near the primes).
@@ -82,8 +90,9 @@ def _build_frontend(scheme: str, n_shards: int,
     )
 
 
-def attack_cell(scheme: str, n_shards: int = 16, key_bits: int = 16,
-                crack_keys: int = 256, hostile_requests: int = 4000,
+def attack_cell(scheme: str, n_shards: int = N_SHARDS,
+                key_bits: int = KEY_BITS, crack_keys: int = CRACK_KEYS,
+                hostile_requests: int = HOSTILE_REQUESTS,
                 distinct_keys: int = 16, shard_capacity: int = 256,
                 seed: int = 0) -> Dict[str, Any]:
     """Crack one scheme black-box, then replay its hostile trace.
@@ -283,9 +292,7 @@ def adversary_checks(data: Mapping[str, Any]) -> Dict[str, bool]:
     return checks
 
 
-def run(n_shards: int = 16, key_bits: int = 16, crack_keys: int = 256,
-        hostile_requests: int = 4000, seed: int = 0,
-        schemes: Optional[List[str]] = None) -> Dict[str, Any]:
+def run(seed: int = 0) -> Dict[str, Any]:
     """Full sweep: attack every scheme, then both defense arms.
 
     Observability is enabled for the duration (and restored after)
@@ -297,16 +304,16 @@ def run(n_shards: int = 16, key_bits: int = 16, crack_keys: int = 256,
         enable_observability()
     try:
         attacks = {
-            scheme: attack_cell(scheme, n_shards=n_shards,
-                                key_bits=key_bits, crack_keys=crack_keys,
-                                hostile_requests=hostile_requests,
+            scheme: attack_cell(scheme, n_shards=N_SHARDS,
+                                key_bits=KEY_BITS, crack_keys=CRACK_KEYS,
+                                hostile_requests=HOSTILE_REQUESTS,
                                 seed=seed)
-            for scheme in (schemes or DEFAULT_SCHEMES)
+            for scheme in DEFAULT_SCHEMES
         }
         defense = {
-            "rotation_on": defense_cell(rotate=True, n_shards=n_shards,
+            "rotation_on": defense_cell(rotate=True, n_shards=N_SHARDS,
                                         seed=seed),
-            "rotation_off": defense_cell(rotate=False, n_shards=n_shards,
+            "rotation_off": defense_cell(rotate=False, n_shards=N_SHARDS,
                                          seed=seed),
         }
     finally:
@@ -372,15 +379,9 @@ def render(data: Mapping[str, Any]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    params = {
-        "n_shards": int(ctx.param("n_shards", 16)),
-        "key_bits": int(ctx.param("key_bits", 16)),
-        "crack_keys": int(ctx.param("crack_keys", 256)),
-        "hostile_requests": int(ctx.param("hostile_requests", 4000)),
-        "seed": ctx.config.seed,
-    }
-    data = run(**params)
-    data.update(params)
+    data = run(seed=ctx.config.seed)
+    data.update(n_shards=N_SHARDS, key_bits=KEY_BITS, crack_keys=CRACK_KEYS,
+                hostile_requests=HOSTILE_REQUESTS, seed=ctx.config.seed)
     data["checks"] = adversary_checks(data)
     return data
 

@@ -59,6 +59,16 @@ DEFAULT_STACKS = ("pmod+pmod", "traditional+traditional",
 N_NODES = 8
 SHARDS_PER_NODE = 16
 
+#: Requests per stack at ``--scale 1``; each node's per-shard capacity
+#: and ways per set, the replica count, the re-replication budget (keys
+#: per drain chunk) and the fabric.
+REQUESTS = 8000
+SHARD_CAPACITY = 512
+ASSOC = 16
+REPLICAS = 2
+BUDGET = 128
+TOPOLOGY = "star"
+
 #: Minimum fraction of measured op wall time the per-stage attribution
 #: must explain (the tracing contract, asserted only when tracing ran).
 MIN_STAGE_COVERAGE = 0.9
@@ -103,9 +113,10 @@ def _composed_strided_balance(router: ClusterRouter, n_requests: int,
     return float(balance_from_counts(np.concatenate(counts)))
 
 
-def measure(stack: str, n_requests: int, shard_capacity: int = 512,
-            assoc: int = 16, replicas: int = 2, budget: int = 128,
-            topology: str = "star", seed: int = 0) -> Dict:
+def measure(stack: str, n_requests: int,
+            shard_capacity: int = SHARD_CAPACITY, assoc: int = ASSOC,
+            replicas: int = REPLICAS, budget: int = BUDGET,
+            seed: int = 0) -> Dict:
     """Run the full drill for one routing stack."""
     node_scheme, shard_scheme = stack.split("+")
     journal = Journal()
@@ -116,7 +127,7 @@ def measure(stack: str, n_requests: int, shard_capacity: int = 512,
             shard_scheme=shard_scheme, shards_per_node=SHARDS_PER_NODE,
             shard_capacity=shard_capacity, assoc=assoc,
             replication=ReplicationConfig(replicas=replicas),
-            topology=topology, recovery_budget=budget)
+            topology=TOPOLOGY, recovery_budget=budget)
         requests = make_traffic("zipfian", n_requests, seed=seed)
         populate_end = int(n_requests * 0.4)
         loss_end = int(n_requests * 0.8)
@@ -217,16 +228,12 @@ def measure(stack: str, n_requests: int, shard_capacity: int = 512,
         set_journal(previous)
 
 
-def run(n_requests: int = 8000, shard_capacity: int = 512,
-        assoc: int = 16, replicas: int = 2, budget: int = 128,
-        topology: str = "star", seed: int = 0,
-        stacks: List[str] = None) -> Dict[str, Dict]:
+def run(n_requests: int = REQUESTS, budget: int = BUDGET,
+        seed: int = 0) -> Dict[str, Dict]:
     """Full sweep: ``result[stack] = drill measurement payload``."""
     return {
-        stack: measure(stack, n_requests, shard_capacity=shard_capacity,
-                       assoc=assoc, replicas=replicas, budget=budget,
-                       topology=topology, seed=seed)
-        for stack in (stacks or DEFAULT_STACKS)
+        stack: measure(stack, n_requests, budget=budget, seed=seed)
+        for stack in DEFAULT_STACKS
     }
 
 
@@ -317,34 +324,27 @@ def render(data: Mapping) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    n_requests = max(10, int(int(ctx.param("requests", 8000))
-                             * ctx.config.scale))
-    params = {
+    n_requests = max(10, int(REQUESTS * ctx.config.scale))
+    config = {
         "n_requests": n_requests,
-        "shard_capacity": int(ctx.param("shard_capacity", 512)),
-        "assoc": int(ctx.param("assoc", 16)),
-        "replicas": int(ctx.param("replicas", 2)),
-        "budget": int(ctx.param("budget", 128)),
-        "topology": str(ctx.param("topology", "star")),
-        "seed": ctx.config.seed,
+        "shard_capacity": SHARD_CAPACITY,
+        "assoc": ASSOC,
+        "replicas": REPLICAS,
+        "budget": BUDGET,
+        "topology": TOPOLOGY,
     }
     traced = get_collector().enabled
-    key_params = dict(params, traced=True) if traced else params
+    key = dict(config, seed=ctx.config.seed)
+    if traced:
+        key["traced"] = True
     cells = {
-        stack: ctx.cached("cluster-drill", stack, key_params,
-                          partial(measure, stack, **params))
-        for stack in ctx.param("stacks", DEFAULT_STACKS)
+        stack: ctx.cached("cluster-drill", stack, key,
+                          partial(measure, stack, n_requests,
+                                  seed=ctx.config.seed))
+        for stack in DEFAULT_STACKS
     }
-    return {
-        "n_requests": n_requests,
-        "shard_capacity": params["shard_capacity"],
-        "assoc": params["assoc"],
-        "replicas": params["replicas"],
-        "budget": params["budget"],
-        "topology": params["topology"],
-        "cells": cells,
-        "checks": cluster_checks(cells, traced=traced),
-    }
+    return {**config, "cells": cells,
+            "checks": cluster_checks(cells, traced=traced)}
 
 
 def _render_artifact(artifact: Mapping) -> str:

@@ -1,8 +1,9 @@
 """Shared infrastructure for the paper-reproduction experiments.
 
 Every experiment module follows the same shape: a ``run(...)`` function
-returning a result dataclass and a ``render(result)`` returning the
-terminal report.  One CLI, ``python -m repro.experiments <name>``
+returning result dataclasses (tables, figures) or a JSON-ready dict
+(the drills), and a ``render(...)`` returning the terminal report.  One
+CLI, ``python -m repro.experiments <name>``
 (:mod:`repro.experiments.__main__`), regenerates every figure/table.
 
 Simulation runs flow through :mod:`repro.engine`: the

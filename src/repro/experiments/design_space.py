@@ -21,6 +21,12 @@ from repro.hashing import make_indexing
 from repro.reporting import format_table
 from repro.workloads import get_workload
 
+#: The registered sweep's workload, indexing functions and L2
+#: associativities.
+WORKLOAD = "tree"
+INDEXINGS = ("traditional", "xor", "pmod", "pdisp")
+ASSOCIATIVITIES = (1, 2, 4, 8)
+
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -50,13 +56,12 @@ def _hierarchy(indexing_key: str, assoc: int,
 
 
 def run(workload: str, config: RunConfig = RunConfig(),
-        indexings: Sequence[str] = ("traditional", "xor", "pmod", "pdisp"),
-        associativities: Sequence[int] = (1, 2, 4, 8)) -> List[DesignPoint]:
+        associativities: Sequence[int] = ASSOCIATIVITIES) -> List[DesignPoint]:
     """Sweep the design space for one workload at constant L2 capacity."""
     machine = MachineConfig.paper_default()
     trace = get_workload(workload).trace(scale=config.scale, seed=config.seed)
     points = []
-    for key in indexings:
+    for key in INDEXINGS:
         for assoc in associativities:
             result = simulate_hierarchy(trace,
                                         _hierarchy(key, assoc, machine),
@@ -86,14 +91,8 @@ def render(workload: str, points: List[DesignPoint]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    workload = ctx.param("workload", "tree")
-    points = run(
-        workload, ctx.config,
-        indexings=tuple(ctx.param("indexings",
-                                  ("traditional", "xor", "pmod", "pdisp"))),
-        associativities=tuple(ctx.param("associativities", (1, 2, 4, 8))),
-    )
-    return {"workload": workload, "points": [asdict(p) for p in points]}
+    points = run(WORKLOAD, ctx.config)
+    return {"workload": WORKLOAD, "points": [asdict(p) for p in points]}
 
 
 def _render_artifact(artifact: Mapping) -> str:

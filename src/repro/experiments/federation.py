@@ -85,6 +85,13 @@ BURST_WEIGHTS = (5, 1, 3, 1, 8, 2, 4, 1, 6, 2)
 #: Per-node latency series every cluster op lands in (primary node).
 LATENCY_SERIES = "cluster.node.request_latency_s"
 
+#: Requests per arm at ``--scale 1``, the scrape sweeps they are carved
+#: into, and the time-series store's raw ring and downsampling ratio.
+REQUESTS = 6000
+SWEEPS = 24
+RETENTION_POINTS = 16
+DOWNSAMPLE_RATIO = 4
+
 
 def _burst_sizes(n_requests: int, sweeps: int) -> List[int]:
     """``sweeps`` uneven chunk sizes summing to ``n_requests``."""
@@ -104,9 +111,7 @@ def _slo_spec() -> SloSpec:
                     "objective, evaluated on the federated registry")
 
 
-def measure(arm: str, n_requests: int, sweeps: int = 24,
-            retention_points: int = 16, downsample_ratio: int = 4,
-            seed: int = 0) -> Dict:
+def measure(arm: str, n_requests: int, seed: int = 0) -> Dict:
     """Run the drill for one arm (``healthy`` or ``stalled``)."""
     journal = Journal()
     previous = set_journal(journal)
@@ -120,8 +125,8 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
             node_registries=True)
         fed = Federation.for_cluster(cluster, registry=local,
                                      journal=journal)
-        tsdb = TimeSeriesStore(retention_points=retention_points,
-                               downsample_ratio=downsample_ratio,
+        tsdb = TimeSeriesStore(retention_points=RETENTION_POINTS,
+                               downsample_ratio=DOWNSAMPLE_RATIO,
                                registry=local, journal=journal)
         min_events = int(n_requests * MIN_EVENTS_FRAC)
         fed_engine: Optional[SloEngine] = None
@@ -143,7 +148,7 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
         fed_alerts = 0
         node_alerts = [0] * N_NODES
         latencies: List[float] = []  # every op's, in order
-        for size in _burst_sizes(n_requests, sweeps):
+        for size in _burst_sizes(n_requests, SWEEPS):
             window: List[float] = []  # this sweep's ops
             for request in requests[cursor:cursor + size]:
                 if request.op == "put":
@@ -202,7 +207,7 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
             "arm": arm,
             "victim": victim,
             "requests": n_requests,
-            "sweeps": sweeps,
+            "sweeps": SWEEPS,
             "min_events": min_events,
             "elapsed_s": elapsed_s,
             "exact_p99_s": exact_p99,
@@ -228,7 +233,7 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
                 "evict_events": len(evict_events),
                 "raw_points": len(raw_points),
                 "aged_points": len(aged_points),
-                "retention_points": retention_points,
+                "retention_points": RETENTION_POINTS,
                 "rate": tsdb_rate,
                 "true_rate": true_rate,
                 "rate_rel_err": (abs(tsdb_rate - true_rate)
@@ -242,14 +247,10 @@ def measure(arm: str, n_requests: int, sweeps: int = 24,
         set_journal(previous)
 
 
-def run(n_requests: int = 6000, sweeps: int = 24,
-        retention_points: int = 16, downsample_ratio: int = 4,
-        seed: int = 0) -> Dict[str, Dict]:
+def run(n_requests: int = REQUESTS, seed: int = 0) -> Dict[str, Dict]:
     """Both arms: ``result[arm] = drill measurement payload``."""
     return {
-        arm: measure(arm, n_requests, sweeps=sweeps,
-                     retention_points=retention_points,
-                     downsample_ratio=downsample_ratio, seed=seed)
+        arm: measure(arm, n_requests, seed=seed)
         for arm in ("healthy", "stalled")
     }
 
@@ -330,23 +331,23 @@ def render(data: Mapping) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    n_requests = max(500, int(int(ctx.param("requests", 6000))
-                              * ctx.config.scale))
-    params = {
+    n_requests = max(500, int(REQUESTS * ctx.config.scale))
+    key = {
         "n_requests": n_requests,
-        "sweeps": int(ctx.param("sweeps", 24)),
-        "retention_points": int(ctx.param("retention_points", 16)),
-        "downsample_ratio": int(ctx.param("downsample_ratio", 4)),
+        "sweeps": SWEEPS,
+        "retention_points": RETENTION_POINTS,
+        "downsample_ratio": DOWNSAMPLE_RATIO,
         "seed": ctx.config.seed,
     }
     cells = {
-        arm: ctx.cached("federation-drill", arm, params,
-                        partial(measure, arm, **params))
+        arm: ctx.cached("federation-drill", arm, key,
+                        partial(measure, arm, n_requests,
+                                seed=ctx.config.seed))
         for arm in ("healthy", "stalled")
     }
     return {
         "n_requests": n_requests,
-        "sweeps": params["sweeps"],
+        "sweeps": SWEEPS,
         "cells": cells,
         "checks": federation_checks(cells),
     }

@@ -30,11 +30,11 @@ class FragmentationRow:
         return (self.n_sets_physical - self.n_sets) / self.n_sets_physical
 
 
-def run(set_counts=PAPER_SET_COUNTS) -> List[FragmentationRow]:
-    """Compute Table 1 for the given physical set counts."""
+def run() -> List[FragmentationRow]:
+    """Compute Table 1 for :data:`PAPER_SET_COUNTS`."""
     return [
         FragmentationRow(phys, largest_prime_below(phys))
-        for phys in set_counts
+        for phys in PAPER_SET_COUNTS
     ]
 
 
@@ -51,8 +51,6 @@ def render(rows: List[FragmentationRow]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    set_counts = tuple(ctx.param("set_counts", PAPER_SET_COUNTS))
-    rows = run(set_counts)
     return {
         "rows": [
             {
@@ -60,7 +58,7 @@ def _build(ctx: ExperimentContext) -> Dict:
                 "n_sets": row.n_sets,
                 "fragmentation": row.fragmentation,
             }
-            for row in rows
+            for row in run()
         ]
     }
 

@@ -85,6 +85,12 @@ DRILL_SPAN_EVERY = 4
 #: stages explain at least this fraction of the trace's wall time.
 MIN_WATERFALL_COVERAGE = 0.9
 
+#: Shards of the fault drill's store and of each drift drill store,
+#: and the fault drill's open-loop request rate.
+N_SHARDS = 8
+DRIFT_SHARDS = 64
+RATE_RPS = 3000.0
+
 
 def hottest_shards(scheme: str, requests: Sequence, n_shards: int,
                    top: int = 2) -> List[int]:
@@ -100,44 +106,37 @@ def hottest_shards(scheme: str, requests: Sequence, n_shards: int,
     return [shard for shard, _ in counts.most_common(top)]
 
 
-def drill(scheme: str, requests: Sequence, *, n_shards: int = 8,
-          stall_shards: Sequence[int] = (), stall_s: float = 0.25,
-          timeout_s: float = P99_TARGET_S, rate_rps: float = 3000.0,
-          seed: int = 0, store: Optional[ShardedStore] = None,
+def drill(scheme: str, requests: Sequence, *,
+          stall_shards: Sequence[int] = (), seed: int = 0,
+          store: Optional[ShardedStore] = None,
           injector: Optional[FaultInjector] = None) -> Dict:
     """One open-loop serving phase; returns the load-report payload.
 
     A provided ``store``/``injector`` is reused as-is (the frontend is
     still rebuilt — it holds asyncio primitives bound to the phase's
     event loop), which is how the self-healing drill keeps faults and
-    quarantine state alive across phases.  Without them, fresh ones
-    are built (the ``injector`` only when ``stall_shards`` is
-    non-empty).
+    quarantine state alive across phases.  Without them, a fresh store
+    serves the phase and no fault is injected.
 
     Unlike :func:`repro.experiments.serving.measure` this deliberately
     does **not** publish the store's balance gauges: the drill's
     zipfian popularity skew is workload skew, not hashing drift, and
     must not leak into the drift drill's detector.
     """
-    if injector is None and stall_shards:
-        injector = FaultInjector(stall_s=stall_s, seed=seed)
-        for shard in stall_shards:
-            injector.stall(shard % n_shards)
-
     def build() -> Frontend:
         backend = store if store is not None else ShardedStore(
-            n_shards=n_shards, scheme=scheme, shard_capacity=256)
+            n_shards=N_SHARDS, scheme=scheme, shard_capacity=256)
         return Frontend(
             backend,
             batch=BatchConfig(max_batch_size=32, max_wait_s=0.001),
             admission=AdmissionConfig(rate=None, burst=128,
                                       max_queue_depth=512),
-            policy=FaultPolicy(timeout_s=timeout_s, max_retries=1),
+            policy=FaultPolicy(timeout_s=P99_TARGET_S, max_retries=1),
             injector=injector,
             span_every=DRILL_SPAN_EVERY,
         )
 
-    report = run_open_loop(build, requests, rate_rps=rate_rps,
+    report = run_open_loop(build, requests, rate_rps=RATE_RPS,
                            arrival="bursty", seed=seed)
     payload = report.as_dict()
     payload["scheme"] = scheme
@@ -218,8 +217,7 @@ def health_checks(healthy: Sequence[Mapping], stalled: Sequence[Mapping],
     }
 
 
-def run(scale: float = 1.0, seed: int = 0, n_shards: int = 8,
-        drift_shards: int = 64) -> Dict:
+def run(scale: float = 1.0, seed: int = 0) -> Dict:
     """Both drills end to end; returns the artifact's data block.
 
     Runs on the process-wide registry/journal so the emitting layers,
@@ -245,21 +243,20 @@ def run(scale: float = 1.0, seed: int = 0, n_shards: int = 8,
                            flight=flight)
         n_healthy = max(200, int(600 * scale))
         healthy_requests = make_traffic("zipfian", n_healthy, seed=seed)
-        healthy_payload = drill("pmod", healthy_requests,
-                                n_shards=n_shards, seed=seed)
+        healthy_payload = drill("pmod", healthy_requests, seed=seed)
         healthy_statuses = [s.as_dict() for s in engine.evaluate()]
 
         n_stalled = 2 * n_healthy
         stall_requests = make_traffic("zipfian", n_stalled, seed=seed + 1)
-        stall_shards = hottest_shards("pmod", stall_requests, n_shards)
+        stall_shards = hottest_shards("pmod", stall_requests, N_SHARDS)
         # The store and the (still-faulty) injector survive into the
         # recovery phase: the controller fixes routing, not the fault.
-        fault_store = ShardedStore(n_shards=n_shards, scheme="pmod",
+        fault_store = ShardedStore(n_shards=N_SHARDS, scheme="pmod",
                                    shard_capacity=256)
         fault_injector = FaultInjector(stall_s=0.25, seed=seed)
         for shard in stall_shards:
-            fault_injector.stall(shard % n_shards)
-        stall_payload = drill("pmod", stall_requests, n_shards=n_shards,
+            fault_injector.stall(shard % N_SHARDS)
+        stall_payload = drill("pmod", stall_requests,
                               stall_shards=stall_shards, seed=seed,
                               store=fault_store, injector=fault_injector)
         stalled_statuses = [s.as_dict() for s in engine.evaluate()]
@@ -277,7 +274,6 @@ def run(scale: float = 1.0, seed: int = 0, n_shards: int = 8,
         recovery_requests = make_traffic("zipfian", n_recovery,
                                          seed=seed + 2)
         recovery_payload = drill("pmod", recovery_requests,
-                                 n_shards=n_shards,
                                  stall_shards=stall_shards, seed=seed,
                                  store=fault_store,
                                  injector=fault_injector)
@@ -290,10 +286,10 @@ def run(scale: float = 1.0, seed: int = 0, n_shards: int = 8,
             "post_alerts": post_alerts,
         }
 
-        detector = HashQualityDetector(strict_bands(drift_shards),
+        detector = HashQualityDetector(strict_bands(DRIFT_SHARDS),
                                        registry=get_registry(),
                                        journal=journal)
-        drift = drift_drill(max(512, int(4096 * scale)), drift_shards,
+        drift = drift_drill(max(512, int(4096 * scale)), DRIFT_SHARDS,
                             seed, detector)
         chain = _journal_chain(journal)
         flight_events = [e.as_dict()
@@ -303,8 +299,8 @@ def run(scale: float = 1.0, seed: int = 0, n_shards: int = 8,
             by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
         return {
             "p99_target_s": P99_TARGET_S,
-            "n_shards": n_shards,
-            "drift_shards": drift_shards,
+            "n_shards": N_SHARDS,
+            "drift_shards": DRIFT_SHARDS,
             "healthy": {"payload": healthy_payload,
                         "slos": healthy_statuses},
             "stalled": {"payload": stall_payload,
@@ -410,12 +406,7 @@ def render(data: Mapping) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    return run(
-        scale=ctx.config.scale,
-        seed=ctx.config.seed,
-        n_shards=int(ctx.param("n_shards", 8)),
-        drift_shards=int(ctx.param("drift_shards", 64)),
-    )
+    return run(scale=ctx.config.scale, seed=ctx.config.seed)
 
 
 def _render_artifact(artifact: Mapping) -> str:

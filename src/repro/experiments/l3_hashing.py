@@ -29,6 +29,11 @@ L1_GEOMETRY = (16, 2, 32)
 L2_GEOMETRY = (256, 8, 64)
 L3_GEOMETRY = (2048, 16, 64)
 
+#: Workloads of the registered run, and the L3 indexing functions
+#: compared (the L1 and L2 stay traditional).
+WORKLOADS = ("tree", "mcf", "lu")
+INDEXINGS = ("traditional", "pmod", "pdisp")
+
 
 def build_three_level(l3_indexing_key: str) -> CacheHierarchy:
     """L1/L2 traditional, L3 indexed by ``l3_indexing_key``."""
@@ -55,14 +60,13 @@ class L3Result:
     l3_accesses: int
 
 
-def run(workloads: Sequence[str] = ("tree", "mcf", "lu"),
-        config: RunConfig = RunConfig(),
-        indexings: Sequence[str] = ("traditional", "pmod", "pdisp")) -> List[L3Result]:
+def run(workloads: Sequence[str] = WORKLOADS,
+        config: RunConfig = RunConfig()) -> List[L3Result]:
     results = []
     for workload in workloads:
         trace = get_workload(workload).trace(scale=config.scale,
                                              seed=config.seed)
-        for key in indexings:
+        for key in INDEXINGS:
             hierarchy = build_three_level(key)
             access = hierarchy.access
             for address, is_write in trace_accesses(trace, 0, len(trace)):
@@ -92,13 +96,7 @@ def render(results: List[L3Result]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    results = run(
-        workloads=tuple(ctx.param("workloads", ("tree", "mcf", "lu"))),
-        config=ctx.config,
-        indexings=tuple(ctx.param("indexings",
-                                  ("traditional", "pmod", "pdisp"))),
-    )
-    return {"results": [asdict(r) for r in results]}
+    return {"results": [asdict(r) for r in run(config=ctx.config)]}
 
 
 def _render_artifact(artifact: Mapping) -> str:

@@ -27,6 +27,10 @@ from repro.reporting import format_table, sparkline_series
 from repro.trace.records import Trace
 from repro.workloads import get_workload
 
+#: Figure 13's application and the two schemes it compares.
+WORKLOAD = "tree"
+SCHEMES = ("base", "pmod")
+
 
 @dataclass
 class MissDistribution:
@@ -67,11 +71,11 @@ def _measure(trace: Trace, schemes: Sequence[str],
     return results
 
 
-def run(config: RunConfig = RunConfig(), workload: str = "tree",
-        schemes=("base", "pmod")) -> Dict[str, MissDistribution]:
-    """Collect per-set miss counts for the requested schemes."""
+def run(config: RunConfig = RunConfig(),
+        workload: str = WORKLOAD) -> Dict[str, MissDistribution]:
+    """Collect per-set miss counts for :data:`SCHEMES`."""
     trace = get_workload(workload).trace(scale=config.scale, seed=config.seed)
-    return _measure(trace, schemes)
+    return _measure(trace, SCHEMES)
 
 
 def render(results: Dict[str, MissDistribution],
@@ -103,20 +107,18 @@ def _build(ctx: ExperimentContext) -> Dict:
     """Per-set miss counts on the engine's machine, cached as one cell
     (the counts are not part of ExecutionResult)."""
     engine = ctx.engine
-    workload = ctx.param("workload", "tree")
-    schemes = tuple(ctx.param("schemes", ("base", "pmod")))
 
     def compute() -> Dict:
-        measured = _measure(engine.traces.get(workload), schemes,
+        measured = _measure(engine.traces.get(WORKLOAD), SCHEMES,
                             engine.machine)
         return {scheme: dist.set_misses.astype(int).tolist()
                 for scheme, dist in measured.items()}
 
-    params = {"schemes": list(schemes),
+    params = {"schemes": list(SCHEMES),
               "machine": machine_fingerprint(engine.machine)}
     return {
-        "workload": workload,
-        "distributions": ctx.cached(workload, "set_misses", params, compute),
+        "workload": WORKLOAD,
+        "distributions": ctx.cached(WORKLOAD, "set_misses", params, compute),
     }
 
 

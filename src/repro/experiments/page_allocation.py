@@ -50,6 +50,10 @@ L2_COLOR_BITS = 5
 
 POLICIES = ("sequential", "random", "colored")
 
+#: Workloads of the registered run: offset-driven (tree) and
+#: pitch-driven (bt) conflicts.
+WORKLOADS = ("tree", "bt")
+
 
 def make_allocator(policy: str, seed: int):
     if policy == "sequential":
@@ -77,15 +81,14 @@ class AllocationResult:
         return self.pmod_misses / self.base_misses
 
 
-def run(workloads: Sequence[str] = ("tree", "bt"),
-        config: RunConfig = RunConfig(),
-        policies: Sequence[str] = POLICIES) -> List[AllocationResult]:
+def run(workloads: Sequence[str] = WORKLOADS,
+        config: RunConfig = RunConfig()) -> List[AllocationResult]:
     """Measure the Base/pMod miss gap under each allocation policy."""
     results = []
     for workload in workloads:
         virtual = get_workload(workload).trace(scale=config.scale,
                                                seed=config.seed)
-        for policy in policies:
+        for policy in POLICIES:
             vm = VirtualMemory(make_allocator(policy, config.seed))
             physical = vm.translate_trace(virtual)
             blocks = physical.block_addresses(L2_BLOCK)
@@ -112,12 +115,7 @@ def render(results: List[AllocationResult]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    results = run(
-        workloads=tuple(ctx.param("workloads", ("tree", "bt"))),
-        config=ctx.config,
-        policies=tuple(ctx.param("policies", POLICIES)),
-    )
-    return {"results": [asdict(r) for r in results]}
+    return {"results": [asdict(r) for r in run(config=ctx.config)]}
 
 
 def _render_artifact(artifact: Mapping) -> str:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping
 
-import numpy as np
-
 from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.hashing import (
     PrimeDisplacementIndexing,
@@ -30,6 +28,12 @@ from repro.reporting import format_table
 
 #: Balance within 10% of ideal counts as "ideal" for a finite sequence.
 BALANCE_TOLERANCE = 1.1
+
+#: The paper's L2 geometry, the strides 1..STRIDE_LIMIT profiled, and
+#: the addresses of each strided sequence.
+N_SETS_PHYSICAL = 2048
+STRIDE_LIMIT = 256
+N_ADDRESSES = 8192
 
 
 @dataclass(frozen=True)
@@ -47,13 +51,12 @@ class HashProfile:
     replacement_restricted: bool
 
 
-def _profile(name, indexing, strides, n_addresses, simple_hw=True,
-             replacement_restricted=False) -> HashProfile:
+def _profile(name, indexing) -> HashProfile:
     odd_ok = even_ok = odd_total = even_total = 0
     total_violations = 0
     total_pairs = 0
-    for s in strides:
-        addrs = strided_addresses(s, n_addresses)
+    for s in range(1, STRIDE_LIMIT + 1):
+        addrs = strided_addresses(s, N_ADDRESSES)
         ideal = balance(indexing, addrs) <= BALANCE_TOLERANCE
         if s % 2:
             odd_total += 1
@@ -62,7 +65,7 @@ def _profile(name, indexing, strides, n_addresses, simple_hw=True,
             even_total += 1
             even_ok += ideal
         total_violations += sequence_invariance_violations(indexing, addrs)
-        total_pairs += n_addresses
+        total_pairs += N_ADDRESSES
     invariant = total_violations == 0
     # pDisp breaks the implication for roughly one set per subsequence
     # (~10% of pairs over this sweep); XOR breaks it for ~74%.  A 1/3
@@ -84,24 +87,19 @@ def _profile(name, indexing, strides, n_addresses, simple_hw=True,
         strides_tested=odd_total + even_total,
         sequence_invariant=invariant,
         partially_invariant=partial,
-        simple_hardware=simple_hw,
-        replacement_restricted=replacement_restricted,
+        simple_hardware=True,
+        replacement_restricted=False,
     )
 
 
-def run(n_sets_physical: int = 2048, n_addresses: int = 8192,
-        stride_limit: int = 256) -> List[HashProfile]:
-    """Profile the four single-hash functions over strides 1..limit,
-    plus the skewed families' static properties."""
-    strides = range(1, stride_limit + 1)
+def run() -> List[HashProfile]:
+    """Profile the four single-hash functions over strides
+    1..STRIDE_LIMIT, plus the skewed families' static properties."""
     profiles = [
-        _profile("Traditional", TraditionalIndexing(n_sets_physical),
-                 strides, n_addresses),
-        _profile("XOR", XorIndexing(n_sets_physical), strides, n_addresses),
-        _profile("pMod", PrimeModuloIndexing(n_sets_physical),
-                 strides, n_addresses),
-        _profile("pDisp", PrimeDisplacementIndexing(n_sets_physical),
-                 strides, n_addresses),
+        _profile("Traditional", TraditionalIndexing(N_SETS_PHYSICAL)),
+        _profile("XOR", XorIndexing(N_SETS_PHYSICAL)),
+        _profile("pMod", PrimeModuloIndexing(N_SETS_PHYSICAL)),
+        _profile("pDisp", PrimeDisplacementIndexing(N_SETS_PHYSICAL)),
     ]
     # Skewed caches: balance/invariance are per-bank and the cache-level
     # behavior is probabilistic; what Table 2 records is the replacement
@@ -148,12 +146,7 @@ def render(profiles: List[HashProfile]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    profiles = run(
-        n_sets_physical=int(ctx.param("n_sets_physical", 2048)),
-        n_addresses=int(ctx.param("n_addresses", 8192)),
-        stride_limit=int(ctx.param("stride_limit", 256)),
-    )
-    return {"profiles": [asdict(p) for p in profiles]}
+    return {"profiles": [asdict(p) for p in run()]}
 
 
 def _render_artifact(artifact: Mapping) -> str:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import partial
 from time import perf_counter
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -47,6 +47,15 @@ from repro.store.routing import canonical_key
 
 #: Schemes resharded, in the paper's figure order.
 DEFAULT_SCHEMES = ("traditional", "xor", "pmod", "pdisp")
+
+#: Requests per scheme at ``--scale 1``; every store's per-shard
+#: capacity, ways per set and replacement policy; and the live requests
+#: served between two migrator steps.
+REQUESTS = 20000
+SHARD_CAPACITY = 512
+ASSOC = 16
+REPLACEMENT = "lru"
+CHUNK_REQUESTS = 256
 
 #: Starting shard count per scheme: pMod on the prime rung below 64,
 #: everything else on 64 itself; ``RoutingTable.grown`` then climbs one
@@ -89,14 +98,13 @@ def _strided_balance(table: RoutingTable, n_requests: int,
     return float(balance_from_counts(counts))
 
 
-def measure(scheme: str, n_requests: int, shard_capacity: int = 512,
-            assoc: int = 16, replacement: str = "lru",
-            budget: int = DEFAULT_MOVE_BUDGET, chunk_requests: int = 256,
+def measure(scheme: str, n_requests: int,
+            shard_capacity: int = SHARD_CAPACITY, assoc: int = ASSOC,
             seed: int = 0) -> Dict:
     """Reshard one scheme one rung up its ladder under live traffic."""
     from_n = start_shards(scheme)
     store = ShardedStore(from_n, scheme, shard_capacity=shard_capacity,
-                         assoc=assoc, replacement=replacement)
+                         assoc=assoc, replacement=REPLACEMENT)
     requests = make_traffic("zipfian", n_requests, seed=seed)
     split = len(requests) // 2
     model: Dict[int, int] = {}
@@ -110,11 +118,11 @@ def measure(scheme: str, n_requests: int, shard_capacity: int = 512,
     # Phase B — grow one ladder rung and serve the second half while
     # the migrator drains the old epoch in bounded chunks.
     store.begin_reshard(store.routing.grown())
-    migrator = Migrator(store, budget=budget)
+    migrator = Migrator(store, budget=DEFAULT_MOVE_BUDGET)
     live = requests[split:]
     started = perf_counter()
-    for lo in range(0, len(live), chunk_requests):
-        for request in live[lo:lo + chunk_requests]:
+    for lo in range(0, len(live), CHUNK_REQUESTS):
+        for request in live[lo:lo + CHUNK_REQUESTS]:
             _apply(store, model, request)
         migrator.step()
     elapsed = perf_counter() - started
@@ -149,16 +157,11 @@ def measure(scheme: str, n_requests: int, shard_capacity: int = 512,
     }
 
 
-def run(n_requests: int = 20000, shard_capacity: int = 512,
-        assoc: int = 16, replacement: str = "lru",
-        budget: int = DEFAULT_MOVE_BUDGET, chunk_requests: int = 256,
-        seed: int = 0, schemes: List[str] = None) -> Dict[str, Dict]:
+def run(n_requests: int = REQUESTS, seed: int = 0) -> Dict[str, Dict]:
     """Full sweep: ``result[scheme] = reshard measurement payload``."""
     return {
-        scheme: measure(scheme, n_requests, shard_capacity=shard_capacity,
-                        assoc=assoc, replacement=replacement, budget=budget,
-                        chunk_requests=chunk_requests, seed=seed)
-        for scheme in (schemes or DEFAULT_SCHEMES)
+        scheme: measure(scheme, n_requests, seed=seed)
+        for scheme in DEFAULT_SCHEMES
     }
 
 
@@ -219,32 +222,23 @@ def render(data: Mapping) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    n_requests = max(1, int(int(ctx.param("requests", 20000))
-                            * ctx.config.scale))
-    params = {
+    n_requests = max(1, int(REQUESTS * ctx.config.scale))
+    config = {
         "n_requests": n_requests,
-        "shard_capacity": int(ctx.param("shard_capacity", 512)),
-        "assoc": int(ctx.param("assoc", 16)),
-        "replacement": str(ctx.param("replacement", "lru")),
-        "budget": int(ctx.param("budget", DEFAULT_MOVE_BUDGET)),
-        "chunk_requests": int(ctx.param("chunk_requests", 256)),
-        "seed": ctx.config.seed,
+        "shard_capacity": SHARD_CAPACITY,
+        "assoc": ASSOC,
+        "replacement": REPLACEMENT,
+        "budget": DEFAULT_MOVE_BUDGET,
+        "chunk_requests": CHUNK_REQUESTS,
     }
+    key = dict(config, seed=ctx.config.seed)
     cells = {
-        scheme: ctx.cached("store-reshard", scheme, params,
-                           partial(measure, scheme, **params))
-        for scheme in ctx.param("schemes", DEFAULT_SCHEMES)
+        scheme: ctx.cached("store-reshard", scheme, key,
+                           partial(measure, scheme, n_requests,
+                                   seed=ctx.config.seed))
+        for scheme in DEFAULT_SCHEMES
     }
-    return {
-        "n_requests": n_requests,
-        "shard_capacity": params["shard_capacity"],
-        "assoc": params["assoc"],
-        "replacement": params["replacement"],
-        "budget": params["budget"],
-        "chunk_requests": params["chunk_requests"],
-        "cells": cells,
-        "checks": reshard_checks(cells),
-    }
+    return {**config, "cells": cells, "checks": reshard_checks(cells)}
 
 
 def _render_artifact(artifact: Mapping) -> str:

@@ -9,7 +9,7 @@ each scheme's speedup.  The reproduction's claims should hold for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.engine import (
     ExperimentContext,
@@ -19,6 +19,11 @@ from repro.engine import (
 )
 from repro.experiments.common import RunConfig
 from repro.reporting import format_table
+
+#: The slice of the evaluation re-run, and the workload RNG seeds.
+WORKLOADS = ("tree", "mcf", "lu")
+SCHEMES = ("pmod", "pdisp")
+SEEDS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -47,10 +52,7 @@ class SeedSpread:
         return (self.maximum - self.minimum) / self.mean
 
 
-def run(workloads: Sequence[str] = ("tree", "mcf", "lu"),
-        schemes: Sequence[str] = ("pmod", "pdisp"),
-        seeds: Sequence[int] = (0, 1, 2),
-        scale: float = 0.3,
+def run(scale: float = 0.3,
         make_store: Optional[Callable[[RunConfig], SimulationEngine]] = None,
         ) -> List[SeedSpread]:
     """``make_store`` builds the per-seed runner; the default is an
@@ -60,12 +62,12 @@ def run(workloads: Sequence[str] = ("tree", "mcf", "lu"),
     make_store = make_store or SimulationEngine
     stores = {
         seed: make_store(RunConfig(scale=scale, seed=seed))
-        for seed in seeds
+        for seed in SEEDS
     }
-    for workload in workloads:
-        for scheme in schemes:
+    for workload in WORKLOADS:
+        for scheme in SCHEMES:
             speedups = tuple(
-                stores[seed].speedup(workload, scheme) for seed in seeds
+                stores[seed].speedup(workload, scheme) for seed in SEEDS
             )
             results.append(SeedSpread(workload, scheme, speedups))
     return results
@@ -91,13 +93,7 @@ def _build(ctx: ExperimentContext) -> Dict:
             config, machine=ctx.engine.machine,
             cache_dir=None if cache is None else cache.root.parent)
 
-    results = run(
-        workloads=tuple(ctx.param("workloads", ("tree", "mcf", "lu"))),
-        schemes=tuple(ctx.param("schemes", ("pmod", "pdisp"))),
-        seeds=tuple(ctx.param("seeds", (0, 1, 2))),
-        scale=ctx.config.scale,
-        make_store=make_store,
-    )
+    results = run(scale=ctx.config.scale, make_store=make_store)
     return {
         "spreads": [
             {"workload": r.workload, "scheme": r.scheme,

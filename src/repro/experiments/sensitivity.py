@@ -12,7 +12,7 @@ footprint outright — the crossover this experiment locates.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 from repro.cache import simulate_misses
 from repro.engine import ExperimentContext, ExperimentSpec, register
@@ -23,6 +23,9 @@ from repro.workloads import get_workload
 
 #: L2 capacities swept, in KB (paper's is 512).
 DEFAULT_CAPACITIES_KB = (128, 256, 512, 1024, 2048)
+
+#: The registered sweep's workload.
+WORKLOAD = "tree"
 
 L2_BLOCK_BYTES = 64
 L2_ASSOC = 4
@@ -45,8 +48,7 @@ class SensitivityPoint:
         return self.pmod_misses / self.base_misses
 
 
-def run(workload: str, config: RunConfig = RunConfig(),
-        capacities_kb: Sequence[int] = DEFAULT_CAPACITIES_KB) -> List[SensitivityPoint]:
+def run(workload: str, config: RunConfig = RunConfig()) -> List[SensitivityPoint]:
     """Sweep L2 capacity for one workload (miss-only fast path).
 
     Uses raw L2-block streams (no L1 filtering) — the L1 filter is
@@ -55,7 +57,7 @@ def run(workload: str, config: RunConfig = RunConfig(),
     trace = get_workload(workload).trace(scale=config.scale, seed=config.seed)
     blocks = trace.block_addresses(L2_BLOCK_BYTES)
     points = []
-    for capacity_kb in capacities_kb:
+    for capacity_kb in DEFAULT_CAPACITIES_KB:
         n_sets = capacity_kb * 1024 // (L2_BLOCK_BYTES * L2_ASSOC)
         if n_sets & (n_sets - 1):
             raise ValueError(f"capacity {capacity_kb} KB gives a non-power-"
@@ -83,12 +85,7 @@ def render(points: List[SensitivityPoint]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    points = run(
-        ctx.param("workload", "tree"), ctx.config,
-        capacities_kb=tuple(ctx.param("capacities_kb",
-                                      DEFAULT_CAPACITIES_KB)),
-    )
-    return {"points": [asdict(p) for p in points]}
+    return {"points": [asdict(p) for p in run(WORKLOAD, ctx.config)]}
 
 
 def _render_artifact(artifact: Mapping) -> str:

@@ -56,16 +56,31 @@ SPAN_EVERY = 8
 #: decomposition must explain for a scheme's attribution to count.
 MIN_STAGE_COVERAGE = 0.9
 
+#: The offered load: requests per scheme at ``--scale 1``, traffic
+#: pattern, open-loop rate and arrival process.
+REQUESTS = 2500
+PATTERN = "zipfian"
+RATE_RPS = 12000.0
+ARRIVAL = "bursty"
 
-def measure(scheme: str, n_requests: int, pattern: str = "zipfian",
-            rate_rps: float = 12000.0, arrival: str = "bursty",
-            admit_rate: Optional[float] = 8000.0, burst: int = 128,
-            max_queue_depth: int = 512, max_batch_size: int = 32,
-            max_wait_s: float = 0.001, timeout_s: float = 0.05,
-            max_retries: int = 1, n_shards: int = 32,
-            shard_capacity: int = 256, seed: int = 0,
-            stall_shard: Optional[int] = None,
-            stall_s: float = 0.25) -> Dict:
+#: The frontend: admission token rate and burst, the in-flight cap,
+#: the batch window, and the per-request timeout and retries.
+ADMIT_RATE = 8000.0
+BURST = 128
+MAX_QUEUE_DEPTH = 512
+MAX_BATCH_SIZE = 32
+MAX_WAIT_S = 0.001
+TIMEOUT_S = 0.05
+MAX_RETRIES = 1
+
+#: The backing store, and how long a stalled shard holds each batch.
+N_SHARDS = 32
+SHARD_CAPACITY = 256
+STALL_S = 0.25
+
+
+def measure(scheme: str, n_requests: int, seed: int = 0,
+            stall_shard: Optional[int] = None) -> Dict:
     """Drive one scheme's frontend open-loop; returns the cell payload.
 
     The payload is the :class:`~repro.serve.LoadReport` dict plus the
@@ -75,28 +90,28 @@ def measure(scheme: str, n_requests: int, pattern: str = "zipfian",
     telemetry = {}
 
     def build() -> Frontend:
-        store = ShardedStore(n_shards=n_shards, scheme=scheme,
-                             shard_capacity=shard_capacity)
+        store = ShardedStore(n_shards=N_SHARDS, scheme=scheme,
+                             shard_capacity=SHARD_CAPACITY)
         telemetry["store"] = store
         injector = None
         if stall_shard is not None:
-            injector = FaultInjector(stall_s=stall_s, seed=seed)
+            injector = FaultInjector(stall_s=STALL_S, seed=seed)
             injector.stall(stall_shard % store.n_shards)
         return Frontend(
             store,
-            batch=BatchConfig(max_batch_size=max_batch_size,
-                              max_wait_s=max_wait_s),
-            admission=AdmissionConfig(rate=admit_rate, burst=burst,
-                                      max_queue_depth=max_queue_depth),
-            policy=FaultPolicy(timeout_s=timeout_s,
-                               max_retries=max_retries),
+            batch=BatchConfig(max_batch_size=MAX_BATCH_SIZE,
+                              max_wait_s=MAX_WAIT_S),
+            admission=AdmissionConfig(rate=ADMIT_RATE, burst=BURST,
+                                      max_queue_depth=MAX_QUEUE_DEPTH),
+            policy=FaultPolicy(timeout_s=TIMEOUT_S,
+                               max_retries=MAX_RETRIES),
             injector=injector,
             span_every=SPAN_EVERY,
         )
 
-    requests = make_traffic(pattern, n_requests, seed=seed)
-    report = run_open_loop(build, requests, rate_rps=rate_rps,
-                           arrival=arrival, seed=seed)
+    requests = make_traffic(PATTERN, n_requests, seed=seed)
+    report = run_open_loop(build, requests, rate_rps=RATE_RPS,
+                           arrival=ARRIVAL, seed=seed)
     store = telemetry["store"]
     store_telemetry = store.telemetry()
     payload = report.as_dict()
@@ -186,50 +201,40 @@ def render(data: Mapping) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    n_requests = max(1, int(int(ctx.param("requests", 2500))
-                            * ctx.config.scale))
-    stall_param = ctx.param("stall_shard", None)
-    params = {
-        "n_requests": n_requests,
-        "pattern": str(ctx.param("pattern", "zipfian")),
-        "rate_rps": float(ctx.param("rate_rps", 12000.0)),
-        "arrival": str(ctx.param("arrival", "bursty")),
-        "admit_rate": (float(ctx.param("admit_rate", 8000.0))
-                       if ctx.param("admit_rate", 8000.0) is not None
-                       else None),
-        "burst": int(ctx.param("burst", 128)),
-        "max_queue_depth": int(ctx.param("max_queue_depth", 512)),
-        "max_batch_size": int(ctx.param("max_batch_size", 32)),
-        "max_wait_s": float(ctx.param("max_wait_s", 0.001)),
-        "timeout_s": float(ctx.param("timeout_s", 0.05)),
-        "max_retries": int(ctx.param("max_retries", 1)),
-        "n_shards": int(ctx.param("n_shards", 32)),
-        "shard_capacity": int(ctx.param("shard_capacity", 256)),
-        "seed": ctx.config.seed,
-        "stall_shard": (int(stall_param)
-                        if stall_param is not None else None),
-        "stall_s": float(ctx.param("stall_s", 0.25)),
-    }
+    n_requests = max(1, int(REQUESTS * ctx.config.scale))
+    stall_shard = ctx.param("stall_shard")
     traced = get_collector().enabled
-    key_params = dict(params, traced=True) if traced else params
+    key = {
+        "n_requests": n_requests, "pattern": PATTERN, "rate_rps": RATE_RPS,
+        "arrival": ARRIVAL, "admit_rate": ADMIT_RATE, "burst": BURST,
+        "max_queue_depth": MAX_QUEUE_DEPTH,
+        "max_batch_size": MAX_BATCH_SIZE, "max_wait_s": MAX_WAIT_S,
+        "timeout_s": TIMEOUT_S, "max_retries": MAX_RETRIES,
+        "n_shards": N_SHARDS, "shard_capacity": SHARD_CAPACITY,
+        "seed": ctx.config.seed, "stall_shard": stall_shard,
+        "stall_s": STALL_S,
+    }
+    if traced:
+        key["traced"] = True
     cells = {
-        scheme: ctx.cached(f"serve-{params['pattern']}", scheme, key_params,
-                           partial(measure, scheme, **params))
-        for scheme in ctx.param("schemes", DEFAULT_SCHEMES)
+        scheme: ctx.cached(f"serve-{PATTERN}", scheme, key,
+                           partial(measure, scheme, n_requests,
+                                   ctx.config.seed, stall_shard))
+        for scheme in DEFAULT_SCHEMES
     }
     return {
         "n_requests": n_requests,
-        "pattern": params["pattern"],
-        "arrival": params["arrival"],
-        "rate_rps": params["rate_rps"],
-        "admit_rate": params["admit_rate"],
-        "max_queue_depth": params["max_queue_depth"],
-        "n_shards": params["n_shards"],
-        "stall_shard": params["stall_shard"],
+        "pattern": PATTERN,
+        "arrival": ARRIVAL,
+        "rate_rps": RATE_RPS,
+        "admit_rate": ADMIT_RATE,
+        "max_queue_depth": MAX_QUEUE_DEPTH,
+        "n_shards": N_SHARDS,
+        "stall_shard": stall_shard,
         "schemes": cells,
-        "checks": degradation_checks(cells, params["max_queue_depth"],
-                                     stalled=params["stall_shard"]
-                                     is not None, traced=traced),
+        "checks": degradation_checks(cells, MAX_QUEUE_DEPTH,
+                                     stalled=stall_shard is not None,
+                                     traced=traced),
     }
 
 
@@ -244,4 +249,5 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
     uses_simulation=False,
+    params={"stall_shard": None},
 ))

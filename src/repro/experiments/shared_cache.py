@@ -25,6 +25,10 @@ from repro.workloads import get_workload
 DEFAULT_PAIRS = (("tree", "swim"), ("mcf", "lu"), ("bt", "gap"))
 DEFAULT_SCHEMES = ("base", "pmod", "pdisp", "skw+pdisp")
 
+#: Accesses each program runs before the shared L2 switches to the
+#: other.
+QUANTUM = 2048
+
 
 @dataclass(frozen=True)
 class SharedCacheResult:
@@ -45,8 +49,7 @@ class SharedCacheResult:
 
 def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
         config: RunConfig = RunConfig(),
-        schemes: Sequence[str] = DEFAULT_SCHEMES,
-        quantum: int = 2048) -> List[SharedCacheResult]:
+        schemes: Sequence[str] = DEFAULT_SCHEMES) -> List[SharedCacheResult]:
     results = []
     solo_cache: Dict[Tuple[str, str], int] = {}
     for first_name, second_name in pairs:
@@ -54,7 +57,7 @@ def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
                                                seed=config.seed)
         second = get_workload(second_name).trace(scale=config.scale,
                                                  seed=config.seed + 1)
-        combined = interleave_traces(first, second, quantum=quantum)
+        combined = interleave_traces(first, second, quantum=QUANTUM)
         for scheme in schemes:
             for name, trace in ((first_name, first), (second_name, second)):
                 key = (name, scheme)
@@ -89,14 +92,7 @@ def render(results: List[SharedCacheResult]) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    pairs = tuple(tuple(p) for p in ctx.param("pairs", DEFAULT_PAIRS))
-    results = run(
-        pairs=pairs,
-        config=ctx.config,
-        schemes=tuple(ctx.param("schemes", DEFAULT_SCHEMES)),
-        quantum=int(ctx.param("quantum", 2048)),
-    )
-    return {"results": [asdict(r) for r in results]}
+    return {"results": [asdict(r) for r in run(config=ctx.config)]}
 
 
 def _render_artifact(artifact: Mapping) -> str:

@@ -19,12 +19,14 @@ streams, where power-of-two routing collapses onto a handful of shards.
 With ``--cache-dir`` set, each (pattern, scheme) measurement is
 content-addressed through :meth:`~repro.engine.ExperimentContext.cached`
 and reused across runs; ``--check`` gates the four ordering checks.
+``--param workers=N`` replays every cell from N threads, the path that
+drives the shard locks concurrently.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 from repro.engine import ExperimentContext, ExperimentSpec, register
 from repro.reporting import shard_balance_chart, shard_balance_table
@@ -40,36 +42,33 @@ DEFAULT_PATTERNS = ("zipfian", "strided", "pow2")
 #: is asserted by the artifact's ``checks`` block.
 ORDERED_PATTERNS = ("strided", "pow2")
 
+#: Requests per cell at ``--scale 1``, and every cell's store: shard
+#: count, per-shard capacity, ways per set and replacement policy.
+REQUESTS = 20000
+N_SHARDS = 64
+SHARD_CAPACITY = 512
+ASSOC = 8
+REPLACEMENT = "lru"
 
-def measure(pattern: str, scheme: str, n_requests: int, n_shards: int = 64,
-            shard_capacity: int = 512, assoc: int = 8,
-            replacement: str = "lru", workers: int = 1,
+
+def measure(pattern: str, scheme: str, n_requests: int, workers: int = 1,
             seed: int = 0) -> Dict:
     """Replay one (pattern, scheme) cell; returns the report payload."""
-    store = ShardedStore(n_shards=n_shards, scheme=scheme,
-                         shard_capacity=shard_capacity, assoc=assoc,
-                         replacement=replacement)
+    store = ShardedStore(n_shards=N_SHARDS, scheme=scheme,
+                         shard_capacity=SHARD_CAPACITY, assoc=ASSOC,
+                         replacement=REPLACEMENT)
     requests = make_traffic(pattern, n_requests, seed=seed)
     return replay(store, requests, workers=workers).as_dict()
 
 
-def run(n_requests: int = 20000, n_shards: int = 64,
-        shard_capacity: int = 512, assoc: int = 8, replacement: str = "lru",
-        workers: int = 1, seed: int = 0,
-        schemes: List[str] = None,
-        patterns: List[str] = None) -> Dict[str, Dict[str, Dict]]:
+def run(n_requests: int = REQUESTS) -> Dict[str, Dict[str, Dict]]:
     """Full grid: ``result[pattern][scheme] = replay report payload``."""
-    schemes = list(schemes or DEFAULT_SCHEMES)
-    patterns = list(patterns or DEFAULT_PATTERNS)
     return {
         pattern: {
-            scheme: measure(pattern, scheme, n_requests, n_shards=n_shards,
-                            shard_capacity=shard_capacity, assoc=assoc,
-                            replacement=replacement, workers=workers,
-                            seed=seed)
-            for scheme in schemes
+            scheme: measure(pattern, scheme, n_requests)
+            for scheme in DEFAULT_SCHEMES
         }
-        for pattern in patterns
+        for pattern in DEFAULT_PATTERNS
     }
 
 
@@ -125,36 +124,27 @@ def render(data: Mapping) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    n_requests = max(1, int(int(ctx.param("requests", 20000))
-                            * ctx.config.scale))
-    params = {
+    n_requests = max(1, int(REQUESTS * ctx.config.scale))
+    workers = ctx.param("workers")
+    config = {
         "n_requests": n_requests,
-        "n_shards": int(ctx.param("n_shards", 64)),
-        "shard_capacity": int(ctx.param("shard_capacity", 512)),
-        "assoc": int(ctx.param("assoc", 8)),
-        "replacement": str(ctx.param("replacement", "lru")),
-        "workers": int(ctx.param("workers", 1)),
-        "seed": ctx.config.seed,
+        "n_shards": N_SHARDS,
+        "shard_capacity": SHARD_CAPACITY,
+        "assoc": ASSOC,
+        "replacement": REPLACEMENT,
+        "workers": workers,
     }
-    schemes = list(ctx.param("schemes", DEFAULT_SCHEMES))
+    key = dict(config, seed=ctx.config.seed)
     grid = {
         pattern: {
-            scheme: ctx.cached(f"store-{pattern}", scheme, params,
-                               partial(measure, pattern, scheme, **params))
-            for scheme in schemes
+            scheme: ctx.cached(f"store-{pattern}", scheme, key,
+                               partial(measure, pattern, scheme, n_requests,
+                                       workers, ctx.config.seed))
+            for scheme in DEFAULT_SCHEMES
         }
-        for pattern in ctx.param("patterns", DEFAULT_PATTERNS)
+        for pattern in DEFAULT_PATTERNS
     }
-    return {
-        "n_requests": n_requests,
-        "n_shards": params["n_shards"],
-        "shard_capacity": params["shard_capacity"],
-        "assoc": params["assoc"],
-        "replacement": params["replacement"],
-        "workers": params["workers"],
-        "patterns": grid,
-        "checks": ordering_checks(grid),
-    }
+    return {**config, "patterns": grid, "checks": ordering_checks(grid)}
 
 
 def _render_artifact(artifact: Mapping) -> str:
@@ -167,4 +157,5 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
     uses_simulation=False,
+    params={"workers": 1},
 ))

@@ -76,13 +76,13 @@ def sweep(indexing: IndexingFunction, strides: np.ndarray,
                        concentrations)
 
 
-def run(n_sets_physical: int = 2048, max_stride: int = 2047,
-        n_addresses: int = 8192, stride_step: int = 1) -> Dict[str, StrideSweep]:
+def run(max_stride: int = 2047, n_addresses: int = 8192,
+        stride_step: int = 1) -> Dict[str, StrideSweep]:
     """Run the full Figure 5/6 sweep for all four hashing functions."""
     strides = np.arange(1, max_stride + 1, stride_step)
     return {
         name: sweep(h, strides, n_addresses)
-        for name, h in default_hashes(n_sets_physical).items()
+        for name, h in default_hashes().items()
     }
 
 
@@ -107,12 +107,7 @@ def render(results: Dict[str, StrideSweep], balance_cap: float = 10.0) -> str:
 
 
 def _build(ctx: ExperimentContext) -> Dict:
-    results = run(
-        n_sets_physical=int(ctx.param("n_sets_physical", 2048)),
-        max_stride=int(ctx.param("max_stride", 2047)),
-        n_addresses=int(ctx.param("n_addresses", 8192)),
-        stride_step=int(ctx.param("stride_step", 1)),
-    )
+    results = run(stride_step=ctx.param("stride_step"))
     return {
         "sweeps": {
             name: {
@@ -144,4 +139,5 @@ register(ExperimentSpec(
     build=_build,
     render=_render_artifact,
     uses_simulation=False,
+    params={"stride_step": 1},
 ))

@@ -8,7 +8,7 @@ A pathological case is a slowdown of more than 1% relative to Base
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 from repro.engine import (
     ExperimentContext,
@@ -62,10 +62,10 @@ def summarize_scheme(scheme: str, store: SimulationEngine) -> SchemeSummary:
     )
 
 
-def run(config: RunConfig = RunConfig(), store: SimulationEngine = None,
-        schemes: Sequence[str] = SUMMARY_SCHEMES) -> List[SchemeSummary]:
+def run(config: RunConfig = RunConfig(),
+        store: SimulationEngine = None) -> List[SchemeSummary]:
     store = store or SimulationEngine(config)
-    return [summarize_scheme(scheme, store) for scheme in schemes]
+    return [summarize_scheme(scheme, store) for scheme in SUMMARY_SCHEMES]
 
 
 def render(summaries: List[SchemeSummary]) -> str:
@@ -92,11 +92,9 @@ def render(summaries: List[SchemeSummary]) -> str:
 
 def _build(ctx: ExperimentContext) -> Dict:
     engine = ctx.engine
-    schemes = tuple(ctx.param("schemes", SUMMARY_SCHEMES))
     engine.run_grid((*UNIFORM_APPS, *NONUNIFORM_APPS),
-                    ("base", *schemes))
-    summaries = run(store=engine, schemes=schemes)
-    return {"schemes": [asdict(s) for s in summaries]}
+                    ("base", *SUMMARY_SCHEMES))
+    return {"schemes": [asdict(s) for s in run(store=engine)]}
 
 
 def _render_artifact(artifact: Mapping) -> str:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hashing.base import IndexingFunction
+from repro.mathutil import radix_argsort
 
 
 def access_counts(indexing: IndexingFunction, block_addresses: np.ndarray) -> np.ndarray:
@@ -56,14 +57,15 @@ def reuse_distances(set_sequence: np.ndarray) -> np.ndarray:
     ``d_i`` is defined for every access that has a later access mapping
     to the same set; the final access to each set has no successor and
     contributes no distance (the paper's formula assumes an unbounded
-    sequence; this is the standard finite-sequence reading).
+    sequence; this is the standard finite-sequence reading).  Set
+    indices are non-negative.
     """
     sets = np.asarray(set_sequence, dtype=np.int64)
     if len(sets) < 2:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(sets, kind="stable")
+    order = radix_argsort(sets)
     sorted_sets = sets[order]
-    gaps = np.diff(order)
+    gaps = np.diff(order).astype(np.int64, copy=False)
     same_set = sorted_sets[:-1] == sorted_sets[1:]
     return gaps[same_set]
 
@@ -112,7 +114,7 @@ def sequence_invariance_violations(
     sets = indexing.index_array(addrs)
     if len(sets) < 3:
         return 0
-    order = np.argsort(sets, kind="stable")
+    order = radix_argsort(sets)
     sorted_sets = sets[order]
     same_set = sorted_sets[:-1] == sorted_sets[1:]
     i_pos = order[:-1][same_set]

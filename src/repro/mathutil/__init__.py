@@ -1,8 +1,8 @@
 """Number-theory and bit-manipulation utilities.
 
 These back the prime-number indexing functions (largest prime below a
-power of two, Mersenne primes) and the hardware models (bit-field
-extraction mirroring Figure 1 of the paper).
+power of two, Mersenne primes), the hardware models (bit-field
+extraction mirroring Figure 1 of the paper) and the set-index sorts.
 """
 
 from repro.mathutil.bits import (
@@ -25,6 +25,7 @@ from repro.mathutil.primes import (
     prev_prime,
     primes_below,
 )
+from repro.mathutil.sorting import radix_argsort
 
 __all__ = [
     "LADDER_INPUT_BOUND",
@@ -42,5 +43,6 @@ __all__ = [
     "ones_positions",
     "prev_prime",
     "primes_below",
+    "radix_argsort",
     "split_address",
 ]

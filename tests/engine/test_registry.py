@@ -7,10 +7,13 @@ import pytest
 from repro.engine import (
     ARTIFACT_SCHEMA_VERSION,
     ExperimentContext,
+    ExperimentSpec,
     RunConfig,
     SimulationEngine,
     all_experiment_names,
     get_experiment,
+    register,
+    registry,
     render_artifact,
     run_experiment,
     validate_artifact,
@@ -50,10 +53,10 @@ def check_envelope(artifact, name):
 
 class TestArtifacts:
     def test_analysis_experiments_conform(self):
-        ctx = make_context(n_addresses=256, stride_limit=16, max_stride=16)
-        for name in ("fragmentation", "machine", "qualitative",
-                     "stride_sweep"):
-            artifact = run_experiment(name, ctx)
+        for name, params in (("fragmentation", {}), ("machine", {}),
+                             ("qualitative", {}),
+                             ("stride_sweep", {"stride_step": 1000})):
+            artifact = run_experiment(name, make_context(**params))
             check_envelope(artifact, name)
             assert render_artifact(artifact)
 
@@ -63,10 +66,11 @@ class TestArtifacts:
         assert "tree" in render_artifact(artifact)
 
     def test_params_recorded_in_config(self):
-        ctx = make_context(workload="lu")
-        artifact = run_experiment("miss_distribution", ctx)
-        assert artifact["config"]["params"] == {"workload": "lu"}
-        assert artifact["data"]["workload"] == "lu"
+        ctx = make_context(stride_step=1000)
+        artifact = run_experiment("stride_sweep", ctx)
+        assert artifact["config"]["params"] == {"stride_step": 1000}
+        sweep = artifact["data"]["sweeps"]["pMod"]
+        assert sweep["strides"] == [1, 1001, 2001]
 
     def test_reloaded_artifact_renders_identically(self, tmp_path):
         artifact = run_experiment("fragmentation", make_context())
@@ -98,3 +102,58 @@ class TestCachedArtifacts:
         warm = run_experiment(
             "miss_distribution", make_context(cache_dir=tmp_path))
         assert warm == cold
+
+
+@pytest.fixture
+def toy(monkeypatch):
+    """A registered experiment with one int knob and one off-by-default
+    knob, whose builds are recorded."""
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    built = []
+    register(ExperimentSpec(
+        name="toy", title="toy", build=lambda ctx: built.append(ctx) or {},
+        render=lambda artifact: "toy", uses_simulation=False,
+        params={"workers": 1, "stall_shard": None}))
+    return built
+
+
+class TestDeclaredKnobs:
+    def test_undeclared_key_refused_before_build(self, toy):
+        with pytest.raises(ValueError) as info:
+            run_experiment("toy", make_context(set_count=[64]))
+        message = str(info.value)
+        assert "\n" not in message
+        assert "'set_count'" in message
+        assert "(declared: workers, stall_shard)" in message
+        assert toy == []
+
+    def test_value_of_another_type_refused_before_build(self, toy):
+        for params in ({"workers": "abc"}, {"workers": 2.0},
+                       {"workers": True}, {"stall_shard": "0"},
+                       {"workers": None}):
+            with pytest.raises(ValueError, match="must be int"):
+                run_experiment("toy", make_context(**params))
+        assert toy == []
+
+    def test_build_sees_every_knob(self, toy):
+        run_experiment("toy", make_context(workers=4))
+        run_experiment("toy", make_context(stall_shard=0))
+        run_experiment("toy", make_context(stall_shard=None))
+        assert [ctx.params for ctx in toy] == [
+            {"workers": 4, "stall_shard": None},
+            {"workers": 1, "stall_shard": 0},
+            {"workers": 1, "stall_shard": None},
+        ]
+        assert toy[0].param("workers") == 4
+
+    def test_config_records_every_knob(self, toy):
+        artifact = run_experiment("toy", make_context(workers=4))
+        assert artifact["config"]["params"] == {"workers": 4,
+                                                "stall_shard": None}
+        artifact = run_experiment("fragmentation", make_context())
+        assert artifact["config"]["params"] == {}
+
+    def test_param_takes_no_default(self, toy):
+        run_experiment("toy", make_context())
+        with pytest.raises(KeyError):
+            toy[0].param("requests")

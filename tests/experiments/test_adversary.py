@@ -15,8 +15,11 @@ def data():
     universe keeps each crack subsecond; the full-scale 16-bit run —
     where the >=5x probe factor holds — is the make adversary-check
     gate, not a unit test)."""
-    payload = adversary.run(key_bits=10, crack_keys=64,
-                            hostile_requests=1500, seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adversary, "KEY_BITS", 10)
+        patch.setattr(adversary, "CRACK_KEYS", 64)
+        patch.setattr(adversary, "HOSTILE_REQUESTS", 1500)
+        payload = adversary.run(seed=0)
     payload["checks"] = adversary.adversary_checks(payload)
     return payload
 

@@ -1,6 +1,10 @@
 """The uniform ``python -m repro.experiments`` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,12 +72,51 @@ class TestMain:
         assert "Table 1" in capsys.readouterr().out
 
     def test_param_forwarded(self, tmp_path):
-        path = tmp_path / "frag.json"
-        main(["fragmentation", "--artifact", str(path),
-              "--param", "set_counts=[256,512]"])
+        path = tmp_path / "sweep.json"
+        main(["stride_sweep", "--artifact", str(path),
+              "--param", "stride_step=1000"])
         artifact = json.loads(path.read_text())
-        assert len(artifact["data"]["rows"]) == 2
-        assert artifact["config"]["params"] == {"set_counts": [256, 512]}
+        assert artifact["data"]["sweeps"]["pMod"]["strides"] == [
+            1, 1001, 2001]
+        assert artifact["config"]["params"] == {"stride_step": 1000}
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+class TestRefusedParams:
+    """An undeclared ``--param`` key, or a value of another type than
+    the knob's default, ends the run before it starts: exit status 1,
+    one line on stderr, no traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["fragmentation", "--param", "set_count=[64]"],
+        ["store_sharding", "--param", "requests=50000"],
+        ["store_sharding", "--param", "workers=abc"],
+    ])
+    def test_one_line_and_no_traceback(self, args):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", *args],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "declared: " in lines[0]
+
+    def test_messages_name_the_key_and_the_declared_knobs(self):
+        with pytest.raises(SystemExit) as info:
+            main(["fragmentation", "--param", "set_count=[64]"])
+        assert info.value.code == (
+            "error: fragmentation takes no --param 'set_count' "
+            "(declared: none)")
+        with pytest.raises(SystemExit) as info:
+            main(["store_sharding", "--param", "workers=abc"])
+        assert info.value.code == (
+            "error: store_sharding --param workers must be int, got 'abc' "
+            "(declared: workers)")
 
 
 class TestObservabilityRestored:
@@ -132,13 +175,11 @@ def toy(monkeypatch):
     monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
 
     def build(ctx):
-        if "checks" not in ctx.params:
-            return {}
-        return {"checks": ctx.param("checks")}
+        return {"checks": ctx.param("checks")} if ctx.param("checks") else {}
 
     register(ExperimentSpec(name="toy", title="toy contract", build=build,
                             render=lambda artifact: "toy report",
-                            uses_simulation=False))
+                            uses_simulation=False, params={"checks": {}}))
     return "toy"
 
 
@@ -199,37 +240,65 @@ class TestCheck:
         assert captured.err.strip().splitlines()[-1] == "toy-check: ok"
 
 
-#: One cell per cached experiment, with the ``SimulationKey`` stem its
-#: ``--cache-dir`` entry had before the experiments shared one cache
-#: helper; a changed stem would orphan every existing cache entry.
+#: The ``SimulationKey`` stems each cached drill's default run wrote
+#: before its knobs became module constants; a changed stem would
+#: orphan every existing cache entry.
 RECORDED_STEMS = {
-    "store_sharding": (
-        ["--scale", "0.05", "--param", 'schemes=["pmod"]',
-         "--param", 'patterns=["strided"]'],
-        {"store-strided--pmod--f01ef48db320b9e7"}),
-    "serving": (
-        ["--scale", "0.2", "--param", 'schemes=["pmod"]',
-         "--param", "rate_rps=20000"],
-        {"serve-zipfian--pmod--a2db6120425eeace"}),
-    "reshard": (
-        ["--scale", "0.05", "--param", 'schemes=["pmod"]'],
-        {"store-reshard--pmod--949aee86d6487dbf"}),
-    "cluster": (
-        ["--scale", "0.1", "--param", 'stacks=["pmod+pmod"]'],
-        {"cluster-drill--pmod+pmod--cdf451381f4d096a"}),
-    "federation": (
-        ["--scale", "0.05"],
-        {"federation-drill--healthy--160ed434ebdd7da3",
-         "federation-drill--stalled--650ec725f04aa772"}),
+    "store_sharding": (["--scale", "0.05"], {
+        "store-pow2--pdisp--f31c40afb4423385",
+        "store-pow2--pmod--5c48a38de17f9468",
+        "store-pow2--traditional--b56477ff29533a61",
+        "store-pow2--xor--3559144645392fca",
+        "store-strided--pdisp--d642595cd562ea98",
+        "store-strided--pmod--f01ef48db320b9e7",
+        "store-strided--traditional--9cf1d3932000c19e",
+        "store-strided--xor--19c9acebd5adf561",
+        "store-zipfian--pdisp--6bf650a9354e5d79",
+        "store-zipfian--pmod--93a24733f8d5f24e",
+        "store-zipfian--traditional--c286540f74824fcc",
+        "store-zipfian--xor--43f5b3957c3b14a9"}),
+    "serving": (["--scale", "0.2"], {
+        "serve-zipfian--pdisp--1a2c204f97a99724",
+        "serve-zipfian--pmod--a39dbb3258707963",
+        "serve-zipfian--traditional--16ecfe3f53f09140",
+        "serve-zipfian--xor--90f5936b63570b8e"}),
+    "reshard": (["--scale", "0.05"], {
+        "store-reshard--pdisp--5f20f8d6def57325",
+        "store-reshard--pmod--949aee86d6487dbf",
+        "store-reshard--traditional--d0ac4a5c7ceaef41",
+        "store-reshard--xor--c9ccc9f0491027cf"}),
+    "cluster": (["--scale", "0.1"], {
+        "cluster-drill--pmod+pmod--cdf451381f4d096a",
+        "cluster-drill--pmod+traditional--32a1c0b05d1f140b",
+        "cluster-drill--traditional+traditional--1f2b2f8941037ad8"}),
+    "federation": (["--scale", "0.05"], {
+        "federation-drill--healthy--160ed434ebdd7da3",
+        "federation-drill--stalled--650ec725f04aa772"}),
 }
+
+
+def _stems(name, cache, *args):
+    main([name, "--cache-dir", str(cache), *args])
+    return {path.name.removesuffix(".payload.json")
+            for path in cache.glob("*/*.payload.json")}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_STEMS))
 def test_cache_keys_match_recorded_stems(name, tmp_path, capsys):
     args, stems = RECORDED_STEMS[name]
-    cache = tmp_path / "cache"
-    main([name, "--cache-dir", str(cache), *args])
+    assert _stems(name, tmp_path / "cache", *args) == stems
     capsys.readouterr()
-    written = {path.name.removesuffix(".payload.json")
-               for path in cache.glob("*/*.payload.json")}
-    assert written == stems
+
+
+def test_a_constant_feeds_its_cells_key(tmp_path, capsys, monkeypatch):
+    """Editing a knob-turned-constant misses the cache: the value is
+    part of each cell's key."""
+    from repro.experiments import store_sharding
+    monkeypatch.setattr(store_sharding, "DEFAULT_SCHEMES", ("pmod",))
+    monkeypatch.setattr(store_sharding, "DEFAULT_PATTERNS", ("strided",))
+    cache = tmp_path / "cache"
+    assert _stems("store_sharding", cache, "--scale", "0.05") == {
+        "store-strided--pmod--f01ef48db320b9e7"}
+    monkeypatch.setattr(store_sharding, "SHARD_CAPACITY", 256)
+    assert len(_stems("store_sharding", cache, "--scale", "0.05")) == 2
+    capsys.readouterr()

@@ -114,13 +114,14 @@ class TestTracedCheck:
         checks = cluster.cluster_checks(cells, traced=True)
         assert checks["pmod+pmod_stage_coverage"] is False
 
-    def test_traced_check_after_an_untraced_warm_cache(self, tmp_path,
-                                                       capsys):
+    def test_traced_check_after_an_untraced_warm_cache(
+            self, tmp_path, capsys, monkeypatch):
         """A traced run must not reuse the untraced run's cached cells
         (they carry no attribution): it measures its own, publishes
         every stage-coverage check, and passes the gate."""
-        args = ["cluster", "--scale", "0.1", "--param",
-                'stacks=["pmod+pmod", "traditional+traditional"]',
+        monkeypatch.setattr(cluster, "DEFAULT_STACKS",
+                            ("pmod+pmod", "traditional+traditional"))
+        args = ["cluster", "--scale", "0.1",
                 "--cache-dir", str(tmp_path / "cache")]
         main(args)
         artifact_path = tmp_path / "traced.json"

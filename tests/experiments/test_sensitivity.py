@@ -9,8 +9,10 @@ from repro.experiments.common import RunConfig
 class TestSensitivity:
     @pytest.fixture(scope="class")
     def points(self):
-        return sensitivity.run("tree", RunConfig(scale=0.15),
-                               capacities_kb=(256, 512, 1024))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sensitivity, "DEFAULT_CAPACITIES_KB",
+                          (256, 512, 1024))
+            return sensitivity.run("tree", RunConfig(scale=0.15))
 
     def test_one_point_per_capacity(self, points):
         assert [p.capacity_kb for p in points] == [256, 512, 1024]
@@ -23,14 +25,14 @@ class TestSensitivity:
         misses = [p.base_misses for p in points]
         assert misses == sorted(misses, reverse=True)
 
-    def test_rejects_awkward_capacity(self):
+    def test_rejects_awkward_capacity(self, monkeypatch):
+        monkeypatch.setattr(sensitivity, "DEFAULT_CAPACITIES_KB", (300,))
         with pytest.raises(ValueError, match="power"):
-            sensitivity.run("lu", RunConfig(scale=0.05),
-                            capacities_kb=(300,))
+            sensitivity.run("lu", RunConfig(scale=0.05))
 
-    def test_uniform_app_shows_no_gap(self):
-        points = sensitivity.run("lu", RunConfig(scale=0.1),
-                                 capacities_kb=(512,))
+    def test_uniform_app_shows_no_gap(self, monkeypatch):
+        monkeypatch.setattr(sensitivity, "DEFAULT_CAPACITIES_KB", (512,))
+        points = sensitivity.run("lu", RunConfig(scale=0.1))
         assert points[0].miss_ratio == pytest.approx(1.0, abs=0.05)
 
     def test_render(self, points):

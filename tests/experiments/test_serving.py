@@ -9,13 +9,21 @@ from repro.experiments import serving
 from repro.experiments.__main__ import main
 from repro.obs import validate_snapshot
 
-FAST = ["--param", "requests=600", "--param", "rate_rps=20000",
-        "--param", "admit_rate=10000"]
+#: 600 requests per scheme.
+FAST = ["--scale", "0.24"]
+
+
+@pytest.fixture
+def only(monkeypatch):
+    """Serve only the given schemes in this test's CLI runs."""
+    def schemes(*names):
+        monkeypatch.setattr(serving, "DEFAULT_SCHEMES", names)
+    return schemes
 
 
 class TestMeasure:
     def test_single_cell_payload_shape(self):
-        payload = serving.measure("pmod", 400, rate_rps=20000.0, seed=0)
+        payload = serving.measure("pmod", 400, seed=0)
         assert payload["scheme"] == "pmod"
         assert payload["n_requests"] == 400
         assert sum(payload["statuses"].values()) == 400
@@ -25,13 +33,14 @@ class TestMeasure:
         assert payload["latency"]["p50"] <= payload["latency"]["p99"]
         assert json.loads(json.dumps(payload)) == payload
 
-    def test_stalled_shard_cell_degrades_explicitly(self):
+    def test_stalled_shard_cell_degrades_explicitly(self, monkeypatch):
         """The acceptance scenario through the experiment surface: one
         stalled shard yields explicit timeouts/rejects, full
         accounting, bounded queue — and the run terminates."""
-        payload = serving.measure("pmod", 400, rate_rps=20000.0,
-                                  max_queue_depth=128, timeout_s=0.03,
-                                  stall_shard=0, stall_s=0.3, seed=0)
+        monkeypatch.setattr(serving, "MAX_QUEUE_DEPTH", 128)
+        monkeypatch.setattr(serving, "TIMEOUT_S", 0.03)
+        monkeypatch.setattr(serving, "STALL_S", 0.3)
+        payload = serving.measure("pmod", 400, seed=0, stall_shard=0)
         statuses = payload["statuses"]
         assert sum(statuses.values()) == 400
         assert statuses.get("dropped", 0) == 0
@@ -73,12 +82,12 @@ class TestMeasure:
 class TestRender:
     def test_render_has_table_chart_and_verdict(self):
         cells = {
-            scheme: serving.measure(scheme, 300, rate_rps=20000.0, seed=0)
+            scheme: serving.measure(scheme, 300, seed=0)
             for scheme in ("traditional", "pmod")
         }
         out = serving.render({
             "n_requests": 300, "pattern": "zipfian", "arrival": "bursty",
-            "rate_rps": 20000.0, "n_shards": 32, "stall_shard": None,
+            "rate_rps": 12000.0, "n_shards": 32, "stall_shard": None,
             "schemes": cells,
             "checks": serving.degradation_checks(cells, 512, stalled=False),
         })
@@ -107,11 +116,11 @@ class TestCli:
         assert "Serving" in out
         assert "p99" in out
 
-    def test_stall_param_flows_into_checks(self, tmp_path, capsys):
+    def test_stall_param_flows_into_checks(self, tmp_path, capsys, only):
+        only("pmod")
         path = tmp_path / "stalled.json"
         main(["serving", "--artifact", str(path), *FAST,
-              "--param", "stall_shard=0",
-              "--param", "schemes=[\"pmod\"]"])
+              "--param", "stall_shard=0"])
         capsys.readouterr()
         data = json.loads(path.read_text())["data"]
         assert data["stall_shard"] == 0
@@ -120,10 +129,10 @@ class TestCli:
         assert data["checks"]["pmod_queue_bounded"]
 
     def test_metrics_out_snapshot_carries_serve_series(self, tmp_path,
-                                                       capsys):
+                                                       capsys, only):
+        only("pmod", "traditional")
         metrics_path = tmp_path / "metrics.json"
-        main(["serving", "--metrics-out", str(metrics_path), *FAST,
-              "--param", "schemes=[\"pmod\",\"traditional\"]"])
+        main(["serving", "--metrics-out", str(metrics_path), *FAST])
         capsys.readouterr()
         snapshot = json.loads(metrics_path.read_text())
         validate_snapshot(snapshot)
@@ -137,12 +146,12 @@ class TestCli:
                    for h in hists)
 
     def test_traced_check_after_an_untraced_warm_cache(self, tmp_path,
-                                                       capsys):
+                                                       capsys, only):
         """A traced run must not reuse the untraced run's cached cells
         (they carry no attribution): it measures its own, publishes
         every stage-coverage check, and passes the gate."""
-        args = ["serving", *FAST, "--param", "schemes=[\"pmod\",\"xor\"]",
-                "--cache-dir", str(tmp_path / "cache")]
+        only("pmod", "xor")
+        args = ["serving", *FAST, "--cache-dir", str(tmp_path / "cache")]
         main(args)
         artifact_path = tmp_path / "traced.json"
         main([*args, "--trace", "--check",
@@ -154,10 +163,11 @@ class TestCli:
         assert checks["xor_stage_coverage"]
         assert all(checks.values()), checks
 
-    def test_payload_cache_round_trip(self, tmp_path):
+    def test_payload_cache_round_trip(self, tmp_path, only):
+        only("pmod")
         cache = tmp_path / "cache"
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = [*FAST, "--param", "schemes=[\"pmod\"]"]
+        args = FAST
         main(["serving", "--artifact", str(a),
               "--cache-dir", str(cache), *args])
         assert list(cache.glob("*/*.payload.json"))

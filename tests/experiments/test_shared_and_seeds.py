@@ -31,10 +31,12 @@ class TestSharedCache:
 class TestSeedRobustness:
     @pytest.fixture(scope="class")
     def spreads(self):
-        return {(s.workload, s.scheme): s
-                for s in seeds.run(workloads=("tree", "lu"),
-                                   schemes=("pmod",),
-                                   seeds=(0, 1), scale=0.2)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(seeds, "WORKLOADS", ("tree", "lu"))
+            patch.setattr(seeds, "SCHEMES", ("pmod",))
+            patch.setattr(seeds, "SEEDS", (0, 1))
+            return {(s.workload, s.scheme): s
+                    for s in seeds.run(scale=0.2)}
 
     def test_tree_wins_under_every_seed(self, spreads):
         assert spreads[("tree", "pmod")].minimum > 1.5

@@ -8,12 +8,13 @@ from repro.engine import all_experiment_names, validate_artifact
 from repro.experiments import store_sharding
 from repro.experiments.__main__ import main
 
-FAST = ["--param", "requests=800", "--param", "shard_capacity=64"]
+#: 800 requests per cell.
+FAST = ["--scale", "0.04"]
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return store_sharding.run(n_requests=2000, shard_capacity=64)
+    return store_sharding.run(n_requests=2000)
 
 
 class TestRun:

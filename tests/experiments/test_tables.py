@@ -22,9 +22,11 @@ class TestTable1:
         assert all(row.fragmentation < 0.01 for row in fragmentation.run()
                    if row.n_sets_physical >= 512)
 
-    def test_custom_counts(self):
-        rows = fragmentation.run(set_counts=(64,))
-        assert rows[0].n_sets == 61
+    def test_custom_counts(self, monkeypatch):
+        monkeypatch.setattr(fragmentation, "PAPER_SET_COUNTS", (64,))
+        rows = fragmentation.run()
+        assert [(row.n_sets_physical, row.n_sets) for row in rows] == [
+            (64, 61)]
 
     def test_render_contains_rows(self):
         out = fragmentation.render(fragmentation.run())
@@ -34,8 +36,7 @@ class TestTable1:
 class TestTable2:
     @pytest.fixture(scope="class")
     def profiles(self):
-        return {p.name: p for p in qualitative.run(
-            n_sets_physical=1024, n_addresses=4096, stride_limit=64)}
+        return {p.name: p for p in qualitative.run()}
 
     def test_traditional_odd_only(self, profiles):
         p = profiles["Traditional"]
@@ -66,10 +67,10 @@ class TestTable2:
         out = qualitative.render(list(profiles.values()))
         assert "Partial" in out and "s odd" in out
 
-    def test_paper_geometry(self):
-        """The same rows on the paper's 2048-set L2, strides to 128."""
-        profiles = {p.name: p for p in qualitative.run(
-            n_sets_physical=2048, n_addresses=4096, stride_limit=128)}
+    def test_paper_geometry(self, profiles):
+        """The rows are measured on the paper's 2048-set L2."""
+        assert qualitative.N_SETS_PHYSICAL == 2048
+        assert profiles["pMod"].strides_tested == qualitative.STRIDE_LIMIT
         assert profiles["Traditional"].ideal_balance_condition == "s odd"
         assert profiles["pMod"].sequence_invariant
         assert profiles["pDisp"].partially_invariant

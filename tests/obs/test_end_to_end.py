@@ -2,6 +2,7 @@
 
 import json
 
+from repro.experiments import cluster
 from repro.experiments.__main__ import main
 from repro.obs import validate_snapshot
 
@@ -12,9 +13,7 @@ def _run(tmp_path, capsys, *extra):
         "store_sharding",
         "--metrics-out", str(metrics_path),
         "--cache-dir", str(tmp_path / "cache"),
-        "--param", "requests=800",
-        "--param", "n_shards=16",
-        "--param", "shard_capacity=64",
+        "--scale", "0.04",
         *extra,
     ])
     capsys.readouterr()
@@ -67,9 +66,7 @@ class TestMetricsOut:
         main([
             "store_sharding",
             "--trace",
-            "--param", "requests=400",
-            "--param", "n_shards=16",
-            "--param", "shard_capacity=64",
+            "--scale", "0.02",
         ])
         out = capsys.readouterr().out
         assert "experiment experiment=store_sharding" in out
@@ -79,25 +76,20 @@ class TestMetricsOut:
     def test_without_flags_observability_stays_off(self, tmp_path, capsys):
         from repro.obs import get_registry
 
-        main([
-            "store_sharding",
-            "--param", "requests=400",
-            "--param", "n_shards=16",
-            "--param", "shard_capacity=64",
-        ])
+        main(["store_sharding", "--scale", "0.02"])
         capsys.readouterr()
         assert get_registry().enabled is False
         assert len(get_registry()) == 0
 
 
 class TestClusterTraces:
-    def test_snapshot_carries_the_sampled_request_traces(self, tmp_path,
-                                                         capsys):
+    def test_snapshot_carries_the_sampled_request_traces(
+            self, tmp_path, capsys, monkeypatch):
         """The cluster's sampled op traces export beside the experiment
         span: each a root after ``experiment``, with its stage rows."""
+        monkeypatch.setattr(cluster, "DEFAULT_STACKS", ("pmod+pmod",))
         metrics_path = tmp_path / "metrics.json"
         main(["cluster", "--scale", "0.05",
-              "--param", 'stacks=["pmod+pmod"]',
               "--metrics-out", str(metrics_path)])
         capsys.readouterr()
         snapshot = json.loads(metrics_path.read_text())

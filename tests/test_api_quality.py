@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -283,3 +284,75 @@ def test_stack_options_are_set_outside_tests():
             for option in options}
     assert kept <= in_scope - settled, "stale KEPT_OPTIONS entries"
     assert sorted(in_scope - settled - kept) == []
+
+
+# -- experiment knobs only tests set ------------------------------------
+
+#: Declared ``--param`` knobs nothing outside ``tests/`` sets, kept on
+#: purpose: ``(experiment, knobs, reason)``.
+KEPT_KNOBS = (
+    ("serving", ("stall_shard",),
+     "README and docs/serving.md document it, and it is the CLI's only "
+     "way to reach the stalled-shard checks"),
+)
+
+#: Where a knob's callers live: the Makefile and these trees.
+CALLER_TREES = ("src", "benchmarks", "examples")
+
+
+def _knobs_set_in(source, knobs, python):
+    """The ``(experiment, knob)`` pairs of ``knobs`` that ``source``
+    sets: a command line naming the experiment and then
+    ``--param <knob>=``, or (in Python) a dict literal with the knob's
+    key inside a tuple, list or call that names the experiment, such
+    as ``("stride_sweep", {"stride_step": 3})``."""
+    found = {(name, knob) for name, knob in knobs
+             if re.search(rf"\b{name}\b.*--param\W+{knob}=", source)}
+    if not python:
+        return found
+    for node in ast.walk(ast.parse(source)):
+        items = (node.elts if isinstance(node, (ast.Tuple, ast.List))
+                 else node.args if isinstance(node, ast.Call) else [])
+        names = {item.value for item in items
+                 if isinstance(item, ast.Constant)}
+        for item in items:
+            for inner in ast.walk(item):
+                if isinstance(inner, ast.Dict):
+                    found |= {(name, key.value) for name in names
+                              for key in inner.keys
+                              if isinstance(key, ast.Constant)
+                              and (name, key.value) in knobs}
+    return found
+
+
+def _knobs_set_outside_tests(knobs):
+    found = _knobs_set_in((REPO / "Makefile").read_text(), knobs, False)
+    for top in CALLER_TREES:
+        for path in sorted((REPO / top).rglob("*.py")):
+            found |= _knobs_set_in(path.read_text(), knobs, True)
+    return found
+
+
+def test_knob_scan_reads_both_caller_forms():
+    knobs = {("store_sharding", "workers"), ("stride_sweep", "stride_step")}
+    make_line = "\tpython -m repro.experiments store_sharding --param workers=4"
+    assert _knobs_set_in(make_line, knobs, False) == {
+        ("store_sharding", "workers")}
+    python = ('PAPER = (("stride_sweep", {"stride_step": 3}),)\n'
+              'ARGS = ["store_sharding", "--scale", "0.1"]\n'
+              'CTX = run("fragmentation", {"workers": 4})\n')
+    assert _knobs_set_in(python, knobs, True) == {
+        ("stride_sweep", "stride_step")}
+
+
+def test_experiment_knobs_are_set_outside_tests():
+    """Every ``--param`` knob a registered experiment declares is set
+    by a caller in the Makefile, ``src/``, ``benchmarks/`` or
+    ``examples/``: a knob only tests turn is a module constant."""
+    declared = {(name, knob) for name in registry.all_experiment_names()
+                for knob in registry.get_experiment(name).params}
+    settled = _knobs_set_outside_tests(declared)
+    kept = {(name, knob) for name, knobs, _ in KEPT_KNOBS
+            for knob in knobs}
+    assert kept <= declared - settled, "stale KEPT_KNOBS entries"
+    assert sorted(declared - settled - kept) == []
