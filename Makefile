@@ -5,7 +5,7 @@ JOBS ?= 4
 SCALE ?= 1.0
 CACHE_DIR ?= .repro-cache
 
-.PHONY: install test verify bench bench-suite bench-suite-test store-bench obs-check serve-check serve-bench health-check trace-check reshard-check reshard-bench cluster-check cluster-bench adversary-check adversary-bench fed-check fed-bench bench-check bench-trend dash eval figures report examples clean
+.PHONY: install test verify bench bench-suite bench-suite-test store-bench obs-check serve-check serve-bench health-check trace-check reshard-check reshard-bench cluster-check cluster-bench adversary-check adversary-bench bench-check bench-trend dash eval figures report examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -33,7 +33,6 @@ verify:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments reshard --check
 	PYTHONPATH=src $(PYTHON) -m repro.experiments cluster --check
 	PYTHONPATH=src $(PYTHON) -m repro.experiments adversary --check
-	PYTHONPATH=src $(PYTHON) -m repro.experiments federation --check
 	$(MAKE) serve-check
 	$(MAKE) trace-check
 	PYTHONPATH=src $(PYTHON) -m repro.obs.benchguard --no-update
@@ -132,17 +131,6 @@ adversary-check:
 # BENCH_adversary.json at the root.
 adversary-bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_adversary.py -q -s
-
-# Federation drill: cluster-wide quantile merging, federated-vs-local
-# paging, TSDB retention, scrape overhead; exits nonzero unless every
-# contract check holds.
-fed-check:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments federation --check
-
-# Telemetry-plane benchmark: scrape sweep rate, merge cost per series,
-# in-memory TSDB append throughput; writes BENCH_fed.json at the root.
-fed-bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fed.py -q -s
 
 # Bench-regression gate: compare the current BENCH_*.json headline
 # metrics against the BENCH_history.json trajectory (median of prior

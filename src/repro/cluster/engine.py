@@ -206,11 +206,6 @@ class Cluster:
             schedule is applied at op boundaries.
         recovery_budget: per-chunk key budget for the re-replication
             drain run by :meth:`recover_node`.
-        node_registries: give every node its own enabled, fully
-            declared :class:`MetricsRegistry` (each member is a
-            separate process in the model, so its metrics are private
-            until scraped) plus a per-node request-latency sketch the
-            federation layer merges into cluster-wide quantiles.
     """
 
     def __init__(self, n_nodes: int = 8, node_scheme: str = "pmod",
@@ -221,24 +216,18 @@ class Cluster:
                  tick_s: float = 50e-6,
                  injector: Optional[NodeFaultInjector] = None,
                  recovery_budget: int = 128,
-                 registry: Optional[MetricsRegistry] = None,
-                 node_registries: bool = False):
+                 registry: Optional[MetricsRegistry] = None):
         if tick_s <= 0:
             raise ValueError("tick_s must be positive")
         if recovery_budget < 1:
             raise ValueError("recovery_budget must be >= 1")
         node_table = RoutingTable.create(node_scheme, n_nodes)
-        self.nodes: List[StoreNode] = []
-        for i in range(node_table.n_shards):
-            node_registry = None
-            if node_registries:
-                from repro.obs import declare_core_metrics
-                node_registry = MetricsRegistry(enabled=True)
-                declare_core_metrics(node_registry)
-            store = ShardedStore(shards_per_node, shard_scheme,
-                                 shard_capacity=shard_capacity, assoc=assoc,
-                                 registry=node_registry)
-            self.nodes.append(StoreNode(i, store, registry=node_registry))
+        self.nodes: List[StoreNode] = [
+            StoreNode(i, ShardedStore(shards_per_node, shard_scheme,
+                                      shard_capacity=shard_capacity,
+                                      assoc=assoc))
+            for i in range(node_table.n_shards)
+        ]
         self.router = ClusterRouter(
             node_table, [node.store.routing for node in self.nodes])
         #: The stack label, outer+inner (``"pmod+pmod"``); quarantine
@@ -306,17 +295,6 @@ class Cluster:
             registry.gauge("cluster.node.state", scheme=scheme, node=i)
             for i in range(self.n_nodes)
         ]
-        # Per-node request-latency sketches, bound on each node's *own*
-        # registry: a node only ever sees the ops it is primary for, so
-        # only a federated merge of these sketches yields the true
-        # cluster-wide latency distribution.  None when no node has a
-        # registry (every node gets one, or none does).
-        self._node_sketches = [
-            node.registry.histogram("cluster.node.request_latency_s",
-                                    sketch=True, scheme=scheme,
-                                    node=node.node_id)
-            for node in self.nodes
-        ] if self.nodes[0].registry is not None else None
 
     # -- identity (Frontend-compatible surface) -------------------------
 
@@ -427,13 +405,9 @@ class Cluster:
         return now
 
     def _finish_op(self, now_s: float, completions: List[float],
-                   quorum: int, primary: int) -> float:
+                   quorum: int) -> float:
         """Sim latency of one op: the quorum-th fastest replica
-        completion (or the failed-op penalty when nothing responded).
-
-        ``primary`` attributes the op to the node owning the key so the
-        latency also lands in that node's private sketch (the series
-        federation merges into cluster-wide quantiles)."""
+        completion (or the failed-op penalty when nothing responded)."""
         reached = len(completions)
         if reached:
             completions.sort()
@@ -444,8 +418,6 @@ class Cluster:
         self._latencies.append(latency)
         if self._observed:
             self._latency_hist.observe(latency)
-        if self._node_sketches is not None:
-            self._node_sketches[primary].observe(latency)
         return latency
 
     def _replica_error(self) -> None:
@@ -529,8 +501,7 @@ class Cluster:
         if not clean:
             self._quorum_miss("put", acks, self.replication.write_quorum)
         latency = self._finish_op(now, completions,
-                                  self.replication.write_quorum,
-                                  placement[0])
+                                  self.replication.write_quorum)
         if traced is not None:
             self._keep_trace(
                 "put", key, traced, fan_from, settle_from,
@@ -577,8 +548,7 @@ class Cluster:
                     if self._observed:
                         self._repair_counter.inc()
         latency = self._finish_op(now, completions,
-                                  self.replication.read_quorum,
-                                  placement[0])
+                                  self.replication.read_quorum)
         if traced is not None:
             self._keep_trace(
                 "get", key, traced, fan_from, settle_from,
@@ -606,8 +576,7 @@ class Cluster:
         if traced is not None:
             settle_from = perf_counter()
         latency = self._finish_op(now, completions,
-                                  self.replication.write_quorum,
-                                  placement[0])
+                                  self.replication.write_quorum)
         if traced is not None:
             self._keep_trace("delete", key, traced, fan_from, settle_from,
                              "ok", len(placement),

@@ -131,9 +131,6 @@ class Link:
         self.queued_s = 0.0
         self.peak_queue = 0
 
-    def serialization_s(self, n_bytes: int) -> float:
-        return n_bytes / self.bandwidth_bps
-
     def send(self, now_s: float, n_bytes: int) -> Optional[float]:
         """Push one message onto the link at virtual time ``now_s``.
 

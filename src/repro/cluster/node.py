@@ -82,10 +82,6 @@ class StoreNode:
         store: the node's :class:`ShardedStore` (the inner routing
             level); ``ShardedStore(n_shards, scheme)`` takes an exact
             prime ``n_shards`` for a prime-capable scheme.
-        registry: the node's *own* metrics registry — each cluster
-            member is a separate process in the model, so its metrics
-            are private until a federation scrape pulls them.  None
-            leaves the node unscrapable (pre-federation behaviour).
 
     Attributes:
         live: whether the node can serve any traffic at all, reads and
@@ -97,13 +93,11 @@ class StoreNode:
     Both are set on every state transition, from the state.
     """
 
-    def __init__(self, node_id: int, store: ShardedStore, registry=None):
+    def __init__(self, node_id: int, store: ShardedStore):
         if node_id < 0:
             raise ValueError("node_id must be >= 0")
         self.node_id = node_id
         self.store = store
-        self.registry = registry
-        self._snapshot_version = 0
         self._enter(NodeState.UP)
         self.failures = 0
         self.recoveries = 0
@@ -187,31 +181,6 @@ class StoreNode:
     @property
     def occupancy(self) -> int:
         return len(self.store)
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """The node's scrape endpoint: a versioned metrics snapshot.
-
-        The standard snapshot document plus a ``fed`` block carrying
-        the node id, a monotonically increasing per-node version (so
-        the aggregator can detect and skip stale re-deliveries), and
-        the node's lifecycle state.  Raises :class:`NodeDownError`
-        when down — a crashed node's exporter is gone too, which is
-        exactly the staleness the federation layer must surface.
-        """
-        self._check_live()
-        if self.registry is None:
-            raise RuntimeError(
-                f"node {self.node_id} has no registry to scrape "
-                f"(build the cluster with node_registries=True)")
-        from repro.obs.sinks import metrics_snapshot
-        self._snapshot_version += 1
-        doc = metrics_snapshot(self.registry)
-        doc["fed"] = {
-            "node": self.node_id,
-            "version": self._snapshot_version,
-            "state": self.state.value,
-        }
-        return doc
 
     def describe(self) -> Dict[str, object]:
         """JSON-friendly summary for telemetry and journal payloads."""

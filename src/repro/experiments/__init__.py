@@ -24,7 +24,6 @@ module                      reproduces
 ``reshard``                 live prime-ladder reshard contract (extension)
 ``cluster``                 multi-node loss/recovery drill (extension)
 ``adversary``               hash cracking vs scheme + keyed rotation (extension)
-``federation``              cluster-wide telemetry federation drill (extension)
 ========================== ======================================
 
 Each module exposes ``run(...)`` and ``render(result)`` and registers
@@ -67,7 +66,6 @@ EXPERIMENT_MODULES = (
     "reshard",
     "cluster",
     "adversary",
-    "federation",
 )
 
 

@@ -69,7 +69,7 @@ def parse_params(items: List[str]) -> Dict[str, Any]:
     for item in items:
         key, sep, raw = item.partition("=")
         if not sep:
-            raise SystemExit(f"--param needs KEY=VALUE, got {item!r}")
+            raise SystemExit(f"error: --param needs KEY=VALUE, got {item!r}")
         try:
             params[key] = json.loads(raw)
         except json.JSONDecodeError:

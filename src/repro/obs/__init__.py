@@ -1,9 +1,7 @@
 """`repro.obs` — unified metrics, tracing, journal, and health layer.
 
 One process-wide :class:`MetricsRegistry` (counters, gauges, windowed
-p50/p95/p99 histograms — optionally holding a lifetime
-:class:`QuantileSketch` that :mod:`repro.obs.fed` sums across nodes —
-labeled series), one :class:`TraceCollector`
+p50/p95/p99 histograms, labeled series), one :class:`TraceCollector`
 (sampled request traces and nested wall-time spans, one trace model:
 :mod:`repro.obs.attrib`), one append-only event
 :class:`~repro.obs.journal.Journal` (JSONL, monotonic sequence
@@ -57,7 +55,6 @@ from repro.obs.registry import (
     get_registry,
     set_registry,
 )
-from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 from repro.obs.sinks import (
     SNAPSHOT_SCHEMA_VERSION,
     metrics_snapshot,
@@ -71,16 +68,13 @@ __all__ = [
     "CLUSTER_METRICS",
     "CONTROL_METRICS",
     "CORE_COUNTERS",
-    "DEFAULT_RELATIVE_ACCURACY",
     "EVENT_SCHEMA_VERSION",
     "FASTSIM_METRICS",
-    "FED_METRICS",
     "HEALTH_METRICS",
     "JOURNAL_METRICS",
     "Journal",
     "JournalEvent",
     "OBS_METRICS",
-    "QuantileSketch",
     "SERVE_METRICS",
     "STORE_METRICS",
     "Counter",
@@ -233,37 +227,11 @@ CLUSTER_METRICS = {
     "cluster.node_balance": "gauge",
     "cluster.link.utilization": "gauge",
     "cluster.op.sim_latency_s": "histogram",
-    "cluster.node.request_latency_s": "sketch",
 }
 
 #: Attribution-layer series (`repro.obs.attrib`), same contract.
 OBS_METRICS = {
     "obs.flight_dumps": "counter",
-}
-
-#: Federation-layer series (`repro.obs.fed` + `repro.obs.tsdb`), same
-#: contract.  Scrape/merge counters rate the telemetry plane's own
-#: traffic; ``fed.node.staleness_s`` holds each node's snapshot age at
-#: the last merge (labeled per node on first scrape, the unlabeled
-#: declaration keeps snapshots schema-stable).
-FED_METRICS = {
-    "fed.scrapes": "counter",
-    "fed.scrape_misses": "counter",
-    "fed.merges": "counter",
-    "fed.merge_latency_s": "histogram",
-    "fed.tsdb.appends": "counter",
-    "fed.tsdb.evictions": "counter",
-    "fed.node.staleness_s": "gauge",
-}
-
-#: Declaration kind -> registry factory call.  ``"sketch"`` declares a
-#: :class:`Histogram` that also feeds a lifetime quantile sketch (the
-#: federation feed), under the histogram namespace.
-_DECLARERS = {
-    "counter": lambda registry, name: registry.counter(name),
-    "gauge": lambda registry, name: registry.gauge(name),
-    "histogram": lambda registry, name: registry.histogram(name),
-    "sketch": lambda registry, name: registry.histogram(name, sketch=True),
 }
 
 
@@ -274,7 +242,7 @@ def declare_core_metrics(registry: MetricsRegistry = None) -> None:
     :data:`SERVE_METRICS` / :data:`JOURNAL_METRICS` /
     :data:`HEALTH_METRICS` / :data:`CONTROL_METRICS` /
     :data:`CLUSTER_METRICS` / :data:`ADVERSARY_METRICS` /
-    :data:`OBS_METRICS` / :data:`FED_METRICS` series, all at zero."""
+    :data:`OBS_METRICS` series, all at zero."""
     # Explicit None check: an empty registry is falsy (len() == 0), so
     # ``registry or get_registry()`` would silently drop a fresh one.
     if registry is None:
@@ -283,10 +251,9 @@ def declare_core_metrics(registry: MetricsRegistry = None) -> None:
         registry.counter(name)
     for metrics in (STORE_METRICS, FASTSIM_METRICS, SERVE_METRICS,
                     JOURNAL_METRICS, HEALTH_METRICS, CONTROL_METRICS,
-                    CLUSTER_METRICS, ADVERSARY_METRICS, OBS_METRICS,
-                    FED_METRICS):
+                    CLUSTER_METRICS, ADVERSARY_METRICS, OBS_METRICS):
         for name, kind in metrics.items():
-            _DECLARERS[kind](registry, name)
+            getattr(registry, kind)(name)
 
 
 def enable_observability():

@@ -153,11 +153,6 @@ BENCH_METRICS: Dict[str, Tuple[Tuple[str, Tuple[str, ...], str], ...]] = {
         ("probe_factor", ("probe_factor",), "higher"),
         ("time_to_mitigate_s", ("time_to_mitigate_s",), "lower"),
     ),
-    "fed": (
-        ("scrape_rps", ("scrape_rps",), "higher"),
-        ("merge_ns_per_series", ("merge_ns_per_series",), "lower"),
-        ("tsdb_append_rps", ("tsdb_append_rps",), "higher"),
-    ),
 }
 
 

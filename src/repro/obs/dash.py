@@ -19,9 +19,7 @@ SLO burn rates and hash-quality drift verdicts
 (``BENCH_*.json`` plus their :mod:`repro.obs.benchguard` history,
 sparklined); the flight recorder's slowest traces; the journal tail
 (:mod:`repro.obs.journal`); and the metrics snapshot, whose tables are
-the ones :func:`repro.obs.sinks.metrics_table` prints.  The
-cluster-wide quantile table is the metrics panel of
-``build_dashboard(registry=federation.merged)``.
+the ones :func:`repro.obs.sinks.metrics_table` prints.
 
 CLI::
 

@@ -235,19 +235,11 @@ class SloEngine:
     def __init__(self, specs: Sequence[SloSpec],
                  registry: Optional[MetricsRegistry] = None,
                  journal: Optional[Journal] = None,
-                 min_events: int = 0,
                  flight: Optional[Any] = None):
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError("SLO names must be unique")
         self.specs = tuple(specs)
-        #: Minimum observations a window must hold before its burn rate
-        #: can alert — the standard low-traffic guard (a 2-of-3 bad
-        #: sample is not a page).  This is also what makes federation
-        #: load-bearing: with a fleet-wide ``min_events`` volume gate,
-        #: each node's local view may be under the significance floor
-        #: while the merged cluster-wide window clears it and pages.
-        self.min_events = min_events
         self._registry = registry
         self._journal = journal
         #: Optional :class:`~repro.obs.attrib.FlightRecorder`.  When a
@@ -271,12 +263,6 @@ class SloEngine:
     @property
     def journal(self) -> Journal:
         return self._journal if self._journal is not None else get_journal()
-
-    def rebind(self, registry: MetricsRegistry) -> "SloEngine":
-        """Point the engine at another registry (e.g. the federated
-        cluster-wide merge) without losing alert/accumulator state."""
-        self._registry = registry
-        return self
 
     # -- evaluation ----------------------------------------------------
 
@@ -335,10 +321,8 @@ class SloEngine:
                 fast_bad=fast_bad, fast_total=fast_total,
                 slow_bad=slow_bad, slow_total=slow_total,
                 fast_burn=fast_burn, slow_burn=slow_burn,
-                fast_alert=(fast_burn >= FAST_BURN_THRESHOLD
-                            and fast_total >= self.min_events),
-                slow_alert=(slow_burn >= SLOW_BURN_THRESHOLD
-                            and slow_total >= self.min_events),
+                fast_alert=fast_burn >= FAST_BURN_THRESHOLD,
+                slow_alert=slow_burn >= SLOW_BURN_THRESHOLD,
             )
             statuses.append(status)
             registry.gauge("health.burn_rate", slo=spec.name,

@@ -94,8 +94,6 @@ KNOWN_EVENT_KINDS = frozenset({
     "health.drift_tripped",
     "obs.exemplar_drop",
     "obs.flight_dump",
-    "obs.scrape_miss",
-    "obs.tsdb_evict",
     "reshard.commit",
     "reshard.migrate_chunk",
     "reshard.start",

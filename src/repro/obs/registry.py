@@ -6,9 +6,7 @@ store, experiments) reports into.  Three instrument kinds:
 * :class:`Counter` — monotonically increasing event count;
 * :class:`Gauge` — last-written value (occupancy, balance, ...);
 * :class:`Histogram` — bounded window of observations with streaming
-  ``count``/``sum``/``min``/``max`` plus windowed p50/p95/p99,
-  optionally feeding a lifetime quantile sketch the federation layer
-  merges across nodes.
+  ``count``/``sum``/``min``/``max`` plus windowed p50/p95/p99.
 
 Instruments are identified by ``(name, labels)``; the same name with
 different labels is a *labeled series* (e.g. one
@@ -32,8 +30,6 @@ import math
 import threading
 from collections import deque
 from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-from repro.obs.sketch import QuantileSketch
 
 __all__ = [
     "Counter",
@@ -128,25 +124,14 @@ class Histogram:
     time an exemplar-carrying observation is evicted, the histogram
     journals one edge-triggered ``obs.exemplar_drop`` event;
     ``exemplar_drops`` counts every such eviction.
-
-    **Sketch.** With ``sketch=True`` (``registry.histogram(name,
-    sketch=True)``) every observation also lands in a
-    :class:`~repro.obs.sketch.QuantileSketch` covering the series'
-    *full lifetime*, and the snapshot row carries its payload; the
-    federation layer (:mod:`repro.obs.fed`) sums those sketches across
-    nodes into true cluster-wide quantiles.  A merged histogram holds
-    the summed sketch and no raw window, so its ``percentile()`` and
-    ``window_values()`` answer from the sketch.
     """
 
     __slots__ = ("name", "labels", "count", "total", "min", "max",
-                 "_window", "_exemplars", "exemplar_drops", "_drop_noted",
-                 "sketch")
+                 "_window", "_exemplars", "exemplar_drops", "_drop_noted")
 
     kind = "histogram"
 
-    def __init__(self, name: str, labels: Dict[str, Any],
-                 sketch: bool = False):
+    def __init__(self, name: str, labels: Dict[str, Any]):
         self.name = name
         self.labels = labels
         self.count = 0
@@ -157,8 +142,6 @@ class Histogram:
         self._exemplars: deque = deque(maxlen=DEFAULT_HISTOGRAM_WINDOW)
         self.exemplar_drops = 0
         self._drop_noted = False
-        self.sketch: Optional[QuantileSketch] = (
-            QuantileSketch() if sketch else None)
 
     @property
     def window(self) -> int:
@@ -176,8 +159,6 @@ class Histogram:
             self._note_exemplar_drop()
         self._window.append(value)
         self._exemplars.append(exemplar)
-        if self.sketch is not None:
-            self.sketch.add(value)
 
     def _note_exemplar_drop(self) -> None:
         """An exemplar-carrying observation just aged out of the
@@ -203,13 +184,10 @@ class Histogram:
         """Windowed percentile ``q`` in [0, 100]; NaN when empty.
 
         Nearest-rank on the sorted window — cheap, monotone, and exact
-        for the small windows the registry keeps.  With no raw window
-        but a sketch (a federation merge) the sketch answers, within
-        its relative accuracy.
+        for the small windows the registry keeps.
         """
         if not self._window:
-            return (math.nan if self.sketch is None
-                    else self.sketch.percentile(q))
+            return math.nan
         ordered = sorted(self._window)
         rank = max(0, min(len(ordered) - 1,
                           math.ceil(q / 100.0 * len(ordered)) - 1))
@@ -220,12 +198,8 @@ class Histogram:
 
         The raw values back the health layer's threshold counting
         (fraction of recent observations over an SLO threshold), which
-        a percentile summary cannot answer exactly.  With no raw window
-        but a sketch (a federation merge) they are the sketch's
-        per-observation representatives.
+        a percentile summary cannot answer exactly.
         """
-        if not self._window and self.sketch is not None:
-            return self.sketch.reconstruct()
         return list(self._window)
 
     def summary(self) -> Dict[str, Any]:
@@ -243,13 +217,8 @@ class Histogram:
         }
 
     def as_dict(self) -> Dict[str, Any]:
-        payload = {"name": self.name, "labels": dict(self.labels),
-                   **self.summary(), "exemplars": self.exemplars()}
-        if self.sketch is not None:
-            # Additive within snapshot schema v1: readers that don't
-            # know about sketches ignore the extra field.
-            payload["sketch"] = self.sketch.as_dict()
-        return payload
+        return {"name": self.name, "labels": dict(self.labels),
+                **self.summary(), "exemplars": self.exemplars()}
 
     def __repr__(self) -> str:
         return (f"Histogram({self.name!r}, {self.labels}, "
@@ -336,15 +305,14 @@ class MetricsRegistry:
 
     # -- instrument factories ------------------------------------------
 
-    def _get_or_create(self, cls, name: str, labels: Dict[str, Any],
-                       **kwargs):
+    def _get_or_create(self, cls, name: str, labels: Dict[str, Any]):
         key = _series_key(name, labels)
         series = self._series.get(key)
         if series is None:
             with self._lock:
                 series = self._series.get(key)
                 if series is None:
-                    series = cls(name, labels, **kwargs)
+                    series = cls(name, labels)
                     self._series[key] = series
         if not isinstance(series, cls):
             raise TypeError(
@@ -363,39 +331,10 @@ class MetricsRegistry:
             return NULL
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(self, name: str, sketch: bool = False,
-                  **labels: Any) -> Histogram:
-        """Get-or-create a histogram; ``sketch=True`` requests one that
-        also feeds a lifetime quantile sketch (the federation feed).
-        Asking without a sketch for a series declared with one returns
-        it; the reverse raises, because a sketchless histogram cannot
-        honour the cluster-wide merge the caller expects — declare the
-        series as kind ``"sketch"`` instead.
-        """
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         if not self.enabled:
             return NULL
-        series = self._get_or_create(Histogram, name, labels,
-                                     sketch=sketch)
-        if sketch and series.sketch is None:
-            raise TypeError(
-                f"metric {name!r} with labels {labels} already registered "
-                f"as a histogram without a sketch")
-        return series
-
-    def adopt(self, instrument: Any) -> Any:
-        """Install a fully-built instrument under its own identity.
-
-        The federation aggregator builds merged instruments off-line
-        (summed counters, merged sketches) and adopts them into a
-        fresh registry so every existing read-side consumer —
-        ``matching()``, snapshots, the SLO engine — works on the
-        merged view unchanged.  Replaces any existing series with the
-        same ``(name, labels)`` identity.
-        """
-        key = _series_key(instrument.name, instrument.labels)
-        with self._lock:
-            self._series[key] = instrument
-        return instrument
+        return self._get_or_create(Histogram, name, labels)
 
     # -- introspection -------------------------------------------------
 

@@ -120,7 +120,7 @@ def ring_cluster():
 
 def congested_cluster(fabric, tick_s=1e-6):
     """R=3 with majority quorums on a congested fabric, observed, with
-    per-node registries and seeded transient replica errors."""
+    seeded transient replica errors."""
     return Cluster(n_nodes=8, node_scheme="pmod", shard_scheme="pmod",
                    shards_per_node=16, shard_capacity=2048,
                    replication=ReplicationConfig(replicas=3, write_quorum=2,
@@ -128,8 +128,7 @@ def congested_cluster(fabric, tick_s=1e-6):
                    fabric=fabric, tick_s=tick_s,
                    injector=NodeFaultInjector(error_probability=0.01,
                                               seed=7),
-                   registry=MetricsRegistry(enabled=True),
-                   node_registries=True)
+                   registry=MetricsRegistry(enabled=True))
 
 
 BUILDERS = {

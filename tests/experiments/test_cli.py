@@ -84,6 +84,19 @@ class TestMain:
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
+def _refusal_lines(args):
+    """Run the CLI in a subprocess that must exit 1 with nothing on
+    stdout; returns its stderr lines."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", *args],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    return done.stderr.strip().splitlines()
+
+
 class TestRefusedParams:
     """An undeclared ``--param`` key, or a value of another type than
     the knob's default, ends the run before it starts: exit status 1,
@@ -95,16 +108,13 @@ class TestRefusedParams:
         ["store_sharding", "--param", "workers=abc"],
     ])
     def test_one_line_and_no_traceback(self, args):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", *args],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 1
-        assert done.stdout == ""
-        lines = done.stderr.strip().splitlines()
+        lines = _refusal_lines(args)
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "declared: " in lines[0]
+
+    def test_a_param_without_equals_is_one_error_line(self):
+        assert _refusal_lines(["fragmentation", "--param", "foo"]) == [
+            "error: --param needs KEY=VALUE, got 'foo'"]
 
     def test_messages_name_the_key_and_the_declared_knobs(self):
         with pytest.raises(SystemExit) as info:
@@ -271,9 +281,6 @@ RECORDED_STEMS = {
         "cluster-drill--pmod+pmod--cdf451381f4d096a",
         "cluster-drill--pmod+traditional--32a1c0b05d1f140b",
         "cluster-drill--traditional+traditional--1f2b2f8941037ad8"}),
-    "federation": (["--scale", "0.05"], {
-        "federation-drill--healthy--160ed434ebdd7da3",
-        "federation-drill--stalled--650ec725f04aa772"}),
 }
 
 

@@ -227,11 +227,11 @@ class TestTrendCheck:
     must trip the trend pass; flat and trendless series must not."""
 
     def test_rising_lower_is_better_metric_trips(self):
-        history = history_with("fed.merge_ns_per_series",
-                               drifting(7000.0, 0.02, MIN_TREND_RUNS))
+        history = history_with("serve.open_pmod_p99_s",
+                               drifting(2e-3, 0.02, MIN_TREND_RUNS))
         (alert,) = trend_check(history,
-                               {"fed.merge_ns_per_series": "lower"})
-        assert alert.metric == "fed.merge_ns_per_series"
+                               {"serve.open_pmod_p99_s": "lower"})
+        assert alert.metric == "serve.open_pmod_p99_s"
         assert alert.slope_per_run > 0
         assert alert.slope_frac_per_run >= 0.01
         assert abs(alert.z) >= TREND_Z_THRESHOLD

@@ -137,48 +137,38 @@ def _html_tables(page):
                 r"<h2>(.*?)</h2>\n<table>\n<tr>(.*?)</tr>", page)]
 
 
-class TestFederationAndTsdbPanels:
-    def _federated(self):
+class TestPanels:
+    def test_histogram_cells_from_an_observed_cluster(self):
+        """A labeled histogram row's count, mean, p50, p95, p99 and max
+        cells appear in both the text and the HTML metrics panel."""
         from repro.cluster import Cluster
-        from repro.obs import declare_core_metrics
-        from repro.obs.fed import Federation
 
+        registry = MetricsRegistry(enabled=True)
         cluster = Cluster(n_nodes=4, node_scheme="pmod",
-                          shard_scheme="pmod", node_registries=True)
+                          shard_scheme="pmod", registry=registry)
         for i in range(400):
             cluster.put(f"k{i}", i)
-        local = MetricsRegistry(enabled=True)
-        declare_core_metrics(local)
-        fed = Federation.for_cluster(cluster, registry=local)
-        fed.collect(cluster.virtual_now_s)
-        return cluster, fed
-
-    def test_federation_panel_from_a_live_federation(self):
-        _cluster, fed = self._federated()
-        model = build_dashboard(registry=fed.merged)
+        model = build_dashboard(registry=registry)
         json.dumps(model)
-        merged = [row for row in model["metrics"]["metrics"]["histograms"]
-                  if row["name"] == "cluster.node.request_latency_s"
-                  and row["count"]]
-        assert merged and all("node" in row["labels"] for row in merged)
+        (row,) = [row for row in model["metrics"]["metrics"]["histograms"]
+                  if row["name"] == "cluster.op.sim_latency_s"]
+        assert row["labels"] == {"scheme": cluster.scheme}
+        assert row["count"] == 400
         text_rows = [[cell.strip() for cell in line.strip("|").split("|")]
                      for line in render_text(model).splitlines()
                      if line.startswith("|")]
         html_rows = [[html.unescape(cell) for cell
-                      in re.findall(r"<td>(.*?)</td>", row)]
-                     for row in re.findall(r"<tr>(<td>.*?)</tr>",
-                                           render_html(model))]
-        for row in merged:  # the cluster-wide quantiles, one per node
-            cells = [row["name"],
-                     ",".join(f"{k}={v}"
-                              for k, v in sorted(row["labels"].items())),
-                     str(row["count"])] + [
-                f"{row[field]:.6g}"
-                for field in ("mean", "p50", "p95", "p99", "max")]
-            assert cells in text_rows
-            assert cells in html_rows
+                      in re.findall(r"<td>(.*?)</td>", tr)]
+                     for tr in re.findall(r"<tr>(<td>.*?)</tr>",
+                                          render_html(model))]
+        cells = [row["name"], f"scheme={cluster.scheme}",
+                 str(row["count"])] + [
+            f"{row[field]:.6g}"
+            for field in ("mean", "p50", "p95", "p99", "max")]
+        assert cells in text_rows
+        assert cells in html_rows
 
-    def test_tsdb_panel_scalarizes_and_bounds_sparklines(self):
+    def test_flight_waterfalls_are_bounded_and_slowest_first(self):
         recorder = FlightRecorder()
         for i in range(3 * _WATERFALL_TRACES):
             recorder.record(_trace(i, 1e-3 * (i + 1)))

@@ -6,7 +6,6 @@ from repro.obs import (
     CONTROL_METRICS,
     CORE_COUNTERS,
     FASTSIM_METRICS,
-    FED_METRICS,
     HEALTH_METRICS,
     JOURNAL_METRICS,
     SERVE_METRICS,
@@ -21,7 +20,7 @@ from repro.obs import (
 #: parity tests below cover new layers automatically.
 DECLARED_LAYERS = (STORE_METRICS, FASTSIM_METRICS, SERVE_METRICS,
                    JOURNAL_METRICS, HEALTH_METRICS, CONTROL_METRICS,
-                   CLUSTER_METRICS, ADVERSARY_METRICS, FED_METRICS)
+                   CLUSTER_METRICS, ADVERSARY_METRICS)
 
 
 class TestDeclaredSchema:
@@ -35,9 +34,8 @@ class TestDeclaredSchema:
         counter_names = {c["name"] for c in snapshot["counters"]}
         gauge_names = {g["name"] for g in snapshot["gauges"]}
         histogram_names = {h["name"] for h in snapshot["histograms"]}
-        # Sketch-kind series snapshot under the histogram namespace.
         by_kind = {"counter": counter_names, "gauge": gauge_names,
-                   "histogram": histogram_names, "sketch": histogram_names}
+                   "histogram": histogram_names}
         for name in CORE_COUNTERS:
             assert name in counter_names
         for metrics in DECLARED_LAYERS:
@@ -296,50 +294,6 @@ class TestDeclaredSchema:
         assert cold == declared
         assert warm == declared
 
-    def test_fed_declaration_parity_with_emitting_code(self):
-        """Every ``fed.*`` series the federation plane emits is
-        pre-declared: a cold snapshot carries exactly the declared fed
-        names, and a full scrape -> merge -> TSDB drill (including a
-        forced scrape miss and a retention eviction) adds only
-        *labeled* variants of declared names."""
-        from repro.cluster import Cluster
-        from repro.obs import Journal, set_journal
-        from repro.obs.fed import Federation
-        from repro.obs.tsdb import TimeSeriesStore
-
-        registry, _ = enable_observability()
-        cold = {name for name in _names(registry)
-                if name.startswith("fed.")}
-
-        set_journal(Journal())
-        cluster = Cluster(n_nodes=5, node_scheme="pmod",
-                          shard_scheme="pmod", node_registries=True,
-                          registry=registry)
-        for i in range(128):
-            cluster.put(i, i)
-        fed = Federation.for_cluster(cluster, registry=registry)
-        fed.collect(cluster.virtual_now_s)
-        cluster.fail_node(0)
-        fed.collect(cluster.virtual_now_s + 1.0)  # forced scrape miss
-        tsdb = TimeSeriesStore(retention_points=4, downsample_ratio=4,
-                               registry=registry)
-        for t in range(8):  # enough appends to force an eviction
-            tsdb.append("probe", float(t), 1.0)
-
-        warm = {name for name in _names(registry)
-                if name.startswith("fed.")}
-        declared = set(FED_METRICS)
-        assert cold == declared
-        # Warm adds only labeled per-node staleness gauges, never an
-        # undeclared fed. name.
-        assert warm == declared
-        # The drill exercised every declared counter at least once.
-        assert registry.counter("fed.scrapes").value > 0
-        assert registry.counter("fed.scrape_misses").value > 0
-        assert registry.counter("fed.merges").value == 2
-        assert registry.counter("fed.tsdb.appends").value == 8
-        assert registry.counter("fed.tsdb.evictions").value > 0
-
     def test_declared_names_do_not_collide_across_layers(self):
         for i, left in enumerate(DECLARED_LAYERS):
             assert not set(CORE_COUNTERS) & set(left)
@@ -350,23 +304,8 @@ class TestDeclaredSchema:
         registry = MetricsRegistry(enabled=True)
         for metrics in DECLARED_LAYERS:
             for kind in metrics.values():
-                assert kind in ("counter", "gauge", "histogram", "sketch")
-                factory = "histogram" if kind == "sketch" else kind
-                assert callable(getattr(registry, factory))
-
-    def test_sketch_kind_declares_a_sketch_histogram(self):
-        """Series declared with kind ``"sketch"`` must come up as
-        histograms holding a sketch, not plain ones — a sketchless
-        histogram under a sketch name would silently drop out of
-        federation merges."""
-        registry = MetricsRegistry(enabled=True)
-        declare_core_metrics(registry)
-        for layer in DECLARED_LAYERS:
-            for name, kind in layer.items():
-                if kind != "sketch":
-                    continue
-                (series,) = registry.matching(name)
-                assert series.sketch is not None
+                assert kind in ("counter", "gauge", "histogram")
+                assert callable(getattr(registry, kind))
 
 
 def _names(registry):

@@ -97,10 +97,9 @@ REPO = Path(__file__).resolve().parents[1]
 #: Packages whose component and config classes the options guard scans.
 OPTION_PACKAGES = ("serve", "store", "cluster", "control", "obs")
 
-#: Functions and methods scanned beside the classes' initialisers.
+#: Functions scanned beside the classes' initialisers.
 OPTION_FUNCTIONS = {"default_slos", "strict_bands", "enable_journal",
                     "enable_observability", "build_dashboard"}
-OPTION_METHODS = {("MetricsRegistry", "histogram")}
 
 #: Out of scope: result records (telemetry snapshots, statuses, events
 #: and the records below), which the reporting code builds rather than
@@ -116,6 +115,8 @@ KEPT_OPTIONS = (
     ("Cluster", ("registry",),
      "registry injection: tests substitute it"),
     ("KeyRotator", ("registry",),
+     "registry injection: tests substitute it"),
+    ("ShardedStore", ("registry",),
      "registry injection: tests substitute it"),
     ("Cluster", ("fabric", "injector", "tick_s"),
      "tests/cluster/test_recorded.py pins runs built with them"),
@@ -187,11 +188,6 @@ def _option_definitions():
                         node.name, [f.target.id for f in fields],
                         {f.target.id: ast.dump(f.value) for f in fields
                          if f.value is not None})
-                for owner, method in OPTION_METHODS:
-                    if owner == node.name:
-                        found[method] = (f"{owner}.{method}",
-                                         *_defaulted(methods[method],
-                                                     True))
     return found
 
 
